@@ -252,15 +252,17 @@ def cmd_compare(args) -> int:
         geo = _geodesic(args, alg)
         results.append(_compare_one(geo, args.tmax, args.steps, args.rank_tol, tol))
     all_ok = all(r["ok"] for r in results)
+    worst_gap = max((abs(tc - td) for r in results for tc, td, _, _ in r["matched"]),
+                    default=0.0)
     if args.json:
-        print(json.dumps({"runs": results, "ok": all_ok}))
+        print(json.dumps({"runs": results, "ok": all_ok, "worst_gap": worst_gap}))
     else:
         for i, r in enumerate(results):
             status = "ok" if r["ok"] else "DISCREPANCY"
             print(f"run {i:3d}: {len(r['matched'])} matched,"
                   f" {len(r['missing'])} missing, {len(r['spurious'])} spurious,"
                   f" {len(r['mult_mismatches'])} mult mismatches -> {status}")
-        print(f"overall: {'ok' if all_ok else 'DISCREPANCY'}")
+        print(f"overall: {'ok' if all_ok else 'DISCREPANCY'}, worst matched gap {worst_gap:.3e}")
     return 0 if all_ok else 1
 
 
@@ -306,17 +308,6 @@ def cmd_locus(args) -> int:
         x0 = _parse_vector(args.x0, alg.dim_v, "--x0")
         a_grid = np.linspace(-args.amax, args.amax, 2 * args.num + 1)
         samples = continuation(alg, x0, list(a_grid), tol)
-    _emit_samples(samples, args)
-    return 0
-
-
-def cmd_continuation(args) -> int:
-    tol = _parse_tol_overrides(args.tol)
-    alg = _load_algebra(args.algebra, tol)
-    _echo_tolerances(tol, args.json)
-    x0 = _parse_vector(args.x0, alg.dim_v, "--x0")
-    a_grid = np.linspace(-args.amax, args.amax, 2 * args.num + 1)
-    samples = continuation(alg, x0, list(a_grid), tol)
     _emit_samples(samples, args)
     return 0
 
@@ -389,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=8)
     p.add_argument("--out", help="output path")
     p.add_argument("--format", choices=["csv", "obj"], default="csv")
-    p.set_defaults(func=cmd_continuation)
+    p.set_defaults(func=cmd_locus, mode="tube")
     return parser
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import bracket_v, inner_v, inner_z, j_map
+from .algebra import MetricLieAlgebra, bracket_v, inner_v, inner_z, j_map
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     CenterNotLineError,
@@ -35,8 +35,16 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .geometry import GeodesicSpec, JacobiField
-from .numerics import bisect_root, cluster_scalars, golden_min, nonzero_integer_near
-from .spectral import Spectrum, eigen_components, image_membership, center_coupling, spectrum
+from .numerics import bisect_root, cluster_scalars, golden_min, null_space_basis
+from .spectral import (
+    EigenComponents,
+    Spectrum,
+    center_coupling,
+    eigen_components,
+    image_membership,
+    lattice_match,
+    spectrum,
+)
 
 __all__ = [
     "ConjugateTime",
@@ -46,6 +54,7 @@ __all__ = [
     "mixed_times",
     "conjugacy_function",
     "conjugacy_function_closed",
+    "ConjugacySeries",
     "build_jacobi_field",
     "attach_witnesses",
 ]
@@ -110,17 +119,9 @@ def polynomial_times(geo: GeodesicSpec, t_max: float,
     for mu, _ in cluster_scalars(np.asarray(real_neg), thr):
         t = float(np.sqrt(-12.0 / mu))
         if t <= t_max * (1.0 + 1e-12):
-            basis = _plain_eigroom(coupling, mu, tol)
+            basis = null_space_basis(coupling - mu * np.eye(coupling.shape[0]), tol.rank_rel)
             out.append(ConjugateTime(t, basis.shape[1], "polynomial"))
     return out
-
-
-def _plain_eigroom(mat: np.ndarray, mu: float, tol: Tolerances) -> np.ndarray:
-    shifted = mat - mu * np.eye(mat.shape[0])
-    _, s, vh = np.linalg.svd(shifted)
-    cutoff = tol.rank_rel * max(float(s[0]) if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].T.copy()
 
 
 def _distinct_lattice_times(spec: Spectrum, t_max: float, tol: Tolerances) -> list[float]:
@@ -134,25 +135,13 @@ def _distinct_lattice_times(spec: Spectrum, t_max: float, tol: Tolerances) -> li
     return [rep for rep, _ in cluster_scalars(np.asarray(raw), atol)]
 
 
-def _lattice_match(spec: Spectrum, t: float, tol: Tolerances) -> tuple[int, np.ndarray]:
-    """Summed eigenspace multiplicity at t and the matching kernel basis."""
-    total = 0
-    cols = []
-    for line in spec.neg:
-        if nonzero_integer_near(t * line.rate / (2.0 * np.pi), tol.integer_rel) is not None:
-            total += line.mult
-            cols.append(line.basis)
-    kernel = np.hstack(cols) if cols else np.zeros((spec.dim_v, 0))
-    return total, kernel
-
-
 def lattice_times(geo: GeodesicSpec, t_max: float,
                   tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
     """Conjugate times of a central geodesic (x0 = 0, J != 0)."""
     spec = spectrum(geo.J, tol)
     out = []
     for t in _distinct_lattice_times(spec, t_max, tol):
-        total, _ = _lattice_match(spec, t, tol)
+        total, _ = lattice_match(spec, t, tol)
         if total > 0:
             out.append(ConjugateTime(t, total, "lattice"))
     return out
@@ -162,71 +151,68 @@ def lattice_times(geo: GeodesicSpec, t_max: float,
 # scalar conjugacy function for the one-dimensional-center mixed case
 
 
-def _ucot(u: float) -> float:
-    if abs(u) < 1e-4:
-        u2 = u * u
-        return 1.0 - u2 / 3.0 - u2 * u2 / 45.0
-    return u * np.cos(u) / np.sin(u)
+def _ucot(u: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(u) < 1e-4, 1.0 - u * u / 3.0 - (u * u) ** 2 / 45.0,
+                    u * np.cos(u) / np.sin(u))
 
 
-def _ducot(u: float) -> float:
+def _ducot(u: np.ndarray) -> np.ndarray:
     # d/du (u cot u) = cot u - u (1 + cot^2 u)
-    if abs(u) < 1e-4:
-        return -2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0
     c = np.cos(u) / np.sin(u)
-    return c - u * (1.0 + c * c)
+    return np.where(np.abs(u) < 1e-4, -2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0, c - u * (1.0 + c * c))
 
 
-def _ucoth(u: float) -> float:
-    if abs(u) < 1e-4:
-        u2 = u * u
-        return 1.0 + u2 / 3.0 - u2 * u2 / 45.0
-    if abs(u) > 350.0:
-        return abs(u)
-    return u / np.tanh(u)
+def _ucoth(u: np.ndarray) -> np.ndarray:
+    far = np.where(np.abs(u) > 350.0, np.abs(u), u / np.tanh(u))
+    return np.where(np.abs(u) < 1e-4, 1.0 + u * u / 3.0 - (u * u) ** 2 / 45.0, far)
 
 
-def _ducoth(u: float) -> float:
+def _ducoth(u: np.ndarray) -> np.ndarray:
     # d/du (u coth u) = coth u - u (coth^2 u - 1)
-    if abs(u) < 1e-4:
-        return 2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0
-    if abs(u) > 350.0:
-        return 1.0 if u > 0 else -1.0
     c = 1.0 / np.tanh(u)
-    return c - u * (c * c - 1.0)
+    far = np.where(np.abs(u) > 350.0, np.sign(u), c - u * (c * c - 1.0))
+    return np.where(np.abs(u) < 1e-4, 2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0, far)
 
 
-def _closed_data(geo: GeodesicSpec, spec: Spectrum,
-                 tol: Tolerances) -> Optional[tuple[list, list, float]]:
-    """Metric squares of the eigenspace components of x0, or None without the
-    diagonalizability certificate."""
-    if not spec.diagonalizable:
-        return None
-    comps = eigen_components(spec, geo.x0)
-    neg = [(lam, inner_v(geo.alg, a, a)) for lam, a in comps.neg]
-    pos = [(lam, inner_v(geo.alg, b, b)) for lam, b in comps.pos]
-    ker2 = inner_v(geo.alg, comps.kernel, comps.kernel)
-    return neg, pos, float(ker2)
+@dataclass(frozen=True)
+class ConjugacySeries:
+    """g(t) = <K,K> + sum <A,A> u cot u + sum <B,B> u coth u with u = rate t / 2.
 
+    One term per rotating line (A) and boosting line (B) of a diagonalizable
+    J, plus the kernel weight <K,K> (the zero-rate limit).  value and
+    derivative act elementwise on arrays of t and return a float for a
+    scalar t; they silence the 0/0 of the branch np.where discards at u = 0.
+    """
 
-def _closed_value(data: tuple[list, list, float], t: float) -> float:
-    neg, pos, ker2 = data
-    val = ker2
-    for lam, a2 in neg:
-        val += a2 * _ucot(0.5 * lam * t)
-    for lam, b2 in pos:
-        val += b2 * _ucoth(0.5 * lam * t)
-    return float(val)
+    neg: tuple[tuple[float, float], ...]   # (rate, <A,A>) per rotating line
+    pos: tuple[tuple[float, float], ...]   # (rate, <B,B>) per boosting line
+    kernel: float                          # <K,K>
 
+    @classmethod
+    def of(cls, alg: MetricLieAlgebra, comps: EigenComponents) -> "ConjugacySeries":
+        return cls(tuple((lam, inner_v(alg, a, a)) for lam, a in comps.neg),
+                   tuple((lam, inner_v(alg, b, b)) for lam, b in comps.pos),
+                   inner_v(alg, comps.kernel, comps.kernel))
 
-def _closed_derivative(data: tuple[list, list, float], t: float) -> float:
-    neg, pos, _ = data
-    val = 0.0
-    for lam, a2 in neg:
-        val += a2 * 0.5 * lam * _ducot(0.5 * lam * t)
-    for lam, b2 in pos:
-        val += b2 * 0.5 * lam * _ducoth(0.5 * lam * t)
-    return float(val)
+    @np.errstate(divide="ignore", invalid="ignore")
+    def value(self, t: float | np.ndarray) -> float | np.ndarray:
+        t = np.asarray(t, dtype=float)
+        val = np.full(t.shape, self.kernel)
+        for lam, a2 in self.neg:
+            val = val + a2 * _ucot(0.5 * lam * t)
+        for lam, b2 in self.pos:
+            val = val + b2 * _ucoth(0.5 * lam * t)
+        return val if val.ndim else float(val)
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def derivative(self, t: float | np.ndarray) -> float | np.ndarray:
+        t = np.asarray(t, dtype=float)
+        val = np.zeros(t.shape)
+        for lam, a2 in self.neg:
+            val = val + a2 * 0.5 * lam * _ducot(0.5 * lam * t)
+        for lam, b2 in self.pos:
+            val = val + b2 * 0.5 * lam * _ducoth(0.5 * lam * t)
+        return val if val.ndim else float(val)
 
 
 def conjugacy_function(geo: GeodesicSpec, t: float,
@@ -241,7 +227,7 @@ def conjugacy_function(geo: GeodesicSpec, t: float,
     member, v = image_membership(geo.J, t, geo.x0, geo.alg.gram_v, tol)
     if not member:
         spec = spectrum(geo.J, tol)
-        total, _ = _lattice_match(spec, t, tol)
+        total, _ = lattice_match(spec, t, tol)
         if total > 0:
             raise PoleError(f"t = {t} is a lattice pole of the conjugacy function")
         raise NotInImageError(
@@ -249,22 +235,21 @@ def conjugacy_function(geo: GeodesicSpec, t: float,
     return inner_v(geo.alg, geo.J @ geo.x0, v)
 
 
-def conjugacy_function_closed(geo: GeodesicSpec, t: float,
-                              tol: Tolerances = DEFAULT_TOL) -> float:
-    """Explicit cot/coth form of the conjugacy function.
+def conjugacy_function_closed(geo: GeodesicSpec, t: float | np.ndarray,
+                              tol: Tolerances = DEFAULT_TOL) -> float | np.ndarray:
+    """Explicit cot/coth form of the conjugacy function, elementwise over t.
 
     Requires the real-split certificate of the spectrum; each negative rate
     contributes <A,A> (lt/2) cot(lt/2), each positive rate <B,B> (lt/2)
     coth(lt/2), and a kernel component contributes its constant metric square
-    (the zero-rate limit).
+    (the zero-rate limit).  Returns a float for a scalar t, else an array.
     """
-    if t == 0.0:
+    if np.any(np.asarray(t) == 0.0):
         raise PoleError("conjugacy function is a limit at t = 0, not a value")
     spec = spectrum(geo.J, tol)
-    data = _closed_data(geo, spec, tol)
-    if data is None:
+    if not spec.diagonalizable:
         raise NotInImageError("closed form requires a diagonalizable operator")
-    return _closed_value(data, t)
+    return ConjugacySeries.of(geo.alg, eigen_components(spec, geo.x0)).value(t)
 
 
 def _kernel_obstruction(geo: GeodesicSpec, spec: Spectrum, tol: Tolerances) -> bool:
@@ -279,21 +264,27 @@ def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
                          t_max: float, tol: Tolerances) -> list[ConjugateTime]:
     if _kernel_obstruction(geo, spec, tol):
         return []
-    data = _closed_data(geo, spec, tol)
+    series = (ConjugacySeries.of(geo.alg, eigen_components(spec, geo.x0))
+              if spec.diagonalizable else None)
 
-    def g_minus_speed(t: float) -> float:
-        if data is not None:
-            return _closed_value(data, t) - geo.speed
+    def numeric(t: float) -> float:
         try:
             return conjugacy_function(geo, t, tol) - geo.speed
         except (PoleError, NotInImageError):
             return np.nan
+
+    def g_minus_speed(t: float | np.ndarray) -> float | np.ndarray:
+        if series is not None:
+            return series.value(t) - geo.speed
+        # no closed form: one membership solve per sample
+        return np.vectorize(numeric, otypes=[float])(t)
 
     neg_rates = [line.rate for line in spec.neg]
     lam_max = max(neg_rates) if neg_rates else 0.0
     edges = [0.0] + [p for p in poles if p < t_max] + [t_max]
     fscale = abs(geo.speed) + abs(inner_v(geo.alg, geo.x0, geo.x0)) + 1.0
     roots: list[tuple[float, bool]] = []
+    brackets = []   # (lo, hi, f(lo), f(hi), grid step) per sign change
     for a, b in zip(edges[:-1], edges[1:]):
         margin = 1e-9 * max(1.0, b)
         lo, hi = a + margin, b - margin
@@ -304,41 +295,34 @@ def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
             delta = min(delta, np.pi / (4.0 * lam_max))
         npts = int(np.clip(np.ceil((hi - lo) / delta) + 1, 9, 4097))
         ts = np.linspace(lo, hi, npts)
-        fv = np.array([g_minus_speed(t) for t in ts])
-        for i in range(npts - 1):
-            f0, f1 = fv[i], fv[i + 1]
-            if not (np.isfinite(f0) and np.isfinite(f1)):
-                continue
-            if f0 == 0.0:
-                roots.append((float(ts[i]), False))
-                continue
-            if f0 * f1 < 0.0:
-                root = bisect_root(g_minus_speed, float(ts[i]), float(ts[i + 1]),
-                                   fa=float(f0), fb=float(f1), xtol=tol.bisect_tol)
-                if data is not None:
-                    for _ in range(2):  # Newton polish on the closed form
-                        d = _closed_derivative(data, root)
-                        if d == 0.0 or not np.isfinite(d):
-                            break
-                        step = (_closed_value(data, root) - geo.speed) / d
-                        if abs(step) > delta:
-                            break
-                        root -= step
-                roots.append((float(root), False))
-        if fv[-1] == 0.0 and np.isfinite(fv[-1]):
-            roots.append((float(ts[-1]), False))
+        fv = g_minus_speed(ts)
+        finite = np.isfinite(fv)
+        pair = finite[:-1] & finite[1:]
+        roots += [(float(t), False) for t in ts[fv == 0.0]]
+        cross = np.nonzero(pair & (fv[:-1] * fv[1:] < 0.0))[0]
+        brackets += [(ts[i], ts[i + 1], fv[i], fv[i + 1], delta) for i in cross]
         # tangency sweep: interior |f| minima without a sign change
-        for i in range(1, npts - 1):
-            window = fv[i - 1:i + 2]
-            if not np.all(np.isfinite(window)):
-                continue
-            if abs(fv[i]) <= abs(fv[i - 1]) and abs(fv[i]) <= abs(fv[i + 1]):
-                if fv[i - 1] * fv[i + 1] > 0.0 and abs(fv[i]) < 1e-6 * fscale:
-                    x_min, f_min = golden_min(lambda t: abs(g_minus_speed(t)),
-                                              float(ts[i - 1]), float(ts[i + 1]),
-                                              xtol=tol.refine_tol)
-                    if f_min <= 1e-8 * fscale:
-                        roots.append((float(x_min), True))
+        af = np.abs(fv)
+        dips = (finite[:-2] & finite[1:-1] & finite[2:] & (af[1:-1] <= af[:-2])
+                & (af[1:-1] <= af[2:]) & (fv[:-2] * fv[2:] > 0.0) & (af[1:-1] < 1e-6 * fscale))
+        for i in np.nonzero(dips)[0] + 1:
+            x_min, f_min = golden_min(lambda t: abs(g_minus_speed(t)),
+                                      float(ts[i - 1]), float(ts[i + 1]),
+                                      xtol=tol.refine_tol)
+            if f_min <= 1e-8 * fscale:
+                roots.append((float(x_min), True))
+    if brackets:
+        t_lo, t_hi, f_lo, f_hi, step_cap = np.array(brackets).T
+        found = bisect_root(g_minus_speed, t_lo, t_hi, fa=f_lo, fb=f_hi, xtol=tol.bisect_tol)
+        if series is not None:
+            polish = np.ones(found.size, dtype=bool)
+            for _ in range(2):  # Newton polish on the closed form
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    d = series.derivative(found)
+                    step = (series.value(found) - geo.speed) / d
+                polish &= (d != 0.0) & np.isfinite(d) & (np.abs(step) <= step_cap)
+                found = np.where(polish, found - step, found)
+        roots += [(float(root), False) for root in found]
     out = []
     seen: list[float] = []
     for root, tangent in sorted(roots):
@@ -372,7 +356,7 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
     gjx = geo.alg.gram_v @ (geo.J @ geo.x0)
     out = []
     for t in poles:
-        total, kernel = _lattice_match(spec, t, tol)
+        total, kernel = lattice_match(spec, t, tol)
         member, v = image_membership(geo.J, t, geo.x0, geo.alg.gram_v, tol)
         if member:
             pairing = inner_v(geo.alg, geo.J @ geo.x0, v)
@@ -449,7 +433,7 @@ def _normalize_field(geo: GeodesicSpec, times: np.ndarray, z_rows: np.ndarray,
 def _polynomial_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiField:
     coupling = center_coupling(geo.alg, geo.x0)
     mu = -12.0 / (t0 * t0)
-    basis = _plain_eigroom(coupling, mu, tol)
+    basis = null_space_basis(coupling - mu * np.eye(coupling.shape[0]), tol.rank_rel)
     if basis.shape[1] == 0:
         raise NoConjugateError(f"no eigenvector for the requested time {t0}")
     zeta = basis[:, 0]
@@ -464,7 +448,7 @@ def _polynomial_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> Jacobi
 
 def _lattice_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiField:
     spec = spectrum(geo.J, tol)
-    _, kernel = _lattice_match(spec, t0, tol)
+    _, kernel = lattice_match(spec, t0, tol)
     if kernel.shape[1] == 0:
         raise NoConjugateError(f"no lattice kernel at t = {t0}")
     x_zero = _is_zero_vector(geo.x0, tol)

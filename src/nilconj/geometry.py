@@ -21,9 +21,7 @@ from .algebra import (
     inner_z,
     j_map,
 )
-from .config import DEFAULT_TOL, Tolerances
 from .errors import InsufficientSamplesError, ParseError
-from .numerics import adaptive_simpson
 
 __all__ = [
     "GeodesicSpec",
@@ -150,38 +148,36 @@ def geodesic_velocity(geo: GeodesicSpec, t: float) -> AlgebraElement:
     return AlgebraElement(geo.z0, expm(t * geo.J) @ geo.x0)
 
 
-def _flow(j: np.ndarray, x0: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(tJ) and the integral of exp(sJ) x0 over [0, t], via one augmented expm."""
-    q = j.shape[0]
-    aug = np.zeros((q + 1, q + 1))
-    aug[:q, :q] = j
-    aug[:q, q] = x0
-    e = expm(t * aug)
-    return e[:q, :q], e[:q, q]
+def geodesic_point(geo: GeodesicSpec, t: float) -> AlgebraElement:
+    """Exponential coordinates (Z(t), X(t)) of the geodesic point, exactly.
 
-
-def geodesic_point(geo: GeodesicSpec, t: float, tol: Tolerances = DEFAULT_TOL) -> AlgebraElement:
-    """Exponential coordinates (Z(t), X(t)) of the geodesic point.
-
-    X integrates the rotated velocity exactly through an augmented matrix
-    exponential; the central correction is integrated by adaptive quadrature
-    with an absolute tolerance floored at machine-relative problem scale.
+    u = (X, 1) and w = (exp(sJ) x0, 0) both solve y' = A y, A = [[J, x0], [0, 0]],
+    so Q = u w^T - w u^T solves Q' = A Q + Q A^T.  One block-triangular
+    exponential of that flow (Van Loan, IEEE TAC 23, 1978) integrates Q over
+    [0, t]: row q of the integral is (X(t), 0), and the bracket contracts its
+    leading block to 2 int [X(s), exp(sJ) x0] ds = 4 (Z(t) - t z0).  Only the
+    antisymmetric part of u w^T reaches the bracket, so the lift grows like
+    exp(rate t), not like its square.
     """
-    alg = geo.alg
-    j, x0, z0 = geo.J, geo.x0, geo.z0
-    if t == 0.0:
-        return AlgebraElement(np.zeros(alg.dim_center), np.zeros(alg.dim_v))
-    _, x_t = _flow(j, x0, t)
-
-    def integrand(s: float) -> np.ndarray:
-        e_s, x_s = _flow(j, x0, s)
-        return 0.5 * bracket_v(alg, x_s, e_s @ x0)
-
-    cmax = float(np.abs(alg.structure).max()) if alg.structure.size else 0.0
-    scale = abs(t) * float(x0 @ x0) * max(cmax, 1.0)
-    quad_tol = max(tol.quad_tol, 8.0 * np.finfo(float).eps * max(scale, 1.0))
-    z_t = t * z0 + adaptive_simpson(integrand, 0.0, t, quad_tol)
-    return AlgebraElement(z_t, x_t)
+    q = geo.alg.dim_v
+    n = q + 1
+    a = np.zeros((n, n))
+    a[:q, :q] = geo.J
+    a[:q, q] = geo.x0
+    i, j = np.triu_indices(n, 1)        # coordinates Q[i, j], i < j
+    d = i.size
+    basis = np.zeros((n, n, d))
+    basis[i, j, np.arange(d)] = 1.0
+    basis[j, i, np.arange(d)] = -1.0
+    flow = np.einsum("ik,kjd->ijd", a, basis) + np.einsum("ikd,jk->ijd", basis, a)
+    lift = np.zeros((2 * d, 2 * d))
+    lift[:d, :d] = flow[i, j]
+    lift[d:, :d] = np.eye(d)
+    q0 = np.outer(np.eye(n)[q], np.append(geo.x0, 0.0))
+    q0 = q0 - q0.T
+    integral = basis @ (expm(t * lift)[d:, :d] @ q0[i, j])
+    z_t = t * geo.z0 + 0.25 * np.einsum("aij,ij->a", geo.alg.structure, integral[:q, :q])
+    return AlgebraElement(z_t, integral[q, :q])
 
 
 def _stencil_index(times: np.ndarray, t: float) -> int:

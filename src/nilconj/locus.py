@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import MetricLieAlgebra, inner_v, j_map
 from .config import DEFAULT_TOL, Tolerances
-from .conjugate import _ducot, _ducoth, _ucot, _ucoth, polynomial_times
+from .conjugate import ConjugacySeries, polynomial_times
 from .errors import CenterNotLineError, NoConjugateError, RootLostError, UnsupportedCaseError
 from .geometry import GeodesicSpec, geodesic_point
 from .spectral import eigen_components, spectrum
@@ -57,15 +57,13 @@ def _unit_center(alg: MetricLieAlgebra) -> tuple[np.ndarray, float]:
     return np.array([1.0 / np.sqrt(abs(g))]), float(np.sign(g))
 
 
-def _rate_components(alg: MetricLieAlgebra, x0: np.ndarray,
-                     tol: Tolerances) -> tuple[list, list, float, float]:
-    """(neg (lam, <A,A>), pos (lam, <B,B>), <ker,ker>, eps) for the unit-center J."""
+def _tilt_series(alg: MetricLieAlgebra, x0: np.ndarray,
+                 tol: Tolerances) -> tuple[ConjugacySeries, float]:
+    """Conjugacy series of x0 under the unit-center J, and the center sign eps."""
     zu, eps = _unit_center(alg)
     spec = spectrum(j_map(alg, zu), tol)
     comps = eigen_components(spec, x0)   # raises NotDiagonalizableError when defective
-    neg = [(lam, inner_v(alg, a, a)) for lam, a in comps.neg]
-    pos = [(lam, inner_v(alg, b, b)) for lam, b in comps.pos]
-    return neg, pos, float(inner_v(alg, comps.kernel, comps.kernel)), eps
+    return ConjugacySeries.of(alg, comps), eps
 
 
 def conjugate_rate(alg: MetricLieAlgebra, x0: np.ndarray,
@@ -76,9 +74,9 @@ def conjugate_rate(alg: MetricLieAlgebra, x0: np.ndarray,
     straight geodesic has no conjugate points at all).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    neg, pos, _, eps = _rate_components(alg, x0, tol)
-    d2 = (sum(lam * lam * eps * b2 for lam, b2 in pos)
-          - sum(lam * lam * eps * a2 for lam, a2 in neg))
+    series, eps = _tilt_series(alg, x0, tol)
+    d2 = (sum(lam * lam * eps * b2 for lam, b2 in series.pos)
+          - sum(lam * lam * eps * a2 for lam, a2 in series.neg))
     if d2 <= tol.zero_rel:
         raise NoConjugateError("signed squared-rate sum is not positive; "
                                "no conjugate point on this straight geodesic")
@@ -115,41 +113,26 @@ def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
         else:
             raise ValueError(f"unknown method {method!r}")
         geo = GeodesicSpec(alg, np.zeros(alg.dim_center), x0)
-        point = geodesic_point(geo, t, tol).coords()
+        point = geodesic_point(geo, t).coords()
         out.append(LocusSample(x0, 0.0, float(t), point, float(delta)))
     return out
 
 
-def _family_value(neg: list, pos: list, ker2: float, s: float, t: float) -> float:
-    val = ker2
-    for lam, a2 in neg:
-        val += a2 * _ucot(0.5 * s * lam * t)
-    for lam, b2 in pos:
-        val += b2 * _ucoth(0.5 * s * lam * t)
-    return val
+def _track_root(series: ConjugacySeries, speed0: float, eps: float, s: float,
+                predictor: float, a: float) -> float:
+    """Root of g_a(t) = speed_a nearest the predictor; Newton, bisection fallback.
 
+    The tilted family's conjugacy function is g_a(t) = series.value(s t).
+    """
 
-def _family_derivative(neg: list, pos: list, s: float, t: float) -> float:
-    val = 0.0
-    for lam, a2 in neg:
-        val += a2 * 0.5 * s * lam * _ducot(0.5 * s * lam * t)
-    for lam, b2 in pos:
-        val += b2 * 0.5 * s * lam * _ducoth(0.5 * s * lam * t)
-    return val
-
-
-def _track_root(neg: list, pos: list, ker2: float, speed0: float, eps: float,
-                s: float, predictor: float, a: float) -> float:
-    """Root of g_a(t) = speed_a nearest the predictor; Newton, bisection fallback."""
-
-    def f(t: float) -> float:
-        return _family_value(neg, pos, ker2, s, t) - speed0 - s * s * eps
+    def f(t: float | np.ndarray) -> float | np.ndarray:
+        return series.value(s * t) - speed0 - s * s * eps
 
     t = predictor
     lo, hi = 0.5 * predictor, 1.5 * predictor
     for _ in range(60):
         ft = f(t)
-        df = _family_derivative(neg, pos, s, t)
+        df = s * series.derivative(s * t)
         if df == 0.0 or not np.isfinite(df):
             break
         t_new = t - ft / df
@@ -160,7 +143,7 @@ def _track_root(neg: list, pos: list, ker2: float, speed0: float, eps: float,
         t = t_new
     # bisection fallback inside the trust window
     grid = np.linspace(lo, hi, 65)
-    fv = [f(x) for x in grid]
+    fv = f(grid)
     for i in range(len(grid) - 1):
         if np.isfinite(fv[i]) and np.isfinite(fv[i + 1]) and fv[i] * fv[i + 1] < 0.0:
             a_, b_ = float(grid[i]), float(grid[i + 1])
@@ -189,19 +172,19 @@ def continuation(alg: MetricLieAlgebra, x0: np.ndarray, a_grid: list[float],
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     zu, eps = _unit_center(alg)
     delta = conjugate_rate(alg, x0, tol)    # rejects Delta <= 0 up front
-    neg, pos, ker2, _ = _rate_components(alg, x0, tol)
+    series, _ = _tilt_series(alg, x0, tol)
     speed0 = inner_v(alg, x0, x0)
     t_limit = _2SQRT3 / delta
     track: dict[float, float] = {0.0: t_limit}
     for s in sorted({abs(float(a)) for a in a_grid if a != 0.0}):
         predictor = track[max(k for k in track if k < s)]
-        track[s] = _track_root(neg, pos, ker2, speed0, eps, s, predictor, s)
+        track[s] = _track_root(series, speed0, eps, s, predictor, s)
     out = []
     for a in a_grid:
         a = float(a)
         t = track[abs(a)]
         geo = GeodesicSpec(alg, a * zu, x0)
-        point = geodesic_point(geo, t, tol).coords()
+        point = geodesic_point(geo, t).coords()
         out.append(LocusSample(x0, a, float(t), point, delta))
     return out
 

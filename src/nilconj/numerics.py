@@ -1,35 +1,14 @@
-"""Small numerical helpers: quadrature, scalar searches, rank decisions."""
+"""Small numerical helpers: root and minimum searches, rank decisions."""
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
-
-
-def adaptive_simpson(f: Callable[[float], np.ndarray], a: float, b: float,
-                     tol: float, max_depth: int = 24) -> np.ndarray:
-    """Integrate a (possibly vector-valued) f over [a, b] to absolute tolerance."""
-    fa, fm, fb = f(a), f((a + b) / 2.0), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = (a + b) / 2.0
-    lm, rm = (a + m) / 2.0, (m + b) / 2.0
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = float(np.max(np.abs(left + right - whole)))
-    if depth <= 0 or err <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    half = tol / 2.0
-    return (_simpson_rec(f, a, m, fa, flm, fm, left, half, depth - 1)
-            + _simpson_rec(f, m, b, fm, frm, fb, right, half, depth - 1))
 
 
 def golden_min(f: Callable[[float], float], a: float, b: float,
@@ -55,30 +34,37 @@ def golden_min(f: Callable[[float], float], a: float, b: float,
     return (a + b) / 2.0, min(fc, fd)
 
 
-def bisect_root(f: Callable[[float], float], a: float, b: float,
-                fa: Optional[float] = None, fb: Optional[float] = None,
-                xtol: float = 1e-12, max_iter: int = 200) -> float:
-    """Bisection on a sign change; endpoints must bracket a root."""
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
+def bisect_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,
+                fa: Optional[ArrayLike] = None, fb: Optional[ArrayLike] = None,
+                xtol: float = 1e-12, max_iter: int = 200) -> float | np.ndarray:
+    """Bisection on sign changes, elementwise over arrays of brackets.
+
+    f maps an array of points to their values; each bracket takes the steps
+    of a scalar bisection, and all brackets share one call of f per step.
+    Returns a float for scalar endpoints.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    fa = np.array(f(a) if fa is None else fa, dtype=float)
+    fb = np.array(f(b) if fb is None else fb, dtype=float)
+    if np.any(fa * fb > 0.0):
         raise ValueError("bisect_root: endpoints do not bracket a sign change")
+    root = np.where(fa == 0.0, a, b)
+    live = (fa != 0.0) & (fb != 0.0)
     for _ in range(max_iter):
         m = 0.5 * (a + b)
-        if b - a <= xtol:
-            return m
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+        root = np.where(live, m, root)
+        live &= b - a > xtol
+        if not live.any():
+            break
+        fm = np.zeros_like(m)
+        fm[live] = f(m[live])
+        live &= fm != 0.0
+        left = fa * fm < 0.0
+        b, fb = np.where(live & left, m, b), np.where(live & left, fm, fb)
+        a, fa = np.where(live & ~left, m, a), np.where(live & ~left, fm, fa)
+    else:
+        root = np.where(live, 0.5 * (a + b), root)
+    return root if root.ndim else float(root)
 
 
 def nonzero_integer_near(x: float, rel: float) -> Optional[int]:

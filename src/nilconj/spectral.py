@@ -24,6 +24,7 @@ __all__ = [
     "Spectrum",
     "spectrum",
     "lattice_kernel",
+    "lattice_match",
     "image_membership",
     "center_coupling",
     "EigenComponents",
@@ -104,19 +105,27 @@ def spectrum(j: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     )
 
 
+def lattice_match(spec: Spectrum, t: float,
+                  tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
+    """Summed multiplicity and basis of ker(exp(tJ) - I) on the invertible part.
+
+    Selects the rotating lines with t * lambda in 2 pi Z \\ {0}; the plain
+    kernel of J is excluded by construction.
+    """
+    lines = [line for line in spec.neg
+             if nonzero_integer_near(t * line.rate / (2.0 * np.pi), tol.integer_rel) is not None]
+    if not lines:
+        return 0, np.zeros((spec.dim_v, 0))
+    return sum(line.mult for line in lines), np.hstack([line.basis for line in lines])
+
+
 def lattice_kernel(j: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Basis of ker(exp(tJ) - I) inside the part where J is invertible.
 
     Equals the direct sum of the eigenspaces ker(J^2 + lambda^2 I) over the
-    rates with t * lambda in 2 pi Z \\ {0}; the plain kernel of J is excluded
-    by construction.
+    rates with t * lambda in 2 pi Z \\ {0}.
     """
-    spec = spectrum(np.asarray(j, dtype=float), tol)
-    cols = [line.basis for line in spec.neg
-            if nonzero_integer_near(t * line.rate / (2.0 * np.pi), tol.integer_rel) is not None]
-    if not cols:
-        return np.zeros((spec.dim_v, 0))
-    return np.hstack(cols)
+    return lattice_match(spectrum(np.asarray(j, dtype=float), tol), t, tol)[1]
 
 
 def image_membership(j: np.ndarray, t: float, x: np.ndarray, gram_v: np.ndarray,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import HEIS3Z2
+from nilconj import DEFAULT_TOL
 from nilconj.cli import main
 
 SQ3 = np.sqrt(3.0)
@@ -184,6 +185,18 @@ def test_compare_random_json(capsys):
     doc = json_out(out)
     assert doc["ok"] is True
     assert len(doc["runs"]) == 3
+
+
+def test_compare_json_worst_gap(capsys):
+    code, out, _ = run(capsys, "compare", "--algebra", "pheis3", "--random", "3",
+                       "--seed", "1", "--tmax", "6", "--json")
+    assert code == 0
+    doc = json_out(out)
+    assert doc["ok"] is True
+    gaps = [abs(m[0] - m[1]) for r in doc["runs"] for m in r["matched"]]
+    assert gaps
+    assert doc["worst_gap"] == max(gaps)
+    assert doc["worst_gap"] <= DEFAULT_TOL.match_tol
 
 
 def test_compare_forced_discrepancy_exit_1(capsys):

@@ -1,8 +1,11 @@
 """Closed-form conjugate times: all branches, frozen values, witnesses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import nilconj.conjugate as conjugate_module
 from nilconj import (
     CenterNotLineError,
     GeodesicSpec,
@@ -200,6 +203,15 @@ def test_conjugacy_closed_matches_numerical(name):
         except (PoleError, NotInImageError):
             continue
         assert conjugacy_function_closed(g, t) == pytest.approx(num, abs=1e-9)
+        # the closed form is elementwise over an array of times
+        ts = np.array([0.5 * t, t, 1.5 * t])
+        try:
+            nums = [conjugacy_function(g, float(s)) for s in ts]
+        except (PoleError, NotInImageError):
+            continue
+        closed = conjugacy_function_closed(g, ts)
+        assert closed.tolist() == [conjugacy_function_closed(g, float(s)) for s in ts]
+        assert closed == pytest.approx(nums, abs=1e-9)
 
 
 def test_conjugacy_closed_matches_numerical_mixed_signature(phyp):
@@ -247,6 +259,21 @@ def test_mixed_scaling_covariance(heis3):
     for b, c in zip(base, scaled):
         assert c.t == pytest.approx(b.t / s, rel=1e-7)
         assert c.multiplicity == b.multiplicity
+
+
+def test_mixed_times_without_closed_series(heis5w, monkeypatch):
+    # Without the real-split certificate the root scan samples the
+    # membership-based conjugacy function; it must find the series' roots.
+    g = geo(heis5w, [3.0], [1.0, 0.2, 0.3, 0.4])
+    closed = conjugate_times(g, 7.0)
+    real_spectrum = conjugate_module.spectrum
+    monkeypatch.setattr(conjugate_module, "spectrum", lambda j, tol: dataclasses.replace(
+        real_spectrum(j, tol), diagonalizable=False))
+    numeric = conjugate_times(g, 7.0)
+    assert sum(ct.branch == "transcendental" for ct in closed) >= 3
+    assert ([(ct.multiplicity, ct.branch, ct.tangent) for ct in numeric]
+            == [(ct.multiplicity, ct.branch, ct.tangent) for ct in closed])
+    assert [ct.t for ct in numeric] == pytest.approx([ct.t for ct in closed], abs=1e-9)
 
 
 def test_mixed_heis5w_partial_lattice(heis5w):

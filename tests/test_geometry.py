@@ -222,6 +222,15 @@ def test_geodesic_point_frozen_heis3(heis3):
     assert pt.z == pytest.approx([3.0 * np.pi], abs=1e-9)
 
 
+def test_geodesic_point_boosting_pheis3(pheis3):
+    # exact lift: a long boosting geodesic costs one small exponential.
+    geo = GeodesicSpec(pheis3, [1.0], [1.0, 0.0])
+    t = 10.0
+    pt = geodesic_point(geo, t)
+    assert pt.v == pytest.approx([np.sinh(t), 1.0 - np.cosh(t)], rel=1e-12)
+    assert pt.z == pytest.approx([1.5 * t - 0.5 * np.sinh(t)], rel=1e-12)
+
+
 def test_geodesic_point_straight_and_central(heis5w):
     x0 = np.array([0.3, -0.2, 1.0, 0.4])
     geo = GeodesicSpec(heis5w, [0.0], x0)

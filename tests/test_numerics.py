@@ -4,20 +4,12 @@ import numpy as np
 import pytest
 
 from nilconj.numerics import (
-    adaptive_simpson,
     bisect_root,
     cluster_scalars,
     golden_min,
     nonzero_integer_near,
     null_space_basis,
 )
-
-
-def test_adaptive_simpson_scalar_and_vector():
-    val = adaptive_simpson(np.sin, 0.0, np.pi, 1e-12)
-    assert val == pytest.approx(2.0, abs=1e-11)
-    vec = adaptive_simpson(lambda t: np.array([np.cos(t), 3.0 * t * t]), 0.0, 2.0, 1e-12)
-    assert vec == pytest.approx([np.sin(2.0), 8.0], abs=1e-10)
 
 
 def test_golden_min():
@@ -29,6 +21,10 @@ def test_golden_min():
 def test_bisect_root():
     r = bisect_root(np.cos, 1.0, 2.0, xtol=1e-13)
     assert r == pytest.approx(np.pi / 2.0, abs=1e-12)
+    # elementwise over brackets, each taking the steps of its scalar call
+    roots = bisect_root(np.cos, [1.0, 4.0], [2.0, 5.0], xtol=1e-13)
+    assert roots.tolist() == [r, bisect_root(np.cos, 4.0, 5.0, xtol=1e-13)]
+    assert roots[1] == pytest.approx(1.5 * np.pi, abs=1e-12)
     with pytest.raises(ValueError):
         bisect_root(np.cos, 0.1, 0.2)
 
