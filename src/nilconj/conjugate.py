@@ -35,7 +35,13 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .geometry import GeodesicSpec, JacobiField
-from .numerics import bisect_root, cluster_scalars, golden_min, null_space_basis
+from .numerics import (
+    bisect_root,
+    cluster_scalars,
+    golden_min,
+    grid_transport,
+    null_space_basis,
+)
 from .spectral import (
     EigenComponents,
     Spectrum,
@@ -386,7 +392,12 @@ def _witness_grid(geo: GeodesicSpec, t0: float, tol: Tolerances) -> np.ndarray:
 
 
 def _transport_rows(j: np.ndarray, times: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Rows exp(-t_i J) vec on a uniform grid, by a stepwise recurrence."""
+    """Rows exp(-t_i J) vec on a uniform grid, by a stepwise recurrence.
+
+    Not grid_transport: these rows feed the finite-difference residual of the
+    witness check, which is limited by rounding close to its bound, and rows
+    of a recurrence share their rounding with their neighbours.
+    """
     n = times.size
     out = np.empty((n, vec.size))
     step = expm(-(times[1] - times[0]) * j) if n > 1 else np.eye(vec.size)
@@ -413,18 +424,8 @@ def _alpha_from(geo: GeodesicSpec, times: np.ndarray, g_rows: np.ndarray,
 
 def _normalize_field(geo: GeodesicSpec, times: np.ndarray, z_rows: np.ndarray,
                      v_rows: np.ndarray, zeta: np.ndarray) -> JacobiField:
-    n = times.size
-    stride = max(1, n // 2048)
-    idx = np.arange(0, n, stride)
-    if idx[-1] != n - 1:
-        idx = np.append(idx, n - 1)
-    amp = float(np.abs(z_rows[idx]).max()) if z_rows.size else 0.0
-    step = expm(times[stride] * geo.J) if n > stride else np.eye(geo.alg.dim_v)
-    cur = np.eye(geo.alg.dim_v)
-    for k in idx[:-1] if idx.size > 1 else idx:
-        amp = max(amp, float(np.abs(cur @ v_rows[k]).max()))
-        cur = step @ cur
-    amp = max(amp, float(np.abs(expm(times[-1] * geo.J) @ v_rows[-1]).max()))
+    frame_v = grid_transport(geo.J, times[1] - times[0], v_rows)
+    amp = max(float(np.abs(z_rows).max(initial=0.0)), float(np.abs(frame_v).max()))
     if amp <= 0.0:
         raise NoConjugateError("witness construction produced the zero field")
     return JacobiField(zeta / amp, times, z_rows / amp, v_rows / amp)

@@ -22,6 +22,7 @@ from .algebra import (
     j_map,
 )
 from .errors import InsufficientSamplesError, ParseError
+from .numerics import grid_transport
 
 __all__ = [
     "GeodesicSpec",
@@ -238,18 +239,10 @@ def serialize_field(field: JacobiField, stride: int = 1) -> str:
 
 def field_values(geo: GeodesicSpec, field: JacobiField) -> np.ndarray:
     """Frame values Y(t_i) = (z_i, exp(t_i J) v_i), one row per sample."""
-    n = field.times.size
-    out = np.empty((n, geo.alg.dim_center + geo.alg.dim_v))
-    out[:, :geo.alg.dim_center] = field.z
-    dt = np.diff(field.times)
-    uniform = dt.size > 0 and np.allclose(dt, dt[0], rtol=1e-9, atol=0.0)
-    if uniform:
-        e = expm(field.times[0] * geo.J)
-        step = expm(dt[0] * geo.J)
-        for i in range(n):
-            out[i, geo.alg.dim_center:] = e @ field.v[i]
-            e = step @ e
+    times = field.times
+    dt = np.diff(times)
+    if dt.size > 0 and np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
+        v = grid_transport(geo.J, dt[0], field.v) @ expm(times[0] * geo.J).T
     else:
-        for i in range(n):
-            out[i, geo.alg.dim_center:] = expm(field.times[i] * geo.J) @ field.v[i]
-    return out
+        v = np.einsum("nij,nj->ni", expm(times[:, None, None] * geo.J), field.v)
+    return np.hstack([field.z, v])

@@ -66,6 +66,16 @@ def _tilt_series(alg: MetricLieAlgebra, x0: np.ndarray,
     return ConjugacySeries.of(alg, comps), eps
 
 
+def _rate(series: ConjugacySeries, eps: float, tol: Tolerances) -> float:
+    """Delta from the series' signed squared-rate sum; NoConjugateError unless positive."""
+    d2 = (sum(lam * lam * eps * b2 for lam, b2 in series.pos)
+          - sum(lam * lam * eps * a2 for lam, a2 in series.neg))
+    if d2 <= tol.zero_rel:
+        raise NoConjugateError("signed squared-rate sum is not positive; "
+                               "no conjugate point on this straight geodesic")
+    return float(np.sqrt(d2))
+
+
 def conjugate_rate(alg: MetricLieAlgebra, x0: np.ndarray,
                    tol: Tolerances = DEFAULT_TOL) -> float:
     """Delta > 0 such that the first conjugate time along x0 is 2 sqrt(3)/Delta.
@@ -74,13 +84,7 @@ def conjugate_rate(alg: MetricLieAlgebra, x0: np.ndarray,
     straight geodesic has no conjugate points at all).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    series, eps = _tilt_series(alg, x0, tol)
-    d2 = (sum(lam * lam * eps * b2 for lam, b2 in series.pos)
-          - sum(lam * lam * eps * a2 for lam, a2 in series.neg))
-    if d2 <= tol.zero_rel:
-        raise NoConjugateError("signed squared-rate sum is not positive; "
-                               "no conjugate point on this straight geodesic")
-    return float(np.sqrt(d2))
+    return _rate(*_tilt_series(alg, x0, tol), tol)
 
 
 def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
@@ -170,9 +174,9 @@ def continuation(alg: MetricLieAlgebra, x0: np.ndarray, a_grid: list[float],
     sample's geodesic has speed <x0,x0> + a^2 eps.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    zu, eps = _unit_center(alg)
-    delta = conjugate_rate(alg, x0, tol)    # rejects Delta <= 0 up front
-    series, _ = _tilt_series(alg, x0, tol)
+    zu, _ = _unit_center(alg)
+    series, eps = _tilt_series(alg, x0, tol)
+    delta = _rate(series, eps, tol)    # rejects Delta <= 0 up front
     speed0 = inner_v(alg, x0, x0)
     t_limit = _2SQRT3 / delta
     track: dict[float, float] = {0.0: t_limit}

@@ -1,4 +1,5 @@
-"""Small numerical helpers: root and minimum searches, rank decisions."""
+"""Small numerical helpers: root and minimum searches, rank decisions,
+matrix exponentials on a uniform grid."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
+from scipy.linalg import expm
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
@@ -65,6 +67,26 @@ def bisect_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLik
     else:
         root = np.where(live, 0.5 * (a + b), root)
     return root if root.ndim else float(root)
+
+
+def grid_transport(j: np.ndarray, h: float, rows: ArrayLike) -> np.ndarray:
+    """Rows exp(i h J) rows[i], i = 0..n-1, for rows of shape (n, q) or (n, q, r).
+
+    Exponentials of multiples of one J commute, so exp((m b + k) h J) equals
+    exp(m b h J) exp(k h J); with b = ceil(sqrt(n)) two stacked expm
+    calls of about sqrt(n) matrices each cover the grid (Moler and Van Loan,
+    SIAM Review 45, 2003).  Row 0 comes back exactly.
+    """
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[0]
+    b = max(1, int(np.ceil(np.sqrt(n))))
+    m = -(-n // b)
+    fine = expm((h * np.arange(b))[:, None, None] * j)
+    coarse = expm((b * h * np.arange(m))[:, None, None] * j)
+    padded = np.zeros((m * b,) + rows.shape[1:])
+    padded[:n] = rows
+    inner = np.einsum("kij,mkj...->mki...", fine, padded.reshape((m, b) + rows.shape[1:]))
+    return np.einsum("mij,mkj...->mki...", coarse, inner).reshape(padded.shape)[:n]
 
 
 def nonzero_integer_near(x: float, rel: float) -> Optional[int]:

@@ -23,7 +23,7 @@ from scipy.linalg import expm
 
 from .config import DEFAULT_TOL, Tolerances
 from .geometry import GeodesicSpec
-from .numerics import golden_min
+from .numerics import golden_min, grid_transport
 
 __all__ = [
     "Propagator",
@@ -34,9 +34,6 @@ __all__ = [
     "MatchReport",
     "compare",
 ]
-
-_REFRESH = 128  # exact expm refresh period on the half grid, bounds drift
-
 
 def default_steps(t_max: float) -> int:
     return max(100, int(np.ceil(256.0 * t_max)))
@@ -60,47 +57,38 @@ class Propagator:
         return self.states[n, : self.dim_center + self.dim_v, :]
 
 
-class _System:
-    """Precomputed time-dependent coefficients on the RK4 half grid."""
+def _coefficients(geo: GeodesicSpec, ep: np.ndarray,
+                  em: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket and forcing blocks of the frame system from stacked e^{tJ}, e^{-tJ}.
 
-    def __init__(self, geo: GeodesicSpec, t_max: float, steps: int):
-        alg = geo.alg
-        p, q = alg.dim_center, alg.dim_v
-        self.p, self.q = p, q
-        self.j = geo.J
-        self.x0 = geo.x0
-        self.structure = alg.structure
-        self.j_basis = alg._j_basis
-        self.h = t_max / steps
-        n_half = 2 * steps + 1
-        half = 0.5 * self.h
-        e_plus_step = expm(half * self.j)
-        e_minus_step = expm(-half * self.j)
-        self.bracket_xp = np.empty((n_half, p, q))   # row a: [.,  e^{tJ}x0]_a
-        self.forcing = np.empty((n_half, q, p))      # col a: e^{-tJ} J_a e^{tJ}x0
-        ep = np.eye(q)
-        em = np.eye(q)
-        for i in range(n_half):
-            if i % _REFRESH == 0:
-                ep = expm((i * half) * self.j)
-                em = expm(-(i * half) * self.j)
-            xp = ep @ self.x0
-            self.bracket_xp[i] = np.einsum("aij,j->ai", self.structure, xp) @ ep
-            self.forcing[i] = em @ np.einsum("aij,j->ia", self.j_basis, xp)
-            ep = e_plus_step @ ep
-            em = e_minus_step @ em
-        self.zeta = np.zeros((p, p + q))
-        self.zeta[:, :p] = np.eye(p)
-        self.forcing_full = np.zeros((n_half, q, p + q))
-        self.forcing_full[:, :, :p] = self.forcing
+    bracket[i] row a is [., e^{tJ}x0]_a.  forcing[i] acts on the basis
+    columns: column a < p is e^{-tJ} J_a e^{tJ}x0, the vdot(0) columns are 0.
+    """
+    p = geo.alg.dim_center
+    xp = ep @ geo.x0
+    bracket = np.einsum("aij,nj->nai", geo.alg.structure, xp) @ ep
+    forcing = np.zeros(em.shape[:2] + (p + geo.alg.dim_v,))
+    forcing[:, :, :p] = em @ np.einsum("aij,nj->nia", geo.alg._j_basis, xp)
+    return bracket, forcing
 
-    def rhs(self, i: int, state: np.ndarray) -> np.ndarray:
-        p, q = self.p, self.q
-        v = state[p:p + q]
-        w = state[p + q:]
-        dz = self.zeta + self.bracket_xp[i] @ v
-        dw = self.forcing_full[i] - self.j @ w
-        return np.concatenate([dz, w, dw], axis=0)
+
+def _rhs(geo: GeodesicSpec, bracket: np.ndarray, forcing: np.ndarray,
+         state: np.ndarray) -> np.ndarray:
+    p, q = geo.alg.dim_center, geo.alg.dim_v
+    v = state[p:p + q]
+    w = state[p + q:]
+    dz = np.eye(p, p + q) + bracket @ v     # zeta = e_a on the center columns
+    return np.concatenate([dz, w, forcing - geo.J @ w], axis=0)
+
+
+def _rk4_step(geo: GeodesicSpec, bracket: np.ndarray, forcing: np.ndarray,
+              state: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step; coefficient rows 0, 1, 2 sit at t, t + dt/2, t + dt."""
+    k1 = _rhs(geo, bracket[0], forcing[0], state)
+    k2 = _rhs(geo, bracket[1], forcing[1], state + 0.5 * dt * k1)
+    k3 = _rhs(geo, bracket[1], forcing[1], state + 0.5 * dt * k2)
+    k4 = _rhs(geo, bracket[2], forcing[2], state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_propagator(geo: GeodesicSpec, t_max: float,
@@ -112,40 +100,18 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
         steps = default_steps(t_max)
     if steps < 100:
         raise ValueError("steps must be at least 100")
-    sys = _System(geo, t_max, steps)
-    p, q = sys.p, sys.q
-    m = p + q
-    h = sys.h
-    states = np.zeros((steps + 1, p + 2 * q, m))
-    state = np.zeros((p + 2 * q, m))
-    state[p + q:, p:] = np.eye(q)      # vdot(0) basis columns
-    states[0] = state
+    p, q = geo.alg.dim_center, geo.alg.dim_v
+    h = t_max / steps
+    eye = np.broadcast_to(np.eye(q), (2 * steps + 1, q, q))   # half grid
+    bracket, forcing = _coefficients(geo, grid_transport(geo.J, 0.5 * h, eye),
+                                     grid_transport(-geo.J, 0.5 * h, eye))
+    states = np.zeros((steps + 1, p + 2 * q, p + q))
+    states[0, p + q:, p:] = np.eye(q)      # vdot(0) basis columns
     for n in range(steps):
-        i = 2 * n
-        k1 = sys.rhs(i, state)
-        k2 = sys.rhs(i + 1, state + 0.5 * h * k1)
-        k3 = sys.rhs(i + 1, state + 0.5 * h * k2)
-        k4 = sys.rhs(i + 2, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[n + 1] = state
+        rows = slice(2 * n, 2 * n + 3)
+        states[n + 1] = _rk4_step(geo, bracket[rows], forcing[rows], states[n], h)
     times = np.linspace(0.0, t_max, steps + 1)
     return Propagator(times, states, p, q)
-
-
-def _rhs_exact(geo: GeodesicSpec, t: float, state: np.ndarray) -> np.ndarray:
-    alg = geo.alg
-    p, q = alg.dim_center, alg.dim_v
-    ep = expm(t * geo.J)
-    em = expm(-t * geo.J)
-    xp = ep @ geo.x0
-    v = state[p:p + q]
-    w = state[p + q:]
-    zeta = np.zeros((p, p + q))
-    zeta[:, :p] = np.eye(p)
-    dz = zeta + (np.einsum("aij,j->ai", alg.structure, xp) @ ep) @ v
-    forcing = np.zeros((q, p + q))
-    forcing[:, :p] = em @ np.einsum("aij,j->ia", alg._j_basis, xp)
-    return np.concatenate([dz, w, forcing - geo.J @ w], axis=0)
 
 
 def matrix_at(prop: Propagator, geo: GeodesicSpec, t: float) -> np.ndarray:
@@ -156,11 +122,9 @@ def matrix_at(prop: Propagator, geo: GeodesicSpec, t: float) -> np.ndarray:
     dt = t - t0
     state = prop.states[n]
     if dt != 0.0:
-        k1 = _rhs_exact(geo, t0, state)
-        k2 = _rhs_exact(geo, t0 + 0.5 * dt, state + 0.5 * dt * k1)
-        k3 = _rhs_exact(geo, t0 + 0.5 * dt, state + 0.5 * dt * k2)
-        k4 = _rhs_exact(geo, t0 + dt, state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ts = (t0 + np.array([0.0, 0.5 * dt, dt]))[:, None, None]
+        bracket, forcing = _coefficients(geo, expm(ts * geo.J), expm(-ts * geo.J))
+        state = _rk4_step(geo, bracket, forcing, state, dt)
     return state[: prop.dim_center + prop.dim_v, :]
 
 
@@ -188,10 +152,8 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
     times = prop.times
     h = times[1] - times[0]
     n_nodes = times.size
-    candidates = []
-    for i in range(1, n_nodes - 1):
-        if sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]:
-            candidates.append((times[i - 1], times[i + 1]))
+    minima = np.nonzero((sig[1:-1] <= sig[:-2]) & (sig[1:-1] <= sig[2:]))[0] + 1
+    candidates = [(times[i - 1], times[i + 1]) for i in minima]
     if n_nodes >= 2 and sig[-1] < sig[-2]:
         candidates.append((times[-2], times[-1]))
 

@@ -357,9 +357,8 @@ def witness_checks(g, ct, endpoint_tol=1e-8, residual_tol=1e-6):
     assert np.linalg.norm(res_z) <= residual_tol
     assert np.linalg.norm(res_v) <= residual_tol
     # normalization: the largest frame coordinate over the grid is 1
-    # (builders sample a strided subset, hence the loose window)
     amp = float(np.abs(vals).max())
-    assert amp == pytest.approx(1.0, abs=5e-4)
+    assert amp == pytest.approx(1.0, abs=1e-12)
 
 
 def test_witness_polynomial(pheis3):

@@ -313,14 +313,15 @@ def test_residual_stencil_errors(heis3):
 
 def test_field_values_frame(heis3):
     geo = GeodesicSpec(heis3, [1.0], [0.5, 0.0])
-    times = np.linspace(0.0, 2.0, 65)
     rng = np.random.default_rng(9)
-    field = JacobiField([0.3], times, rng.standard_normal((65, 1)),
-                        rng.standard_normal((65, 2)))
-    vals = field_values(geo, field)
-    for i in (0, 13, 64):
-        expect = np.concatenate([field.z[i], expm(times[i] * geo.J) @ field.v[i]])
-        assert vals[i] == pytest.approx(expect, abs=1e-12)
+    # a uniform grid, then a non-uniform one
+    for times in (np.linspace(0.0, 2.0, 65), np.linspace(0.0, np.sqrt(2.0), 65) ** 2):
+        field = JacobiField([0.3], times, rng.standard_normal((65, 1)),
+                            rng.standard_normal((65, 2)))
+        vals = field_values(geo, field)
+        for i in (0, 13, 64):
+            expect = np.concatenate([field.z[i], expm(times[i] * geo.J) @ field.v[i]])
+            assert vals[i] == pytest.approx(expect, abs=1e-12)
 
 
 def test_serialize_field_round_trip(heis3):

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from nilconj import j_map
 from nilconj.numerics import (
     bisect_root,
     cluster_scalars,
     golden_min,
+    grid_transport,
     nonzero_integer_near,
     null_space_basis,
 )
@@ -55,3 +58,19 @@ def test_cluster_scalars():
     assert reps == pytest.approx([1.0, 2.0, 5.0])
     assert [len(idx) for _, idx in clusters] == [2, 1, 2]
     assert cluster_scalars(np.array([]), 1e-9) == []
+
+
+def test_grid_transport(algebras):
+    rng = np.random.default_rng(5)
+    for alg in algebras.values():
+        j = j_map(alg, np.linspace(1.0, 0.6, alg.dim_center))
+        for n, h in [(n, h) for n in (1, 2, 997) for h in (0.013, -0.013)]:
+            for shape in ((n, alg.dim_v), (n, alg.dim_v, 3)):
+                rows = rng.standard_normal(shape)
+                out = grid_transport(j, h, rows)
+                assert out.shape == shape
+                assert np.array_equal(out[0], rows[0])
+                for i in range(n):
+                    e = expm(i * h * j)
+                    scale = np.linalg.norm(e, 2) * np.linalg.norm(rows[i])
+                    assert np.linalg.norm(out[i] - e @ rows[i]) <= 1e-11 * scale
