@@ -305,8 +305,11 @@ def cmd_locus(args) -> int:
     else:
         if not args.x0:
             raise ParseError("--mode tube requires --x0")
+        if args.num < 1:
+            raise ParseError("--num must be positive")
         x0 = _parse_vector(args.x0, alg.dim_v, "--x0")
-        a_grid = np.linspace(-args.amax, args.amax, 2 * args.num + 1)
+        # exact negation: -a and a share one |a|, and the middle tilt is 0
+        a_grid = args.amax * np.arange(-args.num, args.num + 1) / args.num
         samples = continuation(alg, x0, list(a_grid), tol)
     _emit_samples(samples, args)
     return 0

@@ -21,7 +21,7 @@ class Tolerances:
     merge_rel: float = 1e-9       # merging numerically coincident conjugate times
     zero_rel: float = 1e-13       # "is this vector/operator zero" dispatch decisions
     fd_step: float = 1e-3         # finite-difference step for field residuals
-    bisect_tol: float = 1e-12     # bisection tolerance in t for root polish
+    bisect_tol: float = 1e-12     # root tolerance in t: bracket width, Newton step
     refine_tol: float = 1e-9      # golden-section refinement tolerance in t
     rank_tol: float = 1e-6        # oracle multiplicity threshold (relative to sigma_max)
     match_tol: float = 1e-5       # closed form vs oracle time matching (absolute)

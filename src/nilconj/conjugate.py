@@ -19,6 +19,7 @@ raise UnsupportedCaseError; the oracle module covers them numerically.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .geometry import GeodesicSpec, JacobiField
 from .numerics import (
-    bisect_root,
+    bracket_root,
     cluster_scalars,
     golden_min,
     grid_transport,
@@ -77,24 +78,13 @@ class ConjugateTime:
     certificate: Optional[JacobiField] = None
 
 
-def _is_zero_matrix(j: np.ndarray, scale: float, tol: Tolerances) -> bool:
-    m = float(np.abs(j).max()) if j.size else 0.0
-    return m <= tol.zero_rel * max(1.0, scale)
-
-
-def _is_zero_vector(x: np.ndarray, tol: Tolerances) -> bool:
-    m = float(np.abs(x).max()) if x.size else 0.0
-    return m <= tol.zero_rel
-
-
 def conjugate_times(geo: GeodesicSpec, t_max: float, tol: Tolerances = DEFAULT_TOL,
                     witnesses: bool = False) -> list[ConjugateTime]:
     """All conjugate times in (0, t_max], sorted, with multiplicities."""
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    z_scale = float(np.abs(geo.z0).max()) if geo.z0.size else 0.0
-    j_zero = _is_zero_matrix(geo.J, z_scale, tol)
-    x_zero = _is_zero_vector(geo.x0, tol)
+    j_zero = np.abs(geo.J).max() <= tol.zero_rel * max(1.0, np.abs(geo.z0).max())
+    x_zero = np.abs(geo.x0).max() <= tol.zero_rel
     if j_zero and x_zero:
         out: list[ConjugateTime] = []
     elif j_zero:
@@ -125,9 +115,14 @@ def polynomial_times(geo: GeodesicSpec, t_max: float,
     for mu, _ in cluster_scalars(np.asarray(real_neg), thr):
         t = float(np.sqrt(-12.0 / mu))
         if t <= t_max * (1.0 + 1e-12):
-            basis = null_space_basis(coupling - mu * np.eye(coupling.shape[0]), tol.rank_rel)
-            out.append(ConjugateTime(t, basis.shape[1], "polynomial"))
+            out.append(ConjugateTime(t, _eigenspace(coupling, mu, tol).shape[1], "polynomial"))
     return out
+
+
+def _eigenspace(coupling: np.ndarray, mu: float, tol: Tolerances) -> np.ndarray:
+    """ker(coupling - mu I), its rank decided at unit size by an exact power-of-two scale."""
+    unit = 2.0 ** math.frexp(float(np.abs(coupling).max()))[1]
+    return null_space_basis((coupling - mu * np.eye(coupling.shape[0])) / unit, tol.rank_rel)
 
 
 def _distinct_lattice_times(spec: Spectrum, t_max: float, tol: Tolerances) -> list[float]:
@@ -157,37 +152,41 @@ def lattice_times(geo: GeodesicSpec, t_max: float,
 # scalar conjugacy function for the one-dimensional-center mixed case
 
 
-def _ucot(u: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(u) < 1e-4, 1.0 - u * u / 3.0 - (u * u) ** 2 / 45.0,
-                    u * np.cos(u) / np.sin(u))
+_TAYLOR_CUT = 1e-2   # |u| below which the excess terms use their Taylor polynomial
 
 
-def _ducot(u: np.ndarray) -> np.ndarray:
-    # d/du (u cot u) = cot u - u (1 + cot^2 u)
-    c = np.cos(u) / np.sin(u)
-    return np.where(np.abs(u) < 1e-4, -2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0, c - u * (1.0 + c * c))
+def _excess(u: np.ndarray, sign: float) -> np.ndarray:
+    """u cot u - 1 (sign -1) or u coth u - 1 (sign +1), elementwise.
+
+    Both are w/3 - w^2/45 + 2 w^3/945 - ... in w = sign u^2, which below the
+    cut is exact to rounding where the closed form would cancel against 1.
+    """
+    w = sign * u * u
+    far = u * np.cos(u) / np.sin(u) if sign < 0.0 else u / np.tanh(u)
+    return np.where(np.abs(u) < _TAYLOR_CUT, w * (1.0 / 3.0 - w * (1.0 / 45.0 - w * 2.0 / 945.0)),
+                    far - 1.0)
 
 
-def _ucoth(u: np.ndarray) -> np.ndarray:
-    far = np.where(np.abs(u) > 350.0, np.abs(u), u / np.tanh(u))
-    return np.where(np.abs(u) < 1e-4, 1.0 + u * u / 3.0 - (u * u) ** 2 / 45.0, far)
-
-
-def _ducoth(u: np.ndarray) -> np.ndarray:
-    # d/du (u coth u) = coth u - u (coth^2 u - 1)
-    c = 1.0 / np.tanh(u)
-    far = np.where(np.abs(u) > 350.0, np.sign(u), c - u * (c * c - 1.0))
-    return np.where(np.abs(u) < 1e-4, 2.0 * u / 3.0 - 4.0 * u ** 3 / 45.0, far)
+def _dexcess(u: np.ndarray, sign: float) -> np.ndarray:
+    """d/du of _excess: cot u - u (1 + cot^2 u) or coth u - u (coth^2 u - 1)."""
+    w = sign * u * u
+    c = np.cos(u) / np.sin(u) if sign < 0.0 else 1.0 / np.tanh(u)
+    return np.where(np.abs(u) < _TAYLOR_CUT,
+                    2.0 * sign * u * (1.0 / 3.0 - w * (2.0 / 45.0 - w * 2.0 / 315.0)),
+                    c - u * (c * c - sign))
 
 
 @dataclass(frozen=True)
 class ConjugacySeries:
-    """g(t) = <K,K> + sum <A,A> u cot u + sum <B,B> u coth u with u = rate t / 2.
+    """g(t) = <x0, x0> + excess(t) for a diagonalizable J, with u = rate t / 2 and
 
-    One term per rotating line (A) and boosting line (B) of a diagonalizable
-    J, plus the kernel weight <K,K> (the zero-rate limit).  value and
-    derivative act elementwise on arrays of t and return a float for a
-    scalar t; they silence the 0/0 of the branch np.where discards at u = 0.
+    excess(t) = sum <A,A> (u cot u - 1) + sum <B,B> (u coth u - 1)
+
+    over the rotating (A) and boosting (B) lines; <x0, x0> adds the kernel
+    weight <K,K>.  Term by term, the excess keeps its relative accuracy near
+    a straight geodesic, where it is much smaller than <x0, x0>.  The methods
+    act elementwise on arrays of t and return a float for a scalar t; they
+    silence the 0/0 of the branch np.where discards at u = 0.
     """
 
     neg: tuple[tuple[float, float], ...]   # (rate, <A,A>) per rotating line
@@ -200,25 +199,26 @@ class ConjugacySeries:
                    tuple((lam, inner_v(alg, b, b)) for lam, b in comps.pos),
                    inner_v(alg, comps.kernel, comps.kernel))
 
-    @np.errstate(divide="ignore", invalid="ignore")
-    def value(self, t: float | np.ndarray) -> float | np.ndarray:
-        t = np.asarray(t, dtype=float)
-        val = np.full(t.shape, self.kernel)
-        for lam, a2 in self.neg:
-            val = val + a2 * _ucot(0.5 * lam * t)
-        for lam, b2 in self.pos:
-            val = val + b2 * _ucoth(0.5 * lam * t)
-        return val if val.ndim else float(val)
-
-    @np.errstate(divide="ignore", invalid="ignore")
-    def derivative(self, t: float | np.ndarray) -> float | np.ndarray:
+    def _sum(self, t: float | np.ndarray, fn, order: int) -> float | np.ndarray:
+        """sum of weight * h^order * fn(h t, sign) over the lines, h = rate / 2."""
         t = np.asarray(t, dtype=float)
         val = np.zeros(t.shape)
-        for lam, a2 in self.neg:
-            val = val + a2 * 0.5 * lam * _ducot(0.5 * lam * t)
-        for lam, b2 in self.pos:
-            val = val + b2 * 0.5 * lam * _ducoth(0.5 * lam * t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for sign, lines in ((-1.0, self.neg), (1.0, self.pos)):
+                for lam, w in lines:
+                    h = 0.5 * lam
+                    val = val + w * h ** order * fn(h * t, sign)
         return val if val.ndim else float(val)
+
+    def excess(self, t: float | np.ndarray) -> float | np.ndarray:
+        return self._sum(t, _excess, 0)
+
+    def value(self, t: float | np.ndarray) -> float | np.ndarray:
+        g0 = self.kernel + sum(w for _, w in self.neg) + sum(w for _, w in self.pos)
+        return g0 + self.excess(t)
+
+    def derivative(self, t: float | np.ndarray) -> float | np.ndarray:
+        return self._sum(t, _dexcess, 1)
 
 
 def conjugacy_function(geo: GeodesicSpec, t: float,
@@ -270,27 +270,28 @@ def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
                          t_max: float, tol: Tolerances) -> list[ConjugateTime]:
     if _kernel_obstruction(geo, spec, tol):
         return []
-    series = (ConjugacySeries.of(geo.alg, eigen_components(spec, geo.x0))
-              if spec.diagonalizable else None)
+    # g(t) = <gdot, gdot> is excess(t) = <z0, z0>, since g(0) = <x0, x0>
+    szz = inner_z(geo.alg, geo.z0, geo.z0)
+    if spec.diagonalizable:
+        series = ConjugacySeries.of(geo.alg, eigen_components(spec, geo.x0))
 
-    def numeric(t: float) -> float:
-        try:
-            return conjugacy_function(geo, t, tol) - geo.speed
-        except (PoleError, NotInImageError):
-            return np.nan
+        def f(t: float | np.ndarray) -> float | np.ndarray:
+            return series.excess(t) - szz
+    else:
+        def numeric(t: float) -> float:
+            # no closed form: one membership solve per sample
+            try:
+                return conjugacy_function(geo, t, tol) - geo.speed
+            except (PoleError, NotInImageError):
+                return np.nan
 
-    def g_minus_speed(t: float | np.ndarray) -> float | np.ndarray:
-        if series is not None:
-            return series.value(t) - geo.speed
-        # no closed form: one membership solve per sample
-        return np.vectorize(numeric, otypes=[float])(t)
+        f = np.vectorize(numeric, otypes=[float])
 
-    neg_rates = [line.rate for line in spec.neg]
-    lam_max = max(neg_rates) if neg_rates else 0.0
+    lam_max = max((line.rate for line in spec.neg), default=0.0)
     edges = [0.0] + [p for p in poles if p < t_max] + [t_max]
-    fscale = abs(geo.speed) + abs(inner_v(geo.alg, geo.x0, geo.x0)) + 1.0
+    fscale = abs(szz)
     roots: list[tuple[float, bool]] = []
-    brackets = []   # (lo, hi, f(lo), f(hi), grid step) per sign change
+    brackets = []   # (lo, hi, f(lo), f(hi)) per sign change
     for a, b in zip(edges[:-1], edges[1:]):
         margin = 1e-9 * max(1.0, b)
         lo, hi = a + margin, b - margin
@@ -301,33 +302,25 @@ def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
             delta = min(delta, np.pi / (4.0 * lam_max))
         npts = int(np.clip(np.ceil((hi - lo) / delta) + 1, 9, 4097))
         ts = np.linspace(lo, hi, npts)
-        fv = g_minus_speed(ts)
+        fv = f(ts)
         finite = np.isfinite(fv)
         pair = finite[:-1] & finite[1:]
         roots += [(float(t), False) for t in ts[fv == 0.0]]
         cross = np.nonzero(pair & (fv[:-1] * fv[1:] < 0.0))[0]
-        brackets += [(ts[i], ts[i + 1], fv[i], fv[i + 1], delta) for i in cross]
+        brackets += [(ts[i], ts[i + 1], fv[i], fv[i + 1]) for i in cross]
         # tangency sweep: interior |f| minima without a sign change
         af = np.abs(fv)
         dips = (finite[:-2] & finite[1:-1] & finite[2:] & (af[1:-1] <= af[:-2])
                 & (af[1:-1] <= af[2:]) & (fv[:-2] * fv[2:] > 0.0) & (af[1:-1] < 1e-6 * fscale))
         for i in np.nonzero(dips)[0] + 1:
-            x_min, f_min = golden_min(lambda t: abs(g_minus_speed(t)),
+            x_min, f_min = golden_min(lambda t: abs(f(t)),
                                       float(ts[i - 1]), float(ts[i + 1]),
                                       xtol=tol.refine_tol)
             if f_min <= 1e-8 * fscale:
                 roots.append((float(x_min), True))
     if brackets:
-        t_lo, t_hi, f_lo, f_hi, step_cap = np.array(brackets).T
-        found = bisect_root(g_minus_speed, t_lo, t_hi, fa=f_lo, fb=f_hi, xtol=tol.bisect_tol)
-        if series is not None:
-            polish = np.ones(found.size, dtype=bool)
-            for _ in range(2):  # Newton polish on the closed form
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    d = series.derivative(found)
-                    step = (series.value(found) - geo.speed) / d
-                polish &= (d != 0.0) & np.isfinite(d) & (np.abs(step) <= step_cap)
-                found = np.where(polish, found - step, found)
+        t_lo, t_hi, f_lo, f_hi = np.array(brackets).T
+        found = bracket_root(f, t_lo, t_hi, fa=f_lo, fb=f_hi, xtol=tol.bisect_tol)
         roots += [(float(root), False) for root in found]
     out = []
     seen: list[float] = []
@@ -408,20 +401,6 @@ def _transport_rows(j: np.ndarray, times: np.ndarray, vec: np.ndarray) -> np.nda
     return out
 
 
-def _alpha_from(geo: GeodesicSpec, times: np.ndarray, g_rows: np.ndarray,
-                w: np.ndarray, c: float) -> np.ndarray:
-    """Center coefficient alpha(t) = c t + <Jx0, Jinv g(t) + t w> / <z0, z0>.
-
-    g_rows holds (exp(-tJ) - I) w per row, which always lies in im J, so the
-    least-squares solve is exact up to roundoff and any kernel ambiguity is
-    killed by the pairing with J x0.
-    """
-    y, *_ = np.linalg.lstsq(geo.J, g_rows.T, rcond=None)
-    gjx = geo.alg.gram_v @ (geo.J @ geo.x0)
-    szz = inner_z(geo.alg, geo.z0, geo.z0)
-    return c * times + (y.T @ gjx + times * float(w @ gjx)) / szz
-
-
 def _normalize_field(geo: GeodesicSpec, times: np.ndarray, z_rows: np.ndarray,
                      v_rows: np.ndarray, zeta: np.ndarray) -> JacobiField:
     frame_v = grid_transport(geo.J, times[1] - times[0], v_rows)
@@ -434,7 +413,7 @@ def _normalize_field(geo: GeodesicSpec, times: np.ndarray, z_rows: np.ndarray,
 def _polynomial_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiField:
     coupling = center_coupling(geo.alg, geo.x0)
     mu = -12.0 / (t0 * t0)
-    basis = null_space_basis(coupling - mu * np.eye(coupling.shape[0]), tol.rank_rel)
+    basis = _eigenspace(coupling, mu, tol)
     if basis.shape[1] == 0:
         raise NoConjugateError(f"no eigenvector for the requested time {t0}")
     zeta = basis[:, 0]
@@ -447,47 +426,49 @@ def _polynomial_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> Jacobi
     return _normalize_field(geo, times, z_rows, v_rows, zeta)
 
 
+def _exp_witness(geo: GeodesicSpec, t0: float, a: np.ndarray, b: np.ndarray, c: float,
+                 zeta: np.ndarray, tol: Tolerances) -> JacobiField:
+    """Field v(t) = t a + g(t), z(t) = alpha(t) z0 with g(t) = (exp(-tJ) - I) b.
+
+    The center coefficient is alpha(t) = c t + <J x0, J^-1 g(t) + t b> / <z0, z0>.
+    g lies in im J and J is skew-adjoint, so <J x0, J^-1 g> = -<x0, g>
+    whatever the preimage, and no linear solve is needed.
+    """
+    times = _witness_grid(geo, t0, tol)
+    g_rows = _transport_rows(geo.J, times, b) - b[None, :]
+    v_rows = times[:, None] * a[None, :] + g_rows
+    num = times * inner_v(geo.alg, geo.J @ geo.x0, b) - g_rows @ (geo.alg.gram_v @ geo.x0)
+    # x0 = 0 gives num = 0, also on a null z0 of a higher-dimensional center
+    alpha = c * times + (num / inner_z(geo.alg, geo.z0, geo.z0) if num.any() else num)
+    return _normalize_field(geo, times, alpha[:, None] * geo.z0[None, :], v_rows, zeta)
+
+
 def _lattice_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiField:
+    """(a, b, c, zeta) = (0, v0, 0, 0) with v0 in the lattice kernel, <J x0, v0> = 0."""
     spec = spectrum(geo.J, tol)
     _, kernel = lattice_match(spec, t0, tol)
     if kernel.shape[1] == 0:
         raise NoConjugateError(f"no lattice kernel at t = {t0}")
-    x_zero = _is_zero_vector(geo.x0, tol)
-    if x_zero:
+    gjx = geo.alg.gram_v @ (geo.J @ geo.x0)
+    func = kernel.T @ gjx
+    if np.all(np.abs(func) <= tol.ortho_rel * (1.0 + np.linalg.norm(gjx))):
         v0 = kernel[:, 0]
     else:
-        gjx = geo.alg.gram_v @ (geo.J @ geo.x0)
-        func = kernel.T @ gjx
-        if np.all(np.abs(func) <= tol.ortho_rel * (1.0 + np.linalg.norm(gjx))):
-            v0 = kernel[:, 0]
-        else:
-            if kernel.shape[1] < 2:
-                raise NoConjugateError(f"no admissible lattice witness at t = {t0}")
-            # combination annihilating the pairing functional
-            _, _, vh = np.linalg.svd(func[None, :])
-            v0 = kernel @ vh[1:].T[:, 0]
-    times = _witness_grid(geo, t0, tol)
-    transported = _transport_rows(geo.J, times, v0)
-    v_rows = transported - v0[None, :]
-    if x_zero:
-        z_rows = np.zeros((times.size, geo.alg.dim_center))
-    else:
-        alpha = _alpha_from(geo, times, v_rows, v0, c=0.0)
-        z_rows = alpha[:, None] * geo.z0[None, :]
-    return _normalize_field(geo, times, z_rows, v_rows, np.zeros(geo.alg.dim_center))
+        if kernel.shape[1] < 2:
+            raise NoConjugateError(f"no admissible lattice witness at t = {t0}")
+        # combination annihilating the pairing functional
+        _, _, vh = np.linalg.svd(func[None, :])
+        v0 = kernel @ vh[1:].T[:, 0]
+    return _exp_witness(geo, t0, np.zeros(geo.alg.dim_v), v0, 0.0,
+                        np.zeros(geo.alg.dim_center), tol)
 
 
 def _transcendental_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiField:
+    """(a, b, c, zeta) = (x0, -u, 1, z0) with (exp(-t0 J) - I) u = t0 x0."""
     member, u = image_membership(geo.J, t0, geo.x0, geo.alg.gram_v, tol)
     if not member:
         raise NotInImageError(f"no preimage for the transcendental witness at t = {t0}")
-    times = _witness_grid(geo, t0, tol)
-    transported = _transport_rows(geo.J, times, u)
-    g_rows = u[None, :] - transported          # (exp(-tJ) - I) (-u)
-    v_rows = times[:, None] * geo.x0[None, :] + g_rows
-    alpha = _alpha_from(geo, times, g_rows, -u, c=1.0)
-    z_rows = alpha[:, None] * geo.z0[None, :]
-    return _normalize_field(geo, times, z_rows, v_rows, geo.z0.copy())
+    return _exp_witness(geo, t0, geo.x0, -u, 1.0, geo.z0.copy(), tol)
 
 
 def build_jacobi_field(geo: GeodesicSpec, ct: ConjugateTime,

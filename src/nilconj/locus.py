@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra, inner_v, j_map
+from .algebra import MetricLieAlgebra, j_map
 from .config import DEFAULT_TOL, Tolerances
 from .conjugate import ConjugacySeries, polynomial_times
 from .errors import CenterNotLineError, NoConjugateError, RootLostError, UnsupportedCaseError
 from .geometry import GeodesicSpec, geodesic_point
+from .numerics import bracket_root
 from .spectral import eigen_components, spectrum
 
 __all__ = [
@@ -122,47 +123,38 @@ def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
     return out
 
 
-def _track_root(series: ConjugacySeries, speed0: float, eps: float, s: float,
-                predictor: float, a: float) -> float:
-    """Root of g_a(t) = speed_a nearest the predictor; Newton, bisection fallback.
+def _track_root(series: ConjugacySeries, eps: float, s: float, predictor: float,
+                tol: Tolerances) -> float:
+    """Root of excess(s t) = s^2 eps nearest the predictor; Newton, Illinois fallback.
 
-    The tilted family's conjugacy function is g_a(t) = series.value(s t).
+    This is the scan's equation excess(t) = <z0, z0> for z0 = s z, <z, z> = eps.
+    When Newton leaves the window (0.5, 1.5) x predictor or stalls, the
+    window's first sign change is solved instead.
     """
 
     def f(t: float | np.ndarray) -> float | np.ndarray:
-        return series.value(s * t) - speed0 - s * s * eps
+        return series.excess(s * t) - s * s * eps
 
     t = predictor
     lo, hi = 0.5 * predictor, 1.5 * predictor
     for _ in range(60):
-        ft = f(t)
         df = s * series.derivative(s * t)
         if df == 0.0 or not np.isfinite(df):
             break
-        t_new = t - ft / df
+        t_new = t - f(t) / df
         if not (lo < t_new < hi):
             break
-        if abs(t_new - t) <= 1e-13 * max(1.0, t):
+        if abs(t_new - t) <= tol.bisect_tol * max(1.0, t):
             return t_new
         t = t_new
-    # bisection fallback inside the trust window
     grid = np.linspace(lo, hi, 65)
     fv = f(grid)
-    for i in range(len(grid) - 1):
-        if np.isfinite(fv[i]) and np.isfinite(fv[i + 1]) and fv[i] * fv[i + 1] < 0.0:
-            a_, b_ = float(grid[i]), float(grid[i + 1])
-            fa = fv[i]
-            for _ in range(200):
-                mid = 0.5 * (a_ + b_)
-                fm = f(mid)
-                if fm == 0.0 or (b_ - a_) < 1e-13 * max(1.0, mid):
-                    return mid
-                if fa * fm < 0.0:
-                    b_ = mid
-                else:
-                    a_, fa = mid, fm
-            return 0.5 * (a_ + b_)
-    raise RootLostError(f"continuation lost the conjugate-time root at a = {a}")
+    cross = np.nonzero(np.isfinite(fv[:-1]) & np.isfinite(fv[1:]) & (fv[:-1] * fv[1:] < 0.0))[0]
+    if not cross.size:
+        raise RootLostError(f"continuation lost the conjugate-time root at a = {s}")
+    i = cross[0]
+    return bracket_root(f, grid[i], grid[i + 1], fa=fv[i], fb=fv[i + 1],
+                        xtol=tol.bisect_tol * max(1.0, predictor))
 
 
 def continuation(alg: MetricLieAlgebra, x0: np.ndarray, a_grid: list[float],
@@ -177,12 +169,11 @@ def continuation(alg: MetricLieAlgebra, x0: np.ndarray, a_grid: list[float],
     zu, _ = _unit_center(alg)
     series, eps = _tilt_series(alg, x0, tol)
     delta = _rate(series, eps, tol)    # rejects Delta <= 0 up front
-    speed0 = inner_v(alg, x0, x0)
     t_limit = _2SQRT3 / delta
     track: dict[float, float] = {0.0: t_limit}
     for s in sorted({abs(float(a)) for a in a_grid if a != 0.0}):
         predictor = track[max(k for k in track if k < s)]
-        track[s] = _track_root(series, speed0, eps, s, predictor, s)
+        track[s] = _track_root(series, eps, s, predictor, tol)
     out = []
     for a in a_grid:
         a = float(a)

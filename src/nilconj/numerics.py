@@ -36,36 +36,40 @@ def golden_min(f: Callable[[float], float], a: float, b: float,
     return (a + b) / 2.0, min(fc, fd)
 
 
-def bisect_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,
-                fa: Optional[ArrayLike] = None, fb: Optional[ArrayLike] = None,
-                xtol: float = 1e-12, max_iter: int = 200) -> float | np.ndarray:
-    """Bisection on sign changes, elementwise over arrays of brackets.
+def bracket_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,
+                 fa: Optional[ArrayLike] = None, fb: Optional[ArrayLike] = None,
+                 xtol: float = 1e-12, max_iter: int = 200) -> float | np.ndarray:
+    """Illinois root of a sign change, elementwise over arrays of brackets.
 
-    f maps an array of points to their values; each bracket takes the steps
-    of a scalar bisection, and all brackets share one call of f per step.
-    Returns a float for scalar endpoints.
+    Regula falsi that halves the value kept at the far end whenever that end
+    survives a step, so both ends close in superlinearly (Dowell and Jarratt,
+    BIT 11, 1971).  Stops when the bracket is at most xtol wide, or when the
+    secant point rounds onto an end (the root is there to rounding), and
+    returns the latest secant point.  f maps an array of points to their values;
+    each bracket takes the steps of a scalar call, and all brackets share one
+    call of f per step.  Returns a float for scalar endpoints.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     fa = np.array(f(a) if fa is None else fa, dtype=float)
     fb = np.array(f(b) if fb is None else fb, dtype=float)
     if np.any(fa * fb > 0.0):
-        raise ValueError("bisect_root: endpoints do not bracket a sign change")
+        raise ValueError("bracket_root: endpoints do not bracket a sign change")
     root = np.where(fa == 0.0, a, b)
     live = (fa != 0.0) & (fb != 0.0)
     for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        root = np.where(live, m, root)
-        live &= b - a > xtol
+        live &= np.abs(b - a) > xtol
         if not live.any():
             break
-        fm = np.zeros_like(m)
-        fm[live] = f(m[live])
-        live &= fm != 0.0
-        left = fa * fm < 0.0
-        b, fb = np.where(live & left, m, b), np.where(live & left, fm, fb)
-        a, fa = np.where(live & ~left, m, a), np.where(live & ~left, fm, fa)
-    else:
-        root = np.where(live, 0.5 * (a + b), root)
+        with np.errstate(divide="ignore", invalid="ignore"):   # finished brackets
+            c = b - fb * (b - a) / (fb - fa)
+        root = np.where(live, c, root)
+        live &= (c - a) * (c - b) < 0.0
+        fc = np.zeros_like(c)
+        fc[live] = f(c[live])
+        live &= fc != 0.0
+        flip = live & (fc * fb < 0.0)   # sign change between b and c: b is the far end
+        a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(live, 0.5 * fa, fa))
+        b, fb = np.where(live, c, b), np.where(live, fc, fb)
     return root if root.ndim else float(root)
 
 

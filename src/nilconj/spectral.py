@@ -8,6 +8,7 @@ induced by a fixed complement vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -60,10 +61,14 @@ def spectrum(j: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     Eigenvalues are taken from J, not J^2, for better conditioning when J is
     defective; purely imaginary ones feed the negative list of J^2, purely
     real nonzero ones the positive list.  Eigenspace bases and multiplicities
-    come from rank-revealing factorizations of J^2 -+ lambda^2 I.
+    come from rank-revealing factorizations of J^2 -+ lambda^2 I.  Every
+    decision is taken on J scaled by a power of two to unit size, an exact
+    scaling, so it does not depend on the size of J; the rates are scaled back.
     """
     j = np.asarray(j, dtype=float)
     q = j.shape[0]
+    unit = 2.0 ** math.frexp(float(np.abs(j).max(initial=0.0)))[1]
+    j = j / unit
     w = np.linalg.eigvals(j)
     scale = float(np.abs(w).max()) if w.size else 0.0
     thr = tol.cluster_rel * scale
@@ -86,11 +91,11 @@ def spectrum(j: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     neg_lines = []
     for lam, _ in cluster_scalars(np.asarray(neg_rates), thr):
         basis = null_space_basis(j2 + lam * lam * eye, tol.rank_rel)
-        neg_lines.append(EigenLine(lam, basis.shape[1], basis))
+        neg_lines.append(EigenLine(lam * unit, basis.shape[1], basis))
     pos_lines = []
     for lam, _ in cluster_scalars(np.asarray(pos_rates), thr):
         basis = null_space_basis(j2 - lam * lam * eye, tol.rank_rel)
-        pos_lines.append(EigenLine(lam, basis.shape[1], basis))
+        pos_lines.append(EigenLine(lam * unit, basis.shape[1], basis))
     zero_basis = null_space_basis(j, tol.rank_rel)
     plain_sum = (sum(l.mult for l in neg_lines) + sum(l.mult for l in pos_lines)
                  + zero_basis.shape[1])

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import nilconj
+import nilconj.cli  # noqa: F401  (a patch target's module; the package does not import it)
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

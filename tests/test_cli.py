@@ -268,6 +268,21 @@ def test_continuation_json_track(capsys):
         assert abs(r["t"] - 2.0 * SQ3) <= 0.5 * r["a"] ** 2 + 1e-12
 
 
+def test_locus_tube_grid_is_sign_symmetric(capsys):
+    # a linspace grid put a 6.9e-18 tilt in the middle of this tube
+    code, out, _ = run(capsys, "locus", "--algebra", "pheis3", "--mode", "tube",
+                       "--x0", "1,0", "--amax", "0.06", "--num", "7", "--json")
+    assert code == 0
+    rows = json_out(out)
+    assert len(rows) == 15 and rows[7]["a"] == 0.0
+    for lo, hi in zip(rows[:7], rows[:7:-1]):
+        assert lo["a"] == -hi["a"]
+        assert lo["t"] == hi["t"]
+    code, _, err = run(capsys, "locus", "--algebra", "pheis3", "--mode", "tube",
+                       "--x0", "1,0", "--num", "0")
+    assert code == 2 and "error: ParseError" in err
+
+
 # ---------------------------------------------------------------------------
 # tolerance plumbing
 

@@ -1,6 +1,7 @@
 """Closed-form conjugate times: all branches, frozen values, witnesses."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from nilconj import (
     field_values,
     fixture,
     jacobi_frame_residual,
+    load_algebra,
     mixed_times,
 )
 
@@ -98,6 +100,17 @@ def test_straight_consistency_with_coupling(pheis3, bicenter):
         for ct in conjugate_times(g, 20.0):
             mu = -12.0 / ct.t ** 2
             assert np.min(np.abs(w - mu)) < 1e-9
+
+
+def test_straight_bicenter_tiny_x0(bicenter):
+    # the eigenspace rank is decided at unit size, so it does not depend on |x0|
+    x0 = np.array([1.0, 0.3, 0.8])
+    base = conjugate_times(geo(bicenter, [0.0, 0.0], x0), 50.0)
+    assert [ct.multiplicity for ct in base] == [1]
+    for s in (1e-3, 1e-6, 1e-8):
+        cts = conjugate_times(geo(bicenter, [0.0, 0.0], s * x0), 50.0 / s)
+        assert [ct.multiplicity for ct in cts] == [1]
+        assert cts[0].t == pytest.approx(base[0].t / s, rel=1e-12)
 
 
 def test_straight_multiplicity_bound(bicenter):
@@ -276,6 +289,17 @@ def test_mixed_times_without_closed_series(heis5w, monkeypatch):
     assert [ct.t for ct in numeric] == pytest.approx([ct.t for ct in closed], abs=1e-9)
 
 
+@pytest.mark.parametrize("z", [1e-3, 1e-5, 1e-7, 1e-9])
+def test_mixed_near_straight(heis3, heis5w, pheis3, z):
+    # g(t) - <x0, x0> is O(z^2) here; subtracting <x0, x0> from g(t) once
+    # gave spurious roots on definite metrics, which have none
+    assert conjugate_times(geo(heis3, [z], [1.0, 0.0]), 6.0) == []
+    assert conjugate_times(geo(heis5w, [z], [1.0, 0.2, 0.3, 0.4]), 6.0) == []
+    cts = conjugate_times(geo(pheis3, [z], [1.0, 0.0]), 6.0)
+    assert [(ct.multiplicity, ct.branch) for ct in cts] == [(1, "transcendental")]
+    assert abs(cts[0].t - 2.0 * np.sqrt(3.0)) <= 0.5 * z * z + 1e-12
+
+
 def test_mixed_heis5w_partial_lattice(heis5w):
     # x0 in the rate-1 plane: t = pi keeps the full rate-2 eigenspace
     # multiplicity because <J x0, v> = 0 there (no bonus, no deduction),
@@ -371,6 +395,21 @@ def test_witness_lattice_central(heis3):
     g = geo(heis3, [1.0], [0.0, 0.0])
     cts = conjugate_times(g, 13.0, witnesses=True)
     for ct in cts:
+        witness_checks(g, ct)
+
+
+def test_witness_lattice_null_center():
+    # central geodesic along a null z0 of an indefinite two-dimensional
+    # center: alpha's denominator <z0, z0> is 0, and z(t) must stay 0
+    alg = load_algebra(json.dumps({
+        "name": "nullcenter", "dim_center": 2, "dim_v": 2,
+        "gram": np.diag([1.0, -1.0, 1.0, 1.0]).tolist(),
+        "brackets": [{"a": 0, "b": 1, "out": [1.0, 2.0]}]}))
+    g = geo(alg, [1.0, 1.0], [0.0, 0.0])
+    cts = conjugate_times(g, 13.0, witnesses=True)
+    assert [ct.multiplicity for ct in cts] == [2, 2]
+    for ct in cts:
+        assert not ct.certificate.z.any()
         witness_checks(g, ct)
 
 

@@ -9,6 +9,7 @@ from nilconj import (
     RootLostError,
     UnsupportedCaseError,
     conjugate_rate,
+    conjugate_times,
     continuation,
     detect_conjugate,
     export_samples,
@@ -103,6 +104,23 @@ def test_continuation_quadratic_in_a(pheis3):
     t = np.array([s.t for s in continuation(pheis3, [1.0, 0.0], grid)])
     second = t[:-2] - 2.0 * t[1:-1] + t[2:]
     assert np.abs(second).max() < 5e-3
+
+
+@pytest.mark.parametrize("a", [1e-3, 1e-5, 1e-7, 1e-9, 1e-12])
+def test_continuation_small_tilt(pheis3, a):
+    # the tilt moves t by O(a^2), far below <x0, x0>: the equation is
+    # solved in the excess form, which does not cancel
+    s0, s1 = continuation(pheis3, [1.0, 0.0], [0.0, a])
+    assert abs(s1.t - s0.t) <= 0.5 * a * a + 1e-12
+
+
+@pytest.mark.parametrize("a", [0.2, 1e-2, 1e-4, 1e-6])
+def test_continuation_matches_conjugate_times(pheis3, a):
+    # the track and the scan solve one equation
+    t0 = 2.0 * SQ3
+    (s,) = continuation(pheis3, [1.0, 0.0], [a])
+    first = conjugate_times(GeodesicSpec(pheis3, [a], [1.0, 0.0]), 1.5 * t0)[0]
+    assert s.t == pytest.approx(first.t, rel=1e-11)
 
 
 def test_continuation_speed_invariant(pheis3):

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from nilconj import j_map
 from nilconj.numerics import (
-    bisect_root,
+    bracket_root,
     cluster_scalars,
     golden_min,
     grid_transport,
@@ -21,15 +21,24 @@ def test_golden_min():
     assert f == pytest.approx(0.25, abs=1e-12)
 
 
-def test_bisect_root():
-    r = bisect_root(np.cos, 1.0, 2.0, xtol=1e-13)
+def test_bracket_root():
+    r = bracket_root(np.cos, 1.0, 2.0, xtol=1e-13)
     assert r == pytest.approx(np.pi / 2.0, abs=1e-12)
     # elementwise over brackets, each taking the steps of its scalar call
-    roots = bisect_root(np.cos, [1.0, 4.0], [2.0, 5.0], xtol=1e-13)
-    assert roots.tolist() == [r, bisect_root(np.cos, 4.0, 5.0, xtol=1e-13)]
+    roots = bracket_root(np.cos, [1.0, 4.0], [2.0, 5.0], xtol=1e-13)
+    assert roots.tolist() == [r, bracket_root(np.cos, 4.0, 5.0, xtol=1e-13)]
     assert roots[1] == pytest.approx(1.5 * np.pi, abs=1e-12)
     with pytest.raises(ValueError):
-        bisect_root(np.cos, 0.1, 0.2)
+        bracket_root(np.cos, 0.1, 0.2)
+    # superlinear: bisection takes about 40 calls for this
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return np.cos(x)
+
+    assert bracket_root(counted, 1.0, 2.0, xtol=1e-13) == pytest.approx(np.pi / 2.0, abs=1e-13)
+    assert len(calls) <= 12
 
 
 def test_nonzero_integer_near():

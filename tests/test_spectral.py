@@ -64,6 +64,25 @@ def test_spectrum_scaling(heis5w):
     assert rates == pytest.approx([2.5, 5.0], rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["heis5w", "pheis3", "phyp"])
+def test_spectrum_scale_covariant(name, request):
+    # every decision is taken at unit size: 1e-6 J once read as two
+    # four-dimensional lines without the real-split certificate
+    j = j_map(request.getfixturevalue(name), [1.0])
+    base = spectrum(j)
+
+    def shape(spec):
+        return ([line.mult for line in spec.neg], [line.mult for line in spec.pos],
+                spec.zero_mult, spec.zero_basis.shape[1], spec.complex_dim, spec.diagonalizable)
+
+    for s in (1e-9, 1e-6, 1.0, 1e3):
+        spec = spectrum(s * j)
+        assert shape(spec) == shape(base)
+        for lines, ref in ((spec.neg, base.neg), (spec.pos, base.pos)):
+            assert [line.rate for line in lines] == pytest.approx(
+                [s * line.rate for line in ref], rel=1e-12)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_spectrum_completeness_generic(name):
     # Plain eigenspace dims plus complex pairs account for the full space on
