@@ -78,6 +78,14 @@ def _geodesic(args, alg: MetricLieAlgebra) -> GeodesicSpec:
     return GeodesicSpec(alg, z0, x0)
 
 
+def _check_horizon(args) -> None:
+    """Reject the horizons and step counts the library would raise ValueError on."""
+    if not args.tmax > 0.0:
+        raise ParseError(f"--tmax must be positive, got {args.tmax:g}")
+    if getattr(args, "steps", None) is not None and args.steps < 100:
+        raise ParseError(f"--steps must be at least 100, got {args.steps}")
+
+
 def _signature(gram: np.ndarray) -> list[int]:
     ev = np.linalg.eigvalsh(gram)
     return [int(np.sum(ev > 0)), int(np.sum(ev < 0))]
@@ -141,6 +149,7 @@ def _witness_diagnostics(geo: GeodesicSpec, field, tol: Tolerances) -> dict:
 
 
 def cmd_conjugate(args) -> int:
+    _check_horizon(args)
     tol = _parse_tol_overrides(args.tol)
     alg = _load_algebra(args.algebra, tol)
     geo = _geodesic(args, alg)
@@ -181,6 +190,7 @@ def cmd_conjugate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_horizon(args)
     tol = _parse_tol_overrides(args.tol)
     alg = _load_algebra(args.algebra, tol)
     geo = _geodesic(args, alg)
@@ -238,6 +248,7 @@ def _compare_one(geo: GeodesicSpec, t_max: float, steps, rank_tol,
 
 
 def cmd_compare(args) -> int:
+    _check_horizon(args)
     tol = _parse_tol_overrides(args.tol)
     alg = _load_algebra(args.algebra, tol)
     _echo_tolerances(tol, args.json)

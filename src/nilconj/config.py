@@ -23,7 +23,7 @@ class Tolerances:
     fd_step: float = 1e-3         # finite-difference step for field residuals
     bisect_tol: float = 1e-12     # root tolerance in t: bracket width, Newton step
     refine_tol: float = 1e-9      # golden-section refinement tolerance in t
-    rank_tol: float = 1e-6        # oracle multiplicity threshold (relative to sigma_max)
+    rank_tol: float = 1e-6        # oracle multiplicity: principal-angle cosines below this (absolute)
     match_tol: float = 1e-5       # closed form vs oracle time matching (absolute)
     ortho_rel: float = 1e-8       # image-membership orthogonality and residual scale
     speed_eq_rel: float = 1e-9    # equality test <J x0, v> == <gdot, gdot>

@@ -13,27 +13,36 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 
-def golden_min(f: Callable[[float], float], a: float, b: float,
-               xtol: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [a, b]; returns (x, f(x) estimate)."""
+def golden_min(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,
+               xtol: float) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Golden-section minimum of a unimodal f, elementwise over arrays of brackets.
+
+    Shrinks each [a, b] until it is at most xtol wide and returns its midpoint
+    with the smaller of the two interior values as the estimate of f there.
+    f maps an array of points to their values; each bracket takes the steps of
+    a scalar call, and all brackets share one call of f per step.  Returns
+    floats for scalar endpoints.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     h = b - a
-    if h <= xtol:
-        x = (a + b) / 2.0
-        return x, f(x)
     c, d = a + _INVPHI2 * h, a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    return (a + b) / 2.0, min(fc, fd)
+    fc, fd = np.array(f(c), dtype=float), np.array(f(d), dtype=float)
+    live = h > xtol
+    while live.any():
+        left = live & (fc < fd)     # the minimum lies in [a, d]: d becomes b, c becomes d
+        right = live & ~left        # it lies in [c, b]: c becomes a, d becomes c
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        h = b - a
+        c, fc, d, fd = (np.where(right, d, c), np.where(right, fd, fc),
+                        np.where(left, c, d), np.where(left, fc, fd))
+        x = np.where(left, a + _INVPHI2 * h, a + _INVPHI * h)
+        fx = np.zeros_like(x)
+        fx[live] = f(x[live])
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        live &= h > xtol
+    x, fmin = (a + b) / 2.0, np.where(fd < fc, fd, fc)
+    return (x, fmin) if x.ndim else (float(x), float(fmin))
 
 
 def bracket_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,

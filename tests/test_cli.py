@@ -207,6 +207,21 @@ def test_compare_forced_discrepancy_exit_1(capsys):
     assert "DISCREPANCY" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("conjugate", "--tmax", "-1"),
+    ("conjugate", "--tmax", "0"),
+    ("oracle", "--tmax", "-1"),
+    ("oracle", "--steps", "10"),
+    ("compare", "--steps", "10"),
+    ("compare", "--tmax", "0", "--random", "2"),
+])
+def test_bad_horizon_or_steps_exit_2(capsys, argv):
+    # exit 1 from compare means a discrepancy; bad input must not look like one
+    code, _, err = run(capsys, argv[0], "--algebra", "heis3", "--z0", "1", *argv[1:])
+    assert code == 2
+    assert "error: ParseError" in err
+
+
 # ---------------------------------------------------------------------------
 # locus and continuation
 

@@ -19,6 +19,13 @@ def test_golden_min():
     x, f = golden_min(lambda t: (t - 1.3) ** 2 + 0.25, 0.0, 3.0, xtol=1e-10)
     assert x == pytest.approx(1.3, abs=1e-8)
     assert f == pytest.approx(0.25, abs=1e-12)
+    # elementwise over brackets, each taking the steps of its scalar call
+    a, b = [2.0, 1.0, -2.0, 1.2999, 0.5], [4.5, 1.5, 2.0, 1.3001, 0.5]
+    xs, fs = golden_min(np.cos, a, b, xtol=1e-10)
+    scalar = [golden_min(np.cos, lo, hi, xtol=1e-10) for lo, hi in zip(a, b)]
+    assert xs.tolist() == [x for x, _ in scalar]
+    assert fs.tolist() == [fx for _, fx in scalar]
+    assert xs[0] == pytest.approx(np.pi, abs=1e-7)   # a flat minimum: about sqrt(eps)
 
 
 def test_bracket_root():

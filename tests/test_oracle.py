@@ -5,18 +5,23 @@ import pytest
 from scipy.linalg import expm
 
 from nilconj import (
+    DEFAULT_TOL,
     ConjugateTime,
     GeodesicSpec,
     JacobiField,
     MatchReport,
+    bracket_v,
     compare,
     conjugate_times,
     detect_conjugate,
+    fixture,
     integrate_propagator,
+    j_map,
     jacobi_frame_residual,
     matrix_at,
     sigma_min_series,
 )
+from nilconj.cli import _random_geodesic
 from nilconj.oracle import default_steps
 
 T_COT = 8.549564543061
@@ -91,8 +96,8 @@ def test_detect_central_heis3(heis3):
 
 
 def test_detect_central_pheis3_empty(pheis3):
-    # boosting block: sigma_max grows like e^t/2, so the relative rank
-    # threshold is only meaningful while e^t/2 < rank_tol^-1; stay inside.
+    # boosting block: sigma_max grows like e^t/2; the rank test reads the
+    # principal angles of the solution space, which do not grow with it.
     assert detect_conjugate(geo(pheis3, [1.0], [0.0, 0.0]), 10.0) == []
 
 
@@ -152,6 +157,138 @@ def test_matrix_at_off_grid(heis3):
     # on-grid request returns the stored node
     n = 640
     assert np.array_equal(matrix_at(prop, g, prop.times[n]), prop.matrix(n))
+
+
+def _rk4_reference(g, t_max, steps):
+    # reference: one classical RK4 step at a time on the (z, v, w) state,
+    # coefficients from expm at each stage.
+    alg = g.alg
+    p, q = alg.dim_center, alg.dim_v
+    j_a = [j_map(alg, e) for e in np.eye(p)]
+
+    def rhs(t, state):
+        ep, em = expm(t * g.J), expm(-t * g.J)
+        xp = ep @ g.x0
+        v, w = state[p:p + q], state[p + q:]
+        dz = np.eye(p, p + q) + np.stack([bracket_v(alg, ep @ col, xp) for col in v.T], axis=1)
+        forcing = np.zeros((q, p + q))
+        for a in range(p):
+            forcing[:, a] = em @ j_a[a] @ xp
+        return np.concatenate([dz, w, forcing - g.J @ w])
+
+    h = t_max / steps
+    states = np.zeros((steps + 1, p + 2 * q, p + q))
+    states[0, p + q:, p:] = np.eye(q)
+    for n in range(steps):
+        t, y = n * h, states[n]
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        states[n + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return states
+
+
+@pytest.mark.parametrize("name, z0, x0", [
+    ("heis3", [1.0], [1.0, 0.4]),
+    ("pheis3", [1.2], [0.3, 1.0]),
+    ("heis5w", [0.9], [1.0, 0.2, 0.3, 0.4]),
+    ("bicenter", [0.6, -0.8], [1.0, 0.5, -0.3]),
+])
+def test_transfer_products_match_stepwise_rk4(name, z0, x0):
+    g = geo(fixture(name), z0, x0)
+    prop = integrate_propagator(g, 3.0, steps=397)    # blocks of 20, the last one short
+    ref = _rk4_reference(g, 3.0, 397)
+    err = np.linalg.norm(prop.states - ref, axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2)))
+
+
+def test_matrix_at_array_equals_scalar_calls(heis5w, pheis3):
+    for g, t_max in ((geo(heis5w, [1.0], [1.0, 0.2, 0.3, 0.4]), 4.0),
+                     (geo(pheis3, [1.0], [0.3, 1.0]), 9.0)):
+        prop = integrate_propagator(g, t_max)
+        ts = np.array([0.0, 0.123, 1.0, 2.71828, prop.times[700], 3.999, t_max])
+        batch = matrix_at(prop, g, ts)
+        assert batch.shape == (ts.size,) + prop.matrix(0).shape
+        for t, m in zip(ts, batch):
+            assert np.array_equal(m, matrix_at(prop, g, t))
+        full = matrix_at(prop, g, ts, full=True)
+        p = g.alg.dim_center
+        assert np.array_equal(full[:, p:2 * p + g.alg.dim_v], batch)
+        assert np.array_equal(full[:, :p], np.broadcast_to(np.eye(p, batch.shape[-1]),
+                                                           (ts.size, p, batch.shape[-1])))
+
+
+# ---------------------------------------------------------------------------
+# cases a relative sigma_min rank test gets wrong, each against the closed forms
+
+
+def _agrees(g, t_max):
+    report = compare(conjugate_times(g, t_max), detect_conjugate(g, t_max),
+                     match_tol=DEFAULT_TOL.match_tol)
+    return report.ok
+
+
+@pytest.mark.parametrize("seed, draw", [
+    (1621709874, 38),   # z0 ~ 1.3783
+    (1610287435, 28),   # z0 ~ 1.2386
+    (1215149685, 18),   # z0 ~ 1.2279
+    (661972120, 13),    # z0 ~ -1.3932
+    (1215614406, 35),   # z0 ~ -1.3834
+    (1679063339, 20),   # z0 ~ -1.3924: 2.25630 and 2.25679 share one grid cell
+])
+def test_heis5w_close_pair(heis5w, seed, draw):
+    # draws of `compare --algebra heis5w --random 50 --tmax 6`: two conjugate
+    # times so close that sigma_min has one minimum between them.
+    rng = np.random.default_rng(seed)
+    for _ in range(draw):
+        _random_geodesic(heis5w, rng)
+    g = _random_geodesic(heis5w, rng)
+    assert _agrees(g, 6.0)
+
+
+def test_close_pair_in_one_cell_found_by_parity(heis5w):
+    rng = np.random.default_rng(1679063339)
+    for _ in range(20):
+        _random_geodesic(heis5w, rng)
+    g = _random_geodesic(heis5w, rng)
+    prop = integrate_propagator(g, 6.0)
+    found = [t for t, _ in detect_conjugate(g, 6.0, prop=prop)]
+    pair = [t for t in found if 2.25 < t < 2.26]
+    assert len(pair) == 2
+    # both roots lie between the same two grid nodes
+    assert np.searchsorted(prop.times, pair[0]) == np.searchsorted(prop.times, pair[1])
+
+
+def test_heis5w_close_pair_lattice_and_transcendental(heis5w):
+    # 2.1274 (lattice) and 2.1305 (transcendental), 3.1e-3 apart on a grid of 3.9e-3
+    g = geo(heis5w, [1.4767218085145808], [0.14068369244111795, 1.4862185428771206,
+                                           0.07120020621413889, 0.03668892498323855])
+    assert _agrees(g, 6.0)
+
+
+@pytest.mark.parametrize("z0, x0", [
+    ([0.6371015629958534], [-0.8204881725645088, 0.7657690891565998]),
+    ([0.66406797], [0.5745103752787031, -0.48600757624783547]),
+])
+def test_pheis3_horizon_control(pheis3, z0, x0):
+    # sigma_min / sigma_max of M falls to 6.8e-7 and 7.1e-7 at t = 16, below
+    # rank_tol, and the horizon was reported as a conjugate time; the
+    # smallest principal-angle cosine there is 0.42.
+    g = geo(pheis3, z0, x0)
+    assert conjugate_times(g, 16.0) == []
+    assert detect_conjugate(g, 16.0) == []
+
+
+@pytest.mark.parametrize("z0, x0, t_max", [
+    ([1.0], [1.0, 0.0], 20.0),
+    ([1.0], [0.3, 1.0], 20.0),
+    ([2.0], [1.0, 0.5], 10.0),
+])
+def test_boosting_cases_have_no_false_drops(pheis3, z0, x0, t_max):
+    # solutions grow like e^(|z0| t); the relative test reported dozens of
+    # multiplicity-2 drops near these horizons.
+    assert _agrees(geo(pheis3, z0, x0), t_max)
 
 
 def test_oracle_matches_closed_forms_wide(heis5w):
