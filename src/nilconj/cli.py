@@ -139,7 +139,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _witness_diagnostics(geo: GeodesicSpec, field, tol: Tolerances) -> dict:
+def _witness_diagnostics(geo: GeodesicSpec, field) -> dict:
     vals = field_values(geo, field)
     endpoint = float(np.abs(vals[-1]).max())
     mid = field.times[field.times.size // 2]
@@ -162,7 +162,7 @@ def cmd_conjugate(args) -> int:
                "tangent": ct.tangent}
         if args.witness is not None:
             field = build_jacobi_field(geo, ct, tol)
-            row.update(_witness_diagnostics(geo, field, tol))
+            row.update(_witness_diagnostics(geo, field))
             if args.witness:          # path prefix: full field per file
                 path = f"{args.witness}-{k}.csv"
                 with open(path, "w") as fh:

@@ -20,7 +20,6 @@ class Tolerances:
     integer_rel: float = 1e-9     # rational-multiple detection for lattice sums
     merge_rel: float = 1e-9       # merging numerically coincident conjugate times
     zero_rel: float = 1e-13       # "is this vector/operator zero" dispatch decisions
-    fd_step: float = 1e-3         # finite-difference step for field residuals
     bisect_tol: float = 1e-12     # root tolerance in t: bracket width, Newton step
     refine_tol: float = 1e-9      # golden-section refinement tolerance in t
     rank_tol: float = 1e-6        # oracle multiplicity: principal-angle cosines below this (absolute)

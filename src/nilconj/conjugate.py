@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import MetricLieAlgebra, bracket_v, inner_v, inner_z, j_map
 from .config import DEFAULT_TOL, Tolerances
@@ -65,6 +64,10 @@ __all__ = [
     "build_jacobi_field",
     "attach_witnesses",
 ]
+
+
+# Relative slack that keeps a time computed at the horizon itself inside (0, t_max].
+_HORIZON_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +117,7 @@ def polynomial_times(geo: GeodesicSpec, t_max: float,
     out = []
     for mu, _ in cluster_scalars(np.asarray(real_neg), thr):
         t = float(np.sqrt(-12.0 / mu))
-        if t <= t_max * (1.0 + 1e-12):
+        if t <= t_max * (1.0 + _HORIZON_SLACK):
             out.append(ConjugateTime(t, _eigenspace(coupling, mu, tol).shape[1], "polynomial"))
     return out
 
@@ -128,7 +131,7 @@ def _eigenspace(coupling: np.ndarray, mu: float, tol: Tolerances) -> np.ndarray:
 def _distinct_lattice_times(spec: Spectrum, t_max: float, tol: Tolerances) -> list[float]:
     raw = []
     for line in spec.neg:
-        n_max = int(np.floor(t_max * line.rate / (2.0 * np.pi) * (1.0 + 1e-12)))
+        n_max = int(np.floor(t_max * line.rate / (2.0 * np.pi) * (1.0 + _HORIZON_SLACK)))
         raw.extend(2.0 * np.pi * n / line.rate for n in range(1, n_max + 1))
     if not raw:
         return []
@@ -236,8 +239,7 @@ def conjugacy_function(geo: GeodesicSpec, t: float,
         total, _ = lattice_match(spec, t, tol)
         if total > 0:
             raise PoleError(f"t = {t} is a lattice pole of the conjugacy function")
-        raise NotInImageError(
-            "x0 is not in the image of exp(-tJ) - I; no transcendental root can occur here")
+        raise NotInImageError("x0 is not in the image of exp(-tJ) - I")
     return inner_v(geo.alg, geo.J @ geo.x0, v)
 
 
@@ -258,18 +260,27 @@ def conjugacy_function_closed(geo: GeodesicSpec, t: float | np.ndarray,
     return ConjugacySeries.of(geo.alg, eigen_components(spec, geo.x0)).value(t)
 
 
-def _kernel_obstruction(geo: GeodesicSpec, spec: Spectrum, tol: Tolerances) -> bool:
-    """True when x0 metrically pairs with ker J, so x0 is never in the image."""
-    if spec.zero_basis.shape[1] == 0:
-        return False
+def _flat_split(geo: GeodesicSpec, spec: Spectrum, tol: Tolerances) -> GeodesicSpec:
+    """The geodesic (z0, x0 - K), K the metric projection of x0 onto ker J.
+
+    ker J is central for a one-dimensional center.  Where J has the real-split
+    certificate, n is the orthogonal sum of the ideals z + im J and ker J: the
+    group is a product with a flat factor, so (z0, x0) and (z0, x0 - K) share
+    their conjugate times and Jacobi fields.  Otherwise ker J may be null, and
+    an x0 that pairs with it is refused.
+    """
+    if spec.diagonalizable:
+        return GeodesicSpec(geo.alg, geo.z0, geo.x0 - eigen_components(spec, geo.x0).kernel)
     pair = spec.zero_basis.T @ (geo.alg.gram_v @ geo.x0)
-    return bool(np.any(np.abs(pair) > tol.ortho_rel * (1.0 + np.linalg.norm(geo.x0))))
+    if np.any(np.abs(pair) > tol.ortho_rel * (1.0 + np.linalg.norm(geo.x0))):
+        raise UnsupportedCaseError(
+            "x0 pairs with ker J and J has no real-split certificate, so the flat "
+            "factor does not split off; use the numerical oracle")
+    return geo
 
 
 def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
                          t_max: float, tol: Tolerances) -> list[ConjugateTime]:
-    if _kernel_obstruction(geo, spec, tol):
-        return []
     # g(t) = <gdot, gdot> is excess(t) = <z0, z0>, since g(0) = <x0, x0>
     szz = inner_z(geo.alg, geo.z0, geo.z0)
     if spec.diagonalizable:
@@ -330,7 +341,7 @@ def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
         if any(abs(root - p) <= tol.merge_rel * max(1.0, p) + 2e-9 for p in poles):
             continue
         seen.append(root)
-        if root <= t_max * (1.0 + 1e-12):
+        if root <= t_max * (1.0 + _HORIZON_SLACK):
             out.append(ConjugateTime(root, 1, "transcendental", tangent=tangent))
     return out
 
@@ -339,18 +350,20 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
                 tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
     """Conjugate times for a one-dimensional center with z0 != 0 != x0.
 
-    Lattice times get the summed eigenspace multiplicity corrected by the
-    membership of x0 in im(exp(-tJ) - I): minus one when the pairing
-    functional <J x0, .> is nonzero on the matching kernel (in particular
-    whenever x0 is not in the image with a generic regular part), plus one
-    when a preimage v of t x0 satisfies <J x0, v> = <gdot, gdot>.  Entries
-    with corrected multiplicity zero are dropped.  On top of that, every
-    root of g(t) = <gdot, gdot> between consecutive poles contributes a
-    simple conjugate time.
+    x0 stands for x0 - K, without its flat factor (_flat_split).  Lattice
+    times get the summed eigenspace multiplicity corrected by the membership
+    of x0 in im(exp(-tJ) - I): minus one when the pairing functional
+    <J x0, .> is nonzero on the matching kernel (in particular whenever x0 is
+    not in the image with a generic regular part), plus one when a preimage
+    v of t x0 satisfies <J x0, v> = <gdot, gdot>.  Entries with corrected
+    multiplicity zero are dropped.  On top of that, every root of
+    g(t) = <gdot, gdot> between consecutive poles contributes a simple
+    conjugate time.
     """
     if geo.alg.dim_center != 1:
         raise CenterNotLineError("mixed closed form requires a one-dimensional center")
     spec = spectrum(geo.J, tol)
+    geo = _flat_split(geo, spec, tol)
     poles = _distinct_lattice_times(spec, t_max, tol)
     gjx = geo.alg.gram_v @ (geo.J @ geo.x0)
     out = []
@@ -377,28 +390,16 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
 # explicit witness fields
 
 
-def _witness_grid(geo: GeodesicSpec, t0: float, tol: Tolerances) -> np.ndarray:
+# Witness grid step times max(1, |J|_2).  The residual check takes centered
+# second differences of unit-size samples of frequency up to |J|: truncation
+# h^2 |J|^4 / 12 plus rounding 4 eps / h^2 is least at h = (48 eps)^(1/4) / |J|.
+_FD_STEP = (48.0 * np.finfo(float).eps) ** 0.25
+
+
+def _witness_grid(geo: GeodesicSpec, t0: float) -> np.ndarray:
     jnorm = float(np.linalg.norm(geo.J, 2)) if geo.J.size else 0.0
-    h = tol.fd_step / max(1.0, jnorm * jnorm)
-    n = int(np.clip(np.ceil(t0 / h) + 1, 9, 400_001))
+    n = int(np.clip(np.ceil(t0 * max(1.0, jnorm) / _FD_STEP) + 1, 9, 400_001))   # memory bound
     return np.linspace(0.0, t0, n)
-
-
-def _transport_rows(j: np.ndarray, times: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Rows exp(-t_i J) vec on a uniform grid, by a stepwise recurrence.
-
-    Not grid_transport: these rows feed the finite-difference residual of the
-    witness check, which is limited by rounding close to its bound, and rows
-    of a recurrence share their rounding with their neighbours.
-    """
-    n = times.size
-    out = np.empty((n, vec.size))
-    step = expm(-(times[1] - times[0]) * j) if n > 1 else np.eye(vec.size)
-    cur = expm(-times[0] * j) @ vec
-    for i in range(n):
-        out[i] = cur
-        cur = step @ cur
-    return out
 
 
 def _normalize_field(geo: GeodesicSpec, times: np.ndarray, z_rows: np.ndarray,
@@ -419,7 +420,7 @@ def _polynomial_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> Jacobi
     zeta = basis[:, 0]
     b = j_map(geo.alg, zeta) @ geo.x0
     brk = bracket_v(geo.alg, b, geo.x0)
-    times = _witness_grid(geo, t0, tol)
+    times = _witness_grid(geo, t0)
     v_rows = (0.5 * times * (times - t0))[:, None] * b[None, :]
     z_rows = ((times ** 3 / 6.0 - t0 * times ** 2 / 4.0)[:, None] * brk[None, :]
               + times[:, None] * zeta[None, :])
@@ -427,15 +428,16 @@ def _polynomial_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> Jacobi
 
 
 def _exp_witness(geo: GeodesicSpec, t0: float, a: np.ndarray, b: np.ndarray, c: float,
-                 zeta: np.ndarray, tol: Tolerances) -> JacobiField:
+                 zeta: np.ndarray) -> JacobiField:
     """Field v(t) = t a + g(t), z(t) = alpha(t) z0 with g(t) = (exp(-tJ) - I) b.
 
     The center coefficient is alpha(t) = c t + <J x0, J^-1 g(t) + t b> / <z0, z0>.
     g lies in im J and J is skew-adjoint, so <J x0, J^-1 g> = -<x0, g>
     whatever the preimage, and no linear solve is needed.
     """
-    times = _witness_grid(geo, t0, tol)
-    g_rows = _transport_rows(geo.J, times, b) - b[None, :]
+    times = _witness_grid(geo, t0)
+    g_rows = grid_transport(-geo.J, times[1] - times[0],
+                            np.broadcast_to(b, (times.size, b.size))) - b[None, :]
     v_rows = times[:, None] * a[None, :] + g_rows
     num = times * inner_v(geo.alg, geo.J @ geo.x0, b) - g_rows @ (geo.alg.gram_v @ geo.x0)
     # x0 = 0 gives num = 0, also on a null z0 of a higher-dimensional center
@@ -460,15 +462,16 @@ def _lattice_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiFie
         _, _, vh = np.linalg.svd(func[None, :])
         v0 = kernel @ vh[1:].T[:, 0]
     return _exp_witness(geo, t0, np.zeros(geo.alg.dim_v), v0, 0.0,
-                        np.zeros(geo.alg.dim_center), tol)
+                        np.zeros(geo.alg.dim_center))
 
 
 def _transcendental_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiField:
-    """(a, b, c, zeta) = (x0, -u, 1, z0) with (exp(-t0 J) - I) u = t0 x0."""
-    member, u = image_membership(geo.J, t0, geo.x0, geo.alg.gram_v, tol)
+    """(a, b, c, zeta) = (x, -u, 1, z0) with (exp(-t0 J) - I) u = t0 x, x = x0 - K."""
+    reg = _flat_split(geo, spectrum(geo.J, tol), tol)
+    member, u = image_membership(reg.J, t0, reg.x0, reg.alg.gram_v, tol)
     if not member:
         raise NotInImageError(f"no preimage for the transcendental witness at t = {t0}")
-    return _exp_witness(geo, t0, geo.x0, -u, 1.0, geo.z0.copy(), tol)
+    return _exp_witness(reg, t0, reg.x0, -u, 1.0, reg.z0.copy())
 
 
 def build_jacobi_field(geo: GeodesicSpec, ct: ConjugateTime,

@@ -282,7 +282,7 @@ class MatchReport:
 
 
 def compare(closed: list, detected: list[tuple[float, int]],
-            match_tol: float = 1e-5) -> MatchReport:
+            match_tol: float = DEFAULT_TOL.match_tol) -> MatchReport:
     """Match sorted time lists greedily within match_tol.
 
     `closed` entries may be ConjugateTime objects or (t, mult) pairs.

@@ -51,7 +51,7 @@ class Spectrum:
     zero_mult: int            # algebraic multiplicity of 0 (generalized null space dim)
     zero_basis: np.ndarray    # plain kernel of J
     complex_dim: int          # eigenvalues of J off both axes (diagnostic only)
-    diagonalizable: bool      # plain eigenspace dims sum to dim_v (real split certificate)
+    diagonalizable: bool      # plain eigenspaces are independent and span (real split certificate)
     dim_v: int
 
 
@@ -97,15 +97,18 @@ def spectrum(j: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
         basis = null_space_basis(j2 - lam * lam * eye, tol.rank_rel)
         pos_lines.append(EigenLine(lam * unit, basis.shape[1], basis))
     zero_basis = null_space_basis(j, tol.rank_rel)
-    plain_sum = (sum(l.mult for l in neg_lines) + sum(l.mult for l in pos_lines)
-                 + zero_basis.shape[1])
+    # The eigenspaces must also be independent: on a nilpotent J, eigenvalue
+    # noise can pose as a line whose basis overlaps ker J and fills the count.
+    stacked = np.hstack([line.basis for line in neg_lines + pos_lines] + [zero_basis])
+    split = (stacked.shape[1] == q
+             and np.linalg.svd(stacked, compute_uv=False).min(initial=1.0) > tol.rank_rel)
     return Spectrum(
         neg=tuple(neg_lines),
         pos=tuple(pos_lines),
         zero_mult=zero_mult,
         zero_basis=zero_basis,
         complex_dim=complex_dim,
-        diagonalizable=bool(plain_sum == q),
+        diagonalizable=bool(split),
         dim_v=q,
     )
 
@@ -182,12 +185,7 @@ def eigen_components(spec: Spectrum, x0: np.ndarray) -> EigenComponents:
     if not spec.diagonalizable:
         raise NotDiagonalizableError(
             "eigenspace decomposition requires the real-split certificate")
-    blocks = [line.basis for line in spec.neg] + [line.basis for line in spec.pos]
-    if spec.zero_basis.shape[1]:
-        blocks.append(spec.zero_basis)
-    basis = np.hstack(blocks) if blocks else np.zeros((spec.dim_v, 0))
-    if basis.shape != (spec.dim_v, spec.dim_v):
-        raise NotDiagonalizableError("eigenspace bases do not span the complement")
+    basis = np.hstack([line.basis for line in spec.neg + spec.pos] + [spec.zero_basis])
     coeff = np.linalg.solve(basis, np.asarray(x0, dtype=float))
     neg: list[tuple[float, np.ndarray]] = []
     pos: list[tuple[float, np.ndarray]] = []
@@ -198,5 +196,4 @@ def eigen_components(spec: Spectrum, x0: np.ndarray) -> EigenComponents:
     for line in spec.pos:
         pos.append((line.rate, line.basis @ coeff[offset:offset + line.mult]))
         offset += line.mult
-    kernel = spec.zero_basis @ coeff[offset:] if spec.zero_basis.shape[1] else np.zeros(spec.dim_v)
-    return EigenComponents(neg, pos, kernel)
+    return EigenComponents(neg, pos, spec.zero_basis @ coeff[offset:])

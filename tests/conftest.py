@@ -39,6 +39,17 @@ HEIS4DEG = json.dumps({
     "brackets": [{"a": 0, "b": 1, "out": [1]}],
 })
 
+# nilpotent J (J^3 = 0, J != 0) whose kernel is a null line: J has no
+# real-split certificate, and the flat factor does not split off.
+NILPJ = json.dumps({
+    "name": "nilpj",
+    "dim_center": 1,
+    "dim_v": 3,
+    "gram": np.diag([-1.0, 1.0, 1.0, -1.0]).tolist(),
+    "brackets": [{"a": 0, "b": 1, "out": [1]},
+                 {"a": 0, "b": 2, "out": [1]}],
+})
+
 # rotation rates 2 and 2/3 with a negative-definite second block; tuned so
 # that x0 = c e3 with c^2 = 9/(9 - pi sqrt(3)) realizes the preimage-pairing
 # bonus multiplicity at t = pi.
@@ -105,6 +116,11 @@ def heis3z2():
 @pytest.fixture(scope="session")
 def heis4deg():
     return load_algebra(HEIS4DEG)
+
+
+@pytest.fixture(scope="session")
+def nilpj():
+    return load_algebra(NILPJ)
 
 
 @pytest.fixture(scope="session")

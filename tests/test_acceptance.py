@@ -221,6 +221,10 @@ WITNESS_BATTERY = [
     ("heis5w", [1.0], [0.0, 0.0, 0.0, 0.0], 13.0),
     ("heis5w", [1.0], [1.0, 0.0, 0.0, 0.0], 7.0),
     ("bicenter", None, [1.0, 0.0, 0.0], 10.0),
+    # a W2 draw whose witness at t = 2.3751 once missed the residual bound
+    # (1.09e-6), with rows that rounded at the 1e-6 level on too fine a grid
+    ("heis5w", [3.0], [1.0226224662636343, 0.198568060292097, 0.30456226770762046,
+                       0.4222948545646339], 2.8),
 ]
 
 

@@ -310,10 +310,11 @@ def test_tol_override_accepted(capsys):
 
 
 def test_tol_override_unknown_key_exits_2(capsys):
-    code, _, err = run(capsys, "validate", "--algebra", "heis3",
-                       "--tol", "bogus=1")
-    assert code == 2
-    assert "unknown tolerance" in err
+    # fd_step was a tolerance once; the witness grid step now follows from J
+    for pair in ("bogus=1", "fd_step=1e-3"):
+        code, _, err = run(capsys, "validate", "--algebra", "heis3", "--tol", pair)
+        assert code == 2
+        assert "unknown tolerance" in err
 
 
 def test_tol_override_bad_value_exits_2(capsys):

@@ -20,12 +20,15 @@ from nilconj import (
     conjugacy_function_closed,
     conjugate_times,
     detect_conjugate,
+    eigen_components,
     field_values,
     fixture,
     jacobi_frame_residual,
     load_algebra,
     mixed_times,
+    spectrum,
 )
+from nilconj.cli import _random_geodesic
 
 # root of (t/2) cot(t/2) = 2 in (2 pi, 4 pi)
 T_COT = 8.549564543061
@@ -312,18 +315,53 @@ def test_mixed_heis5w_partial_lattice(heis5w):
     assert compare(cts, detected, match_tol=1e-5).ok
 
 
-def test_mixed_kernel_component_blocks_roots(heis4deg):
-    # x0 with a ker J part pairs with the kernel, so the scalar equation has
-    # no roots; only corrected lattice times remain.
+def test_mixed_kernel_component_is_a_flat_factor(heis4deg):
+    # ker J is central, so the ker J part of x0 = (1, 0, 1) is a flat factor:
+    # the times are those of x0 = (1, 0, 0), the root of (t/2) cot(t/2) = 2
+    # between the corrected lattice times included; the oracle confirms.
     g4 = geo(heis4deg, [1.0], [1.0, 0.0, 1.0])
     cts = conjugate_times(g4, 13.0)
-    assert [ct.branch for ct in cts] == ["lattice", "lattice"]
+    assert [ct.branch for ct in cts] == ["lattice", "transcendental", "lattice"]
     assert times_mults(cts) == [
         (pytest.approx(2.0 * np.pi, rel=1e-12), 1),
+        (pytest.approx(T_COT, rel=1e-10), 1),
         (pytest.approx(4.0 * np.pi, rel=1e-12), 1),
     ]
-    detected = detect_conjugate(g4, 7.0)
-    assert compare([ct for ct in cts if ct.t <= 7.0], detected, match_tol=1e-5).ok
+    detected = detect_conjugate(g4, 13.0)
+    assert compare(cts, detected, match_tol=1e-5).ok
+
+
+def test_mixed_flat_factor_invariance(heis4deg):
+    # (z0, x0) and (z0, x0 - K), K the part of x0 in ker J, share their times
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        g = geo(heis4deg, rng.uniform(0.5, 1.5, 1), rng.standard_normal(3))
+        k = eigen_components(spectrum(g.J), g.x0).kernel
+        assert np.abs(k).max() > 0.0
+        full, reg = conjugate_times(g, 13.0), conjugate_times(geo(heis4deg, g.z0, g.x0 - k), 13.0)
+        assert ([(ct.multiplicity, ct.branch) for ct in full]
+                == [(ct.multiplicity, ct.branch) for ct in reg])
+        assert [ct.t for ct in full] == pytest.approx([ct.t for ct in reg], rel=1e-10)
+
+
+def test_heis4deg_random_draws_match_oracle(heis4deg):
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        g = _random_geodesic(heis4deg, rng)
+        report = compare(conjugate_times(g, 13.0), detect_conjugate(g, 13.0))
+        assert report.ok, (g.z0, g.x0, report)
+
+
+def test_mixed_nilpotent_kernel_pairing_refused(nilpj):
+    # J^3 = 0 with a null ker J: x0 pairs with ker J, and without the
+    # real-split certificate the flat factor does not split off.  The oracle
+    # finds t = sqrt(12 <z0, z0> / <x0, J^2 x0>) here.
+    g = geo(nilpj, [1.012], [0.822, 0.33, -1.303])
+    with pytest.raises(UnsupportedCaseError):
+        conjugate_times(g, 6.0)
+    szz = g.speed - g.x0 @ nilpj.gram_v @ g.x0
+    t = np.sqrt(12.0 * szz / (g.x0 @ nilpj.gram_v @ g.J @ g.J @ g.x0))
+    assert [ct[0] for ct in detect_conjugate(g, 6.0)] == [pytest.approx(t, abs=1e-5)]
 
 
 def test_mixed_pure_kernel_keeps_full_multiplicity(heis4deg):

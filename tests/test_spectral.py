@@ -51,6 +51,16 @@ def test_spectrum_degenerate_kernel(heis4deg):
     assert abs(spec.zero_basis[2, 0]) == pytest.approx(1.0)
 
 
+def test_spectrum_nilpotent_has_no_certificate(nilpj):
+    # the eigenvalue noise of a nilpotent J can pose as a boosting line
+    # spanning ker J^2, which would complete the dimension count
+    for z in (1.012, 1.0, 0.3):
+        spec = spectrum(j_map(nilpj, [z]))
+        assert not spec.diagonalizable
+        with pytest.raises(NotDiagonalizableError):
+            eigen_components(spec, np.ones(3))
+
+
 def test_spectrum_mixed_signature(phyp):
     spec = spectrum(j_map(phyp, [1.0]))
     assert len(spec.neg) == 1 and spec.neg[0].rate == pytest.approx(1.0, rel=1e-12)
