@@ -39,6 +39,8 @@ __all__ = [
     "FIXTURE_NAMES",
 ]
 
+_NULL_REL = 1e-12   # fixed: causal_character's null band, relative to |u|^2 max |gram|
+
 
 def _as_array(x: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -156,13 +158,13 @@ def inner(alg: MetricLieAlgebra, u: AlgebraElement, w: AlgebraElement) -> float:
     return inner_z(alg, u.z, w.z) + inner_v(alg, u.v, w.v)
 
 
-def causal_character(alg: MetricLieAlgebra, u: AlgebraElement, rel: float = 1e-12) -> str:
+def causal_character(alg: MetricLieAlgebra, u: AlgebraElement) -> str:
     """Classify u as timelike (<u,u> > 0), null (= 0) or spacelike (< 0)."""
     s = inner(alg, u, u)
     scale = float(u.z @ u.z + u.v @ u.v) * float(np.abs(alg.gram).max())
-    if s > rel * scale:
+    if s > _NULL_REL * scale:
         return "timelike"
-    if s < -rel * scale:
+    if s < -_NULL_REL * scale:
         return "spacelike"
     return "null"
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: validate, spectrum, conjugate, oracle, compare, locus,
-continuation.  Exit status 0 on success, 1 when `compare` finds a
-discrepancy, 2 on input errors.  The effective tolerance set is echoed on
-every run (header line in human mode, stderr line in JSON mode, so the JSON
-document on stdout stays a single machine-readable value).
+Subcommands: validate, spectrum, conjugate, oracle, compare, locus.  Exit
+status 0 on success, 1 when `compare` finds a discrepancy, 2 on input
+errors.  The effective tolerance set is echoed on every run (header line in
+human mode, stderr line in JSON mode, so the JSON document on stdout stays a
+single machine-readable value).
 """
 
 from __future__ import annotations
@@ -195,8 +195,7 @@ def cmd_oracle(args) -> int:
     alg = _load_algebra(args.algebra, tol)
     geo = _geodesic(args, alg)
     prop = integrate_propagator(geo, args.tmax, args.steps)
-    detected = detect_conjugate(geo, args.tmax, rank_tol=args.rank_tol,
-                                tol=tol, prop=prop)
+    detected = detect_conjugate(geo, args.tmax, tol=tol, prop=prop)
     _echo_tolerances(tol, args.json)
     if args.out:
         sig = sigma_min_series(prop)
@@ -231,10 +230,9 @@ def _random_geodesic(alg: MetricLieAlgebra, rng: np.random.Generator) -> Geodesi
     return GeodesicSpec(alg, z0, x0)
 
 
-def _compare_one(geo: GeodesicSpec, t_max: float, steps, rank_tol,
-                 tol: Tolerances) -> dict:
+def _compare_one(geo: GeodesicSpec, t_max: float, steps, tol: Tolerances) -> dict:
     closed = conjugate_times(geo, t_max, tol)
-    detected = detect_conjugate(geo, t_max, steps=steps, rank_tol=rank_tol, tol=tol)
+    detected = detect_conjugate(geo, t_max, steps=steps, tol=tol)
     report = compare(closed, detected, match_tol=tol.match_tol)
     return {
         "z0": geo.z0.tolist(),
@@ -257,11 +255,10 @@ def cmd_compare(args) -> int:
         rng = np.random.default_rng(args.seed)
         for _ in range(args.random):
             geo = _random_geodesic(alg, rng)
-            results.append(_compare_one(geo, args.tmax, args.steps,
-                                        args.rank_tol, tol))
+            results.append(_compare_one(geo, args.tmax, args.steps, tol))
     else:
         geo = _geodesic(args, alg)
-        results.append(_compare_one(geo, args.tmax, args.steps, args.rank_tol, tol))
+        results.append(_compare_one(geo, args.tmax, args.steps, tol))
     all_ok = all(r["ok"] for r in results)
     worst_gap = max((abs(tc - td) for r in results for tc, td, _, _ in r["matched"]),
                     default=0.0)
@@ -337,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algebra", required=True,
                        help="built-in fixture name or algebra JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                        help="tolerance override, repeatable")
         if geodesic:
@@ -364,16 +360,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="numerical rank-drop detection")
     common(p, geodesic=True, tmax=13.0)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--rank-tol", type=float, default=None)
     p.add_argument("--out", help="write (t, sigma_min) CSV here")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", help="closed form vs oracle; exit 1 on discrepancy")
     common(p, geodesic=True, tmax=10.0)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--rank-tol", type=float, default=None)
     p.add_argument("--random", type=int, metavar="N",
                    help="compare N seeded random geodesics instead of --z0/--x0")
+    p.add_argument("--seed", type=int, default=0, help="seed of the --random draws")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("locus", help="sample the conjugate locus")
@@ -381,20 +376,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["Z", "tube"], default="Z")
     p.add_argument("--x0", help="single direction (Z) or tube axis direction")
     p.add_argument("--grid", type=int, default=16, help="number of directions")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random grid (dim_v > 2)")
     p.add_argument("--amax", type=float, default=0.2)
     p.add_argument("--num", type=int, default=8, help="a-samples per sign")
     p.add_argument("--out", help="output path")
     p.add_argument("--format", choices=["csv", "obj"], default="csv")
     p.set_defaults(func=cmd_locus)
-
-    p = sub.add_parser("continuation", help="trace t(a) for the tube family")
-    common(p)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--amax", type=float, default=0.2)
-    p.add_argument("--num", type=int, default=8)
-    p.add_argument("--out", help="output path")
-    p.add_argument("--format", choices=["csv", "obj"], default="csv")
-    p.set_defaults(func=cmd_locus, mode="tube")
     return parser
 
 

@@ -49,6 +49,7 @@ from .spectral import (
     eigen_components,
     image_membership,
     lattice_match,
+    pairs_nonzero,
     spectrum,
 )
 
@@ -66,8 +67,11 @@ __all__ = [
 ]
 
 
-# Relative slack that keeps a time computed at the horizon itself inside (0, t_max].
-_HORIZON_SLACK = 1e-12
+# Fixed constants of the scans, not tolerances.
+_HORIZON_SLACK = 1e-12  # relative: keeps a time computed at the horizon itself inside (0, t_max]
+_POLE_MARGIN = 1e-9     # the transcendental scan keeps this * max(1, b) off each pole b
+_TANGENT_CUT = 1e-8     # an extremum of the excess within this * |<z0, z0>| of it is a double root
+_MERGE_FLOOR = 2e-9     # absolute floor added to merge_rel when merging roots or meeting poles
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,8 +275,7 @@ def _flat_split(geo: GeodesicSpec, spec: Spectrum, tol: Tolerances) -> GeodesicS
     """
     if spec.diagonalizable:
         return GeodesicSpec(geo.alg, geo.z0, geo.x0 - eigen_components(spec, geo.x0).kernel)
-    pair = spec.zero_basis.T @ (geo.alg.gram_v @ geo.x0)
-    if np.any(np.abs(pair) > tol.ortho_rel * (1.0 + np.linalg.norm(geo.x0))):
+    if pairs_nonzero(spec.zero_basis, geo.alg.gram_v @ geo.x0, tol):
         raise UnsupportedCaseError(
             "x0 pairs with ker J and J has no real-split certificate, so the flat "
             "factor does not split off; use the numerical oracle")
@@ -300,11 +303,11 @@ def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
 
     lam_max = max((line.rate for line in spec.neg), default=0.0)
     edges = [0.0] + [p for p in poles if p < t_max] + [t_max]
-    fscale = abs(szz)
     roots: list[tuple[float, bool]] = []
     brackets = []   # (lo, hi, f(lo), f(hi)) per sign change
+    dips = {1.0: [], -1.0: []}   # (lo, hi, f(lo), f(hi)) per extremum towards 0, by sign of f
     for a, b in zip(edges[:-1], edges[1:]):
-        margin = 1e-9 * max(1.0, b)
+        margin = _POLE_MARGIN * max(1.0, b)
         lo, hi = a + margin, b - margin
         if hi <= lo:
             continue
@@ -319,16 +322,22 @@ def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
         roots += [(float(t), False) for t in ts[fv == 0.0]]
         cross = np.nonzero(pair & (fv[:-1] * fv[1:] < 0.0))[0]
         brackets += [(ts[i], ts[i + 1], fv[i], fv[i + 1]) for i in cross]
-        # tangency sweep: interior |f| minima without a sign change
+        # strict extrema of f towards 0, no sign change: a double root or close pair may hide
         af = np.abs(fv)
-        dips = (finite[:-2] & finite[1:-1] & finite[2:] & (af[1:-1] <= af[:-2])
-                & (af[1:-1] <= af[2:]) & (fv[:-2] * fv[2:] > 0.0) & (af[1:-1] < 1e-6 * fscale))
-        for i in np.nonzero(dips)[0] + 1:
-            x_min, f_min = golden_min(lambda t: abs(f(t)),
-                                      float(ts[i - 1]), float(ts[i + 1]),
-                                      xtol=tol.refine_tol)
-            if f_min <= 1e-8 * fscale:
-                roots.append((float(x_min), True))
+        dip = ((fv[:-2] * fv[1:-1] > 0.0) & (fv[1:-1] * fv[2:] > 0.0)
+               & (af[1:-1] < af[:-2]) & (af[1:-1] < af[2:]))
+        for i in np.nonzero(dip)[0] + 1:
+            dips[float(np.sign(fv[i]))].append((ts[i - 1], ts[i + 1], fv[i - 1], fv[i + 1]))
+    for sign, cands in dips.items():
+        if not cands:
+            continue
+        t_lo, t_hi, f_lo, f_hi = np.array(cands).T
+        x_min, f_min = golden_min(lambda t: sign * f(t), t_lo, t_hi, xtol=tol.refine_tol)
+        f_x = f(x_min)
+        cross = sign * f_x < 0.0   # two roots: each half brackets one
+        brackets += list(zip(t_lo[cross], x_min[cross], f_lo[cross], f_x[cross]))
+        brackets += list(zip(x_min[cross], t_hi[cross], f_x[cross], f_hi[cross]))
+        roots += [(float(t), True) for t in x_min[~cross & (f_min <= _TANGENT_CUT * abs(szz))]]
     if brackets:
         t_lo, t_hi, f_lo, f_hi = np.array(brackets).T
         found = bracket_root(f, t_lo, t_hi, fa=f_lo, fb=f_hi, xtol=tol.bisect_tol)
@@ -336,9 +345,9 @@ def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
     out = []
     seen: list[float] = []
     for root, tangent in sorted(roots):
-        if any(abs(root - s) <= tol.merge_rel * max(1.0, root) + 2e-9 for s in seen):
+        if any(abs(root - s) <= tol.merge_rel * max(1.0, root) + _MERGE_FLOOR for s in seen):
             continue
-        if any(abs(root - p) <= tol.merge_rel * max(1.0, p) + 2e-9 for p in poles):
+        if any(abs(root - p) <= tol.merge_rel * max(1.0, p) + _MERGE_FLOOR for p in poles):
             continue
         seen.append(root)
         if root <= t_max * (1.0 + _HORIZON_SLACK):
@@ -376,10 +385,7 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
             bonus = abs(pairing - geo.speed) <= tol.speed_eq_rel * speed_scale
             mult = total + 1 if bonus else total
         else:
-            func = kernel.T @ gjx if kernel.shape[1] else np.zeros(0)
-            nonvanishing = bool(np.any(np.abs(func) > tol.ortho_rel
-                                       * (1.0 + np.linalg.norm(gjx))))
-            mult = total - 1 if nonvanishing else total
+            mult = total - 1 if pairs_nonzero(kernel, gjx, tol) else total
         if mult > 0:
             out.append(ConjugateTime(t, mult, "lattice"))
     out.extend(_scan_transcendental(geo, spec, poles, t_max, tol))
@@ -452,14 +458,13 @@ def _lattice_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiFie
     if kernel.shape[1] == 0:
         raise NoConjugateError(f"no lattice kernel at t = {t0}")
     gjx = geo.alg.gram_v @ (geo.J @ geo.x0)
-    func = kernel.T @ gjx
-    if np.all(np.abs(func) <= tol.ortho_rel * (1.0 + np.linalg.norm(gjx))):
+    if not pairs_nonzero(kernel, gjx, tol):
         v0 = kernel[:, 0]
     else:
         if kernel.shape[1] < 2:
             raise NoConjugateError(f"no admissible lattice witness at t = {t0}")
         # combination annihilating the pairing functional
-        _, _, vh = np.linalg.svd(func[None, :])
+        _, _, vh = np.linalg.svd((kernel.T @ gjx)[None, :])
         v0 = kernel @ vh[1:].T[:, 0]
     return _exp_witness(geo, t0, np.zeros(geo.alg.dim_v), v0, 0.0,
                         np.zeros(geo.alg.dim_center))

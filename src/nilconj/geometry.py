@@ -37,6 +37,9 @@ __all__ = [
     "serialize_field",
 ]
 
+_UNIFORM_REL = 1e-9     # fixed: grid steps equal to this relative accuracy count as uniform
+_COVER_SLACK = 1e-12    # fixed, relative: a time this far past half a step keeps its sample
+
 
 @dataclass(frozen=True, eq=False)
 class GeodesicSpec:
@@ -190,9 +193,9 @@ def _stencil_index(times: np.ndarray, t: float) -> int:
         raise InsufficientSamplesError(f"t={t} has no interior stencil in the sample grid")
     h1 = times[i] - times[i - 1]
     h2 = times[i + 1] - times[i]
-    if abs(h1 - h2) > 1e-9 * max(h1, h2):
+    if abs(h1 - h2) > _UNIFORM_REL * max(h1, h2):
         raise InsufficientSamplesError("sample grid is not locally uniform")
-    if abs(times[i] - t) > 0.5 * h1 + 1e-12 * max(1.0, abs(t)):
+    if abs(times[i] - t) > 0.5 * h1 + _COVER_SLACK * max(1.0, abs(t)):
         raise InsufficientSamplesError(f"t={t} is not covered by the sample grid")
     return i
 
@@ -241,7 +244,7 @@ def field_values(geo: GeodesicSpec, field: JacobiField) -> np.ndarray:
     """Frame values Y(t_i) = (z_i, exp(t_i J) v_i), one row per sample."""
     times = field.times
     dt = np.diff(times)
-    if dt.size > 0 and np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
+    if dt.size > 0 and np.allclose(dt, dt[0], rtol=_UNIFORM_REL, atol=0.0):
         v = grid_transport(geo.J, dt[0], field.v) @ expm(times[0] * geo.J).T
     else:
         v = np.einsum("nij,nj->ni", expm(times[:, None, None] * geo.J), field.v)

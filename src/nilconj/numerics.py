@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
+_ROOT_MAX_ITER = 200    # bracket_root's step cap; Illinois steps shrink the bracket superlinearly
 
 
 def golden_min(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,
@@ -47,7 +48,7 @@ def golden_min(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike
 
 def bracket_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,
                  fa: Optional[ArrayLike] = None, fb: Optional[ArrayLike] = None,
-                 xtol: float = 1e-12, max_iter: int = 200) -> float | np.ndarray:
+                 xtol: float = 1e-12) -> float | np.ndarray:
     """Illinois root of a sign change, elementwise over arrays of brackets.
 
     Regula falsi that halves the value kept at the far end whenever that end
@@ -65,7 +66,7 @@ def bracket_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLi
         raise ValueError("bracket_root: endpoints do not bracket a sign change")
     root = np.where(fa == 0.0, a, b)
     live = (fa != 0.0) & (fb != 0.0)
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         live &= np.abs(b - a) > xtol
         if not live.any():
             break

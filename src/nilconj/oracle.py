@@ -198,12 +198,12 @@ def _cosines(states: np.ndarray, p: int) -> np.ndarray:
 
 
 def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
-                     rank_tol: float | None = None, tol: Tolerances = DEFAULT_TOL,
+                     tol: Tolerances = DEFAULT_TOL,
                      prop: Propagator | None = None) -> list[tuple[float, int]]:
     """Conjugate times in (0, t_max] by rank drop of the boundary map.
 
     The multiplicity at a time is the number of principal-angle cosines
-    between the solution space and the (z, v) axes below rank_tol.  The
+    between the solution space and the (z, v) axes below tol.rank_tol.  The
     candidates are the grid cells where sign det M changes (odd
     multiplicities, also the two roots of a close pair in neighbouring
     cells), the interior local minima of the smallest cosine whose bracket
@@ -214,8 +214,6 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
     root shares it; it is solved by an Illinois iteration on det M on the
     side of the first root where det M changes sign.
     """
-    if rank_tol is None:
-        rank_tol = tol.rank_tol
     if prop is None:
         prop = integrate_propagator(geo, t_max, steps)
     p = prop.dim_center
@@ -237,7 +235,7 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
         return _cosines(matrix_at(prop, geo, t, full=True), p)
 
     def multiplicity(t: np.ndarray) -> np.ndarray:
-        return np.sum(cosines(t) < rank_tol, axis=-1)
+        return np.sum(cosines(t) < tol.rank_tol, axis=-1)
 
     found = golden_min(lambda t: cosines(t)[:, -1], times[lo], times[hi],
                        xtol=tol.refine_tol)[0]

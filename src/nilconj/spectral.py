@@ -136,6 +136,13 @@ def lattice_kernel(j: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> np
     return lattice_match(spectrum(np.asarray(j, dtype=float), tol), t, tol)[1]
 
 
+def pairs_nonzero(basis: np.ndarray, covector: np.ndarray,
+                   tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether the covector is nonzero on some column of basis, relative to its own size."""
+    cut = tol.ortho_rel * (1.0 + float(np.linalg.norm(covector)))
+    return bool(np.any(np.abs(basis.T @ covector) > cut))
+
+
 def image_membership(j: np.ndarray, t: float, x: np.ndarray, gram_v: np.ndarray,
                      tol: Tolerances = DEFAULT_TOL) -> tuple[bool, Optional[np.ndarray]]:
     """Decide x in im(exp(-tJ) - I) and return v with (exp(-tJ) - I) v = t x.
@@ -148,14 +155,11 @@ def image_membership(j: np.ndarray, t: float, x: np.ndarray, gram_v: np.ndarray,
     x = np.asarray(x, dtype=float)
     op = expm(-t * j) - np.eye(j.shape[0])
     kern = null_space_basis(op, tol.rank_rel)
-    xnorm = float(np.linalg.norm(x))
-    if kern.shape[1]:
-        pairings = kern.T @ (gram_v @ x)
-        if np.any(np.abs(pairings) > tol.ortho_rel * (1.0 + xnorm)):
-            return False, None
+    if pairs_nonzero(kern, gram_v @ x, tol):
+        return False, None
     v, *_ = np.linalg.lstsq(op, t * x, rcond=None)
     resid = float(np.linalg.norm(op @ v - t * x))
-    if resid > tol.ortho_rel * (1.0 + abs(t)) * (1.0 + xnorm):
+    if resid > tol.ortho_rel * (1.0 + abs(t)) * (1.0 + np.linalg.norm(x)):
         # Defensive: orthogonality said member but the solve disagrees.
         return False, None
     return True, v

@@ -201,10 +201,29 @@ def test_compare_json_worst_gap(capsys):
 
 def test_compare_forced_discrepancy_exit_1(capsys):
     # an absurd rank tolerance marks everything singular: spurious detections.
-    code, out, _ = run(capsys, "compare", "--algebra", "heis3", "--z0", "1",
-                       "--tmax", "7", "--rank-tol", "1e3")
+    code, out, err = run(capsys, "compare", "--algebra", "heis3", "--z0", "1",
+                         "--tmax", "7", "--tol", "rank_tol=1e3", "--json")
     assert code == 1
-    assert "DISCREPANCY" in out
+    assert json_out(out)["ok"] is False
+    # the echoed tolerance set is the one the oracle used
+    assert "rank_tol=1000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("continuation", "--x0", "1,0"),
+    ("oracle", "--z0", "1", "--rank-tol", "1e3"),
+    ("compare", "--z0", "1", "--rank-tol", "1e3"),
+    ("validate", "--seed", "1"),
+    ("spectrum", "--z0", "1", "--seed", "1"),
+    ("conjugate", "--z0", "1", "--seed", "1"),
+    ("oracle", "--z0", "1", "--seed", "1"),
+])
+def test_removed_spellings_exit_2(capsys, argv):
+    # each setting has one spelling: the subcommand alias and the flags that
+    # duplicated --tol or were never read are usage errors
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--algebra", "pheis3", *argv[1:]])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,7 +282,7 @@ def test_locus_tube_requires_x0(capsys):
 
 def test_continuation_obj_export(tmp_path, capsys):
     out_path = tmp_path / "tube.obj"
-    code, out, _ = run(capsys, "continuation", "--algebra", "pheis3",
+    code, out, _ = run(capsys, "locus", "--algebra", "pheis3", "--mode", "tube",
                        "--x0", "1,0", "--num", "2", "--format", "obj",
                        "--out", str(out_path))
     assert code == 0
@@ -272,7 +291,7 @@ def test_continuation_obj_export(tmp_path, capsys):
 
 
 def test_continuation_json_track(capsys):
-    code, out, _ = run(capsys, "continuation", "--algebra", "pheis3",
+    code, out, _ = run(capsys, "locus", "--algebra", "pheis3", "--mode", "tube",
                        "--x0", "1,0", "--amax", "0.2", "--num", "2", "--json")
     assert code == 0
     rows = json_out(out)

@@ -8,6 +8,7 @@ import pytest
 
 import nilconj.conjugate as conjugate_module
 from nilconj import (
+    DEFAULT_TOL,
     CenterNotLineError,
     GeodesicSpec,
     NotInImageError,
@@ -29,6 +30,7 @@ from nilconj import (
     spectrum,
 )
 from nilconj.cli import _random_geodesic
+from nilconj.numerics import golden_min
 
 # root of (t/2) cot(t/2) = 2 in (2 pi, 4 pi)
 T_COT = 8.549564543061
@@ -395,6 +397,37 @@ def test_mixed_near_miss_has_no_bonus(wcross):
     at_pi = [ct for ct in cts if abs(ct.t - np.pi) < 1e-9]
     assert len(at_pi) == 1
     assert at_pi[0].multiplicity == 2
+
+
+def _wcross_tangent(wcross, lo, hi, sign):
+    # The excess depends on z0 t only: with z0 = 1 it has an extremum of
+    # value m at s in (lo, hi), so z0 = sqrt(m) makes t* = s / z0 a double root.
+    x0 = np.array([0.3, 0.0, 1.0, 0.0])
+    spec = spectrum(geo(wcross, [1.0], x0).J)
+    series = conjugate_module.ConjugacySeries.of(wcross, eigen_components(spec, x0))
+    s, _ = golden_min(lambda t: sign * series.excess(t), lo, hi, xtol=1e-12)
+    z0 = np.sqrt(series.excess(s))
+    return geo(wcross, [z0], x0), s / z0
+
+
+def test_mixed_tangent_root_at_excess_minimum(wcross):
+    # the nearest scan sample read |f| = 2.4e-5 <<z0,z0>>, above the old 1e-6 gate
+    g, t_star = _wcross_tangent(wcross, 3.9, 4.6, 1.0)
+    cts = conjugate_times(g, t_star + 1.0)
+    assert [ct.t for ct in cts][-1] == pytest.approx(t_star, abs=1e-6)
+    assert compare(cts, detect_conjugate(g, t_star + 1.0)).ok
+
+
+def test_mixed_tangent_root_at_excess_maximum(wcross):
+    # a slow geodesic whose only conjugate time in range is a double root.
+    # Its position is resolved to about 1e-6 on either side, and the oracle
+    # may split it into a pair that close, so only positions are compared.
+    g, t_star = _wcross_tangent(wcross, 0.9, 1.6, -1.0)
+    closed = [ct.t for ct in conjugate_times(g, t_star + 1.0)]
+    detected = [t for t, _ in detect_conjugate(g, t_star + 1.0)]
+    assert closed and detected
+    assert closed + detected == pytest.approx([t_star] * len(closed + detected),
+                                              abs=DEFAULT_TOL.match_tol)
 
 
 def test_mixed_multiplicity_bounds(heis3, heis5w):
