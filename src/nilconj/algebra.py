@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _NULL_REL = 1e-12   # fixed: causal_character's null band, relative to |u|^2 max |gram|
+_GRAM_SYM_REL = 1e-12   # fixed: gram asymmetry allowed, relative to 1 + max |gram|
 
 
 def _as_array(x: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -80,7 +81,7 @@ class MetricLieAlgebra:
         structure = _as_array(self.structure, (p, q, q), "structure")
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "structure", structure)
-        if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(gram).max())):
+        if not np.allclose(gram, gram.T, rtol=0.0, atol=_GRAM_SYM_REL * (1.0 + np.abs(gram).max())):
             raise ParseError("gram must be symmetric")
         if np.any(gram[:p, p:] != 0.0) or np.any(gram[p:, :p] != 0.0):
             raise NonOrthogonalSplitError(

@@ -292,8 +292,17 @@ def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
         def f(t: float | np.ndarray) -> float | np.ndarray:
             return series.excess(t) - szz
     else:
+        j2 = geo.J @ geo.J
+        half_norm = 0.5 * np.linalg.norm(geo.J, 2)
+
         def numeric(t: float) -> float:
-            # no closed form: one membership solve per sample
+            # no closed form: below the cut, _excess's Taylor polynomial in
+            # w = (tJ/2)^2, where the membership solve would cancel; above it,
+            # one membership solve per sample
+            if t * half_norm < _TAYLOR_CUT:
+                w, x = (0.5 * t) ** 2 * j2, geo.x0
+                excess = w @ (x / 3.0 - w @ (x / 45.0 - w @ x * (2.0 / 945.0)))
+                return inner_v(geo.alg, x, excess) - szz
             try:
                 return conjugacy_function(geo, t, tol) - geo.speed
             except (PoleError, NotInImageError):

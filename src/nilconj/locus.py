@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import MetricLieAlgebra, j_map
 from .config import DEFAULT_TOL, Tolerances
-from .conjugate import ConjugacySeries, polynomial_times
+from .conjugate import _POLE_MARGIN, ConjugacySeries, polynomial_times
 from .errors import CenterNotLineError, NoConjugateError, RootLostError, UnsupportedCaseError
 from .geometry import GeodesicSpec, geodesic_point
 from .numerics import bracket_root
@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 _2SQRT3 = 2.0 * np.sqrt(3.0)
+
+# Fixed constants of the continuation corrector, not tolerances.
+_TRUST_WINDOW = (0.5, 1.5)  # Newton stays inside this x predictor
+_NEWTON_MAX_ITER = 60
+_WINDOW_SAMPLES = 65        # samples of the window scanned when Newton fails
 
 
 @dataclass(frozen=True)
@@ -128,16 +133,18 @@ def _track_root(series: ConjugacySeries, eps: float, s: float, predictor: float,
     """Root of excess(s t) = s^2 eps nearest the predictor; Newton, Illinois fallback.
 
     This is the scan's equation excess(t) = <z0, z0> for z0 = s z, <z, z> = eps.
-    When Newton leaves the window (0.5, 1.5) x predictor or stalls, the
-    window's first sign change is solved instead.
+    When Newton leaves the trust window or stalls, the window's first sign
+    change is solved instead, on samples that include points just either side
+    of each pole of the series, t = 2 pi k / (rate s) on a rotating line; a
+    sign change across a pole is not a root.
     """
 
     def f(t: float | np.ndarray) -> float | np.ndarray:
         return series.excess(s * t) - s * s * eps
 
     t = predictor
-    lo, hi = 0.5 * predictor, 1.5 * predictor
-    for _ in range(60):
+    lo, hi = _TRUST_WINDOW[0] * predictor, _TRUST_WINDOW[1] * predictor
+    for _ in range(_NEWTON_MAX_ITER):
         df = s * series.derivative(s * t)
         if df == 0.0 or not np.isfinite(df):
             break
@@ -147,9 +154,16 @@ def _track_root(series: ConjugacySeries, eps: float, s: float, predictor: float,
         if abs(t_new - t) <= tol.bisect_tol * max(1.0, t):
             return t_new
         t = t_new
-    grid = np.linspace(lo, hi, 65)
+    turns_per_t = [lam * s / (2.0 * np.pi) for lam, _ in series.neg]
+    poles = [k / c for c in turns_per_t for k in range(int(lo * c) + 1, int(hi * c) + 1)]
+    margin = _POLE_MARGIN * max(1.0, hi)
+    grid = np.union1d(np.linspace(lo, hi, _WINDOW_SAMPLES),
+                      [b + d for b in poles for d in (-margin, margin)])
     fv = f(grid)
-    cross = np.nonzero(np.isfinite(fv[:-1]) & np.isfinite(fv[1:]) & (fv[:-1] * fv[1:] < 0.0))[0]
+    turns = np.floor(np.outer(turns_per_t, grid))
+    no_pole = np.all(turns[:, :-1] == turns[:, 1:], axis=0)
+    cross = np.nonzero(no_pole & np.isfinite(fv[:-1]) & np.isfinite(fv[1:])
+                       & (fv[:-1] * fv[1:] < 0.0))[0]
     if not cross.size:
         raise RootLostError(f"continuation lost the conjugate-time root at a = {s}")
     i = cross[0]

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import DEFAULT_TOL, Tolerances
 from .geometry import GeodesicSpec
@@ -88,13 +87,12 @@ def _coefficients(geo: GeodesicSpec, ep: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _transfer(geo: GeodesicSpec, bracket: np.ndarray, forcing: np.ndarray,
-              h: float | np.ndarray) -> np.ndarray:
+              h: float) -> np.ndarray:
     """RK4 transfer matrices T = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of the state.
 
     Axis -3 of the coefficient blocks holds their rows at t, t + h/2 and
-    t + h; h broadcasts against the leading axes.  With A(t) the system
-    matrix, K1 = A(t), K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I + h/2 K2)
-    and K4 = A(t + h)(I + h K3).
+    t + h.  With A(t) the system matrix, K1 = A(t), K2 = A(t + h/2)(I + h/2 K1),
+    K3 = A(t + h/2)(I + h/2 K2) and K4 = A(t + h)(I + h K3).
     """
     p, q = geo.alg.dim_center, geo.alg.dim_v
     d = 2 * (p + q)
@@ -106,7 +104,6 @@ def _transfer(geo: GeodesicSpec, bracket: np.ndarray, forcing: np.ndarray,
     a[..., w, :p] = forcing
     a[..., w, w] = -geo.J
     a0, a1, a2 = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
-    h = np.asarray(h, dtype=float)[..., None, None]
     eye = np.eye(d)
     k2 = a1 @ (eye + 0.5 * h * a0)
     k3 = a1 @ (eye + 0.5 * h * k2)
@@ -159,24 +156,25 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     return Propagator(times, states, p, q)
 
 
-def matrix_at(prop: Propagator, geo: GeodesicSpec, t: float | np.ndarray,
-              full: bool = False) -> np.ndarray:
-    """Boundary map at off-grid times: one RK4 substep from the node below each.
+def matrix_at(prop: Propagator, t: float | np.ndarray, full: bool = False) -> np.ndarray:
+    """Boundary map at off-grid times: the cubic through the four nodes around each.
 
+    The Lagrange weights are taken in s = (t - t_n)/h on nodes n - 1 ... n + 2
+    for t in [t_n, t_n+1), the stencil shifted inward at both ends; at a node
+    they are exactly (0, 1, 0, 0), so the stored node comes back bit for bit.
     t is a scalar or an array of times; the result has t's shape in front of
     the (p + q, p + q) map.  With full=True it is the whole state
     (zeta, z, v, w) instead, 2p + 2q rows.
     """
     t = np.asarray(t, dtype=float)
-    h = prop.times[1] - prop.times[0]
-    n = np.clip(np.floor(t / h).astype(int), 0, prop.times.size - 1)
-    t0 = prop.times[n]
-    dt = t - t0
-    rows = t0[..., None] + dt[..., None] * np.array([0.0, 0.5, 1.0])
-    bracket, forcing = _coefficients(geo, expm(rows[..., None, None] * geo.J))
-    p = prop.dim_center
-    state = _transfer(geo, bracket, forcing, dt) @ _with_zeta(prop.states[n], p)
-    return state if full else state[..., p:2 * p + prop.dim_v, :]
+    times, h, p = prop.times, prop.times[1], prop.dim_center
+    n = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
+    k = np.clip(n - 1, 0, times.size - 4)       # first node of the stencil
+    u0, u1, u2, u3 = ((t - times[n]) / h + (n - k - j) for j in range(4))
+    w = np.stack([u1 * u2 * u3, u0 * u2 * u3, u0 * u1 * u3, u0 * u1 * u2], axis=-1)
+    w = w / np.array([-6.0, 2.0, -2.0, 6.0])
+    state = np.sum(w[..., None, None] * prop.states[k[..., None] + np.arange(4)], axis=-3)
+    return _with_zeta(state, p) if full else state[..., : p + prop.dim_v, :]
 
 
 def sigma_min_series(prop: Propagator) -> np.ndarray:
@@ -232,7 +230,7 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
         return []
 
     def cosines(t: np.ndarray) -> np.ndarray:
-        return _cosines(matrix_at(prop, geo, t, full=True), p)
+        return _cosines(matrix_at(prop, t, full=True), p)
 
     def multiplicity(t: np.ndarray) -> np.ndarray:
         return np.sum(cosines(t) < tol.rank_tol, axis=-1)
@@ -245,15 +243,14 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
     if recheck.any():
         t_star = found[recheck]
         off = _PARITY_OFFSET * np.maximum(1.0, t_star)
-        near = np.sign(np.linalg.det(matrix_at(prop, geo, np.stack([t_star - off,
-                                                                     t_star + off]))))
+        near = np.sign(np.linalg.det(matrix_at(prop, np.stack([t_star - off, t_star + off]))))
         a, b = times[lo[recheck]], times[hi[recheck]]
         left = (near[0] != sign[lo[recheck]]) & (t_star - off > a)
         right = (near[1] != sign[hi[recheck]]) & (t_star + off < b)
         a = np.concatenate([a[left], (t_star + off)[right]])
         b = np.concatenate([(t_star - off)[left], b[right]])
         if a.size:
-            second = bracket_root(lambda t: np.linalg.det(matrix_at(prop, geo, t)),
+            second = bracket_root(lambda t: np.linalg.det(matrix_at(prop, t)),
                                   a, b, xtol=tol.refine_tol)
             found = np.concatenate([found, second])
             mult = np.concatenate([mult, multiplicity(second)])

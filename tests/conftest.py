@@ -80,6 +80,21 @@ PHYP = json.dumps({
                  {"a": 2, "b": 3, "out": [2]}],
 })
 
+# J(1) has the complex spectrum +-1.38678 +- 2.81175i: no real-split
+# certificate, so mixed geodesics take the scan's non-diagonalizable fallback.
+CPLX = json.dumps({
+    "name": "cplx",
+    "dim_center": 1,
+    "dim_v": 4,
+    "gram": np.diag([1.0, 1.0, 1.0, -1.0, -1.0]).tolist(),
+    "brackets": [{"a": 0, "b": 1, "out": [3.409]},
+                 {"a": 0, "b": 2, "out": [-0.185]},
+                 {"a": 0, "b": 3, "out": [0.644]},
+                 {"a": 1, "b": 2, "out": [-1.66]},
+                 {"a": 1, "b": 3, "out": [-1.616]},
+                 {"a": 2, "b": 3, "out": [-2.482]}],
+})
+
 BUILTIN_NAMES = ["heis3", "pheis3", "heis5w", "bicenter"]
 
 
@@ -131,3 +146,8 @@ def wcross():
 @pytest.fixture(scope="session")
 def phyp():
     return load_algebra(PHYP)
+
+
+@pytest.fixture(scope="session")
+def cplx():
+    return load_algebra(CPLX)

@@ -45,3 +45,15 @@ def test_benchmark_cli_calls_parse():
     for batch in batches:
         args = parser.parse_args(batch.label.split())
         assert args.func is nilconj.cli.cmd_compare
+
+
+def test_benchmark_round_zero_passes():
+    # round 0 of every workload at the smallest size: each library call the
+    # benchmark makes runs, and each answer check it applies passes
+    workloads = _load_bench("workloads")
+    for name, wl in workloads.WORKLOADS.items():
+        algs = {fix: nilconj.fixture(fix) for fix in wl.fixtures}
+        for batch in wl.make_round(nilconj, algs, 0, 0, workloads.TINY):
+            outcomes = list(batch.run())
+            assert len(outcomes) == batch.n_items, (name, batch.label)
+            assert all(o is None for o in outcomes), (name, batch.label, outcomes)

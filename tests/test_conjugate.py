@@ -294,6 +294,22 @@ def test_mixed_times_without_closed_series(heis5w, monkeypatch):
     assert [ct.t for ct in numeric] == pytest.approx([ct.t for ct in closed], abs=1e-9)
 
 
+def test_cplx_has_no_real_split(cplx):
+    spec = spectrum(geo(cplx, [1.0], [1.0, 0.0, 0.0, 0.0]).J)
+    assert spec.complex_dim == 4 and not spec.diagonalizable
+    assert not spec.neg and not spec.pos
+
+
+@pytest.mark.parametrize("z", [1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("x0", [(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.5, 0.5, 0.5, 0.5)])
+def test_mixed_complex_spectrum_near_straight(cplx, x0, z):
+    # the non-diagonalizable fallback takes the excess's Taylor polynomial in
+    # (tJ/2)^2 where the membership solve cancels; at z = 1e-7 the solve gave
+    # 1.889423 and 1.990272 for the first two x0 and 37 spurious times for the third
+    g = geo(cplx, [z], x0)
+    assert compare(conjugate_times(g, 6.0), detect_conjugate(g, 6.0)).ok
+
+
 @pytest.mark.parametrize("z", [1e-3, 1e-5, 1e-7, 1e-9])
 def test_mixed_near_straight(heis3, heis5w, pheis3, z):
     # g(t) - <x0, x0> is O(z^2) here; subtracting <x0, x0> from g(t) once

@@ -154,6 +154,23 @@ def test_continuation_root_lost_on_wild_jump(pheis3):
         continuation(pheis3, [1.0, 0.0], [0.0, 50.0])
 
 
+def test_continuation_window_skips_lattice_pole(phyp):
+    # the window fallback once bracketed the sign change across the lattice
+    # pole 2.1763717725 of the tilted geodesic; the root is the
+    # transcendental time next to it
+    x0 = [0.008, -0.276, 1.294, 1.007]
+    s = continuation(phyp, x0, [0.0, 2.887])[1]
+    assert s.t == pytest.approx(2.211057377, abs=1e-8)
+    times = [ct.t for ct in conjugate_times(GeodesicSpec(phyp, [2.887], x0), 3.0)]
+    assert min(abs(t - s.t) for t in times) <= 1e-8
+
+
+def test_continuation_window_with_only_a_pole_loses_root(phyp):
+    # the only sign change in the window is the pole 3.1912160634, f = -1.6e12 there
+    with pytest.raises(RootLostError):
+        continuation(phyp, [0.094, -0.7435, -0.9217, -0.4577], [0.0, 1.9689])
+
+
 def test_continuation_null_direction_rejected(pheis3):
     # null x0 has vanishing component squares, so the rate sum is zero.
     with pytest.raises(NoConjugateError):

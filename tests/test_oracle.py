@@ -153,10 +153,10 @@ def test_matrix_at_off_grid(heis3):
     prop = integrate_propagator(g, 5.0)
     t = 2.3456
     direct = integrate_propagator(g, t, steps=600).matrix(600)
-    assert np.abs(matrix_at(prop, g, t) - direct).max() < 1e-8
+    assert np.abs(matrix_at(prop, t) - direct).max() < 1e-8
     # on-grid request returns the stored node
     n = 640
-    assert np.array_equal(matrix_at(prop, g, prop.times[n]), prop.matrix(n))
+    assert np.array_equal(matrix_at(prop, prop.times[n]), prop.matrix(n))
 
 
 def _rk4_reference(g, t_max, steps):
@@ -208,11 +208,11 @@ def test_matrix_at_array_equals_scalar_calls(heis5w, pheis3):
                      (geo(pheis3, [1.0], [0.3, 1.0]), 9.0)):
         prop = integrate_propagator(g, t_max)
         ts = np.array([0.0, 0.123, 1.0, 2.71828, prop.times[700], 3.999, t_max])
-        batch = matrix_at(prop, g, ts)
+        batch = matrix_at(prop, ts)
         assert batch.shape == (ts.size,) + prop.matrix(0).shape
         for t, m in zip(ts, batch):
-            assert np.array_equal(m, matrix_at(prop, g, t))
-        full = matrix_at(prop, g, ts, full=True)
+            assert np.array_equal(m, matrix_at(prop, t))
+        full = matrix_at(prop, ts, full=True)
         p = g.alg.dim_center
         assert np.array_equal(full[:, p:2 * p + g.alg.dim_v], batch)
         assert np.array_equal(full[:, :p], np.broadcast_to(np.eye(p, batch.shape[-1]),
@@ -315,6 +315,13 @@ def test_compare_missing_and_spurious():
     assert not rep.ok
     assert rep.missing == [(1.0, 1)]
     assert rep.spurious == [(5.0, 1)]
+
+
+def test_compare_spurious_between_matches():
+    rep = compare([(1.0, 1), (3.0, 1)], [(1.0, 1), (2.0, 1), (3.0, 1)], match_tol=1e-5)
+    assert not rep.ok
+    assert rep.spurious == [(2.0, 1)]
+    assert not rep.missing and len(rep.matched) == 2
 
 
 def test_compare_mult_mismatch():
