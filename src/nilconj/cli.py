@@ -80,8 +80,8 @@ def _geodesic(args, alg: MetricLieAlgebra) -> GeodesicSpec:
 
 def _check_horizon(args) -> None:
     """Reject the horizons and step counts the library would raise ValueError on."""
-    if not args.tmax > 0.0:
-        raise ParseError(f"--tmax must be positive, got {args.tmax:g}")
+    if not 0.0 < args.tmax < np.inf:
+        raise ParseError(f"--tmax must be positive and finite, got {args.tmax:g}")
     if getattr(args, "steps", None) is not None and args.steps < 100:
         raise ParseError(f"--steps must be at least 100, got {args.steps}")
 

@@ -88,8 +88,8 @@ class ConjugateTime:
 def conjugate_times(geo: GeodesicSpec, t_max: float, tol: Tolerances = DEFAULT_TOL,
                     witnesses: bool = False) -> list[ConjugateTime]:
     """All conjugate times in (0, t_max], sorted, with multiplicities."""
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < np.inf:
+        raise ValueError("t_max must be positive and finite")
     j_zero = np.abs(geo.J).max() <= tol.zero_rel * max(1.0, np.abs(geo.z0).max())
     x_zero = np.abs(geo.x0).max() <= tol.zero_rel
     if j_zero and x_zero:

@@ -22,7 +22,7 @@ from .algebra import (
     j_map,
 )
 from .errors import InsufficientSamplesError, ParseError
-from .numerics import grid_transport
+from .numerics import _expm_stack, grid_transport
 
 __all__ = [
     "GeodesicSpec",
@@ -247,5 +247,5 @@ def field_values(geo: GeodesicSpec, field: JacobiField) -> np.ndarray:
     if dt.size > 0 and np.allclose(dt, dt[0], rtol=_UNIFORM_REL, atol=0.0):
         v = grid_transport(geo.J, dt[0], field.v) @ expm(times[0] * geo.J).T
     else:
-        v = np.einsum("nij,nj->ni", expm(times[:, None, None] * geo.J), field.v)
+        v = (_expm_stack(times[:, None, None] * geo.J) @ field.v[:, :, None])[:, :, 0]
     return np.hstack([field.z, v])

@@ -1,17 +1,23 @@
 """Small numerical helpers: root and minimum searches, rank decisions,
-matrix exponentials on a uniform grid."""
+matrix exponentials of a stack and on a uniform grid."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.linalg import expm
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 _ROOT_MAX_ITER = 200    # bracket_root's step cap; Illinois steps shrink the bracket superlinearly
+# Degree-13 Pade approximant of exp and the largest 1-norm it takes to double
+# precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
 def golden_min(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,
@@ -83,24 +89,59 @@ def bracket_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLi
     return root if root.ndim else float(root)
 
 
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix in a (..., d, d) stack, all in one pass.
+
+    Scaling and squaring with the degree-13 Pade approximant (Higham 2005):
+    matrix i is scaled by 2^-s_i, s_i = max(0, ceil(log2(|A_i|_1 / theta13))),
+    one batched solve gives every approximant, and squaring pass k squares the
+    matrices with s_i > k.  A zero matrix gives the identity exactly.
+    """
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(a.shape[-1])
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore"):      # log2(0) = -inf: no scaling
+        s = np.maximum(0.0, np.ceil(np.log2(norm / _THETA13))).astype(int)
+    a = a * np.exp2(-s)[..., None, None]
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    e = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        e[sq] = e[sq] @ e[sq]
+    e[norm == 0.0] = eye
+    return e
+
+
 def grid_transport(j: np.ndarray, h: float, rows: ArrayLike) -> np.ndarray:
     """Rows exp(i h J) rows[i], i = 0..n-1, for rows of shape (n, q) or (n, q, r).
 
     Exponentials of multiples of one J commute, so exp((m b + k) h J) equals
-    exp(m b h J) exp(k h J); with b = ceil(sqrt(n)) two stacked expm
-    calls of about sqrt(n) matrices each cover the grid (Moler and Van Loan,
-    SIAM Review 45, 2003).  Row 0 comes back exactly.
+    exp(m b h J) exp(k h J); with b = ceil(sqrt(n)) one stacked exponential of
+    the b fine and m = ceil(n / b) coarse multiples and two batched products
+    cover the grid (Moler and Van Loan, SIAM Review 45, 2003).  The products
+    are fine (b, q, q) @ (b, q, m r) then coarse (m, q, q) @ (m, q, b r), taken
+    transposed so that the q entries of each row stay contiguous when the
+    blocks are regrouped.  Row 0 comes back exactly.
     """
     rows = np.asarray(rows, dtype=float)
-    n = rows.shape[0]
+    n, q = rows.shape[0], j.shape[0]
+    r = math.prod(rows.shape[2:])
     b = max(1, int(np.ceil(np.sqrt(n))))
     m = -(-n // b)
-    fine = expm((h * np.arange(b))[:, None, None] * j)
-    coarse = expm((b * h * np.arange(m))[:, None, None] * j)
-    padded = np.zeros((m * b,) + rows.shape[1:])
-    padded[:n] = rows
-    inner = np.einsum("kij,mkj...->mki...", fine, padded.reshape((m, b) + rows.shape[1:]))
-    return np.einsum("mij,mkj...->mki...", coarse, inner).reshape(padded.shape)[:n]
+    e = _expm_stack((h * np.concatenate([np.arange(b), b * np.arange(m)]))[:, None, None] * j)
+    et = e.transpose(0, 2, 1)
+    x = np.zeros((m, b, r, q))          # x[mu, k] is row mu b + k, transposed; zero padding
+    x.reshape(m * b, r, q)[:n] = rows.reshape(n, q, r).transpose(0, 2, 1)
+    x = x.transpose(1, 0, 2, 3).reshape(b, m * r, q) @ et[:b]
+    x = x.reshape(b, m, r, q).transpose(1, 0, 2, 3).reshape(m, b * r, q) @ et[b:]
+    return x.reshape(m * b, r, q)[:n].transpose(0, 2, 1).reshape(rows.shape)
 
 
 def nonzero_integer_near(x: float, rel: float) -> Optional[int]:

@@ -122,8 +122,8 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     each block's start state to the next block, and one batched product gives
     every node.  Only one step per block of transfer matrices exists at a time.
     """
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < np.inf:
+        raise ValueError("t_max must be positive and finite")
     if steps is None:
         steps = default_steps(t_max)
     if steps < 100:

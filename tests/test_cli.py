@@ -233,6 +233,12 @@ def test_removed_spellings_exit_2(capsys, argv):
     ("oracle", "--steps", "10"),
     ("compare", "--steps", "10"),
     ("compare", "--tmax", "0", "--random", "2"),
+    ("conjugate", "--tmax", "inf"),
+    ("conjugate", "--tmax", "nan"),
+    ("oracle", "--tmax", "inf"),
+    ("oracle", "--tmax", "nan"),
+    ("compare", "--tmax", "inf", "--random", "2"),
+    ("compare", "--tmax", "nan", "--random", "2"),
 ])
 def test_bad_horizon_or_steps_exit_2(capsys, argv):
     # exit 1 from compare means a discrepancy; bad input must not look like one

@@ -65,6 +65,14 @@ def test_t_max_must_be_positive(heis3):
         conjugate_times(geo(heis3, [1.0], [0.0, 0.0]), 0.0)
 
 
+@pytest.mark.parametrize("t_max", [np.inf, np.nan])
+def test_t_max_must_be_finite(heis3, t_max):
+    g = geo(heis3, [1.0], [0.5, 0.0])
+    for fn in (conjugate_times, detect_conjugate):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn(g, t_max)
+
+
 def test_unsupported_mixed_center(bicenter):
     with pytest.raises(UnsupportedCaseError):
         conjugate_times(geo(bicenter, [1.0, 0.0], [1.0, 0.0, 0.0]), 10.0)

@@ -1,11 +1,26 @@
 """Shared numeric helpers."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from nilconj import j_map
+import nilconj
+from nilconj import (
+    GeodesicSpec,
+    JacobiField,
+    conjugate_times,
+    field_values,
+    fixture,
+    j_map,
+    jacobi_frame_residual,
+)
+from nilconj.algebra import FIXTURE_NAMES
+from nilconj.cli import main
 from nilconj.numerics import (
+    _expm_stack,
     bracket_root,
     cluster_scalars,
     golden_min,
@@ -80,13 +95,81 @@ def test_grid_transport(algebras):
     rng = np.random.default_rng(5)
     for alg in algebras.values():
         j = j_map(alg, np.linspace(1.0, 0.6, alg.dim_center))
-        for n, h in [(n, h) for n in (1, 2, 997) for h in (0.013, -0.013)]:
+        for n, h in [(n, h) for n in (0, 1, 2, 997) for h in (0.013, -0.013)]:
             for shape in ((n, alg.dim_v), (n, alg.dim_v, 3)):
                 rows = rng.standard_normal(shape)
                 out = grid_transport(j, h, rows)
                 assert out.shape == shape
-                assert np.array_equal(out[0], rows[0])
+                assert n == 0 or np.array_equal(out[0], rows[0])
                 for i in range(n):
                     e = expm(i * h * j)
                     scale = np.linalg.norm(e, 2) * np.linalg.norm(rows[i])
                     assert np.linalg.norm(out[i] - e @ rows[i]) <= 1e-11 * scale
+
+
+def test_expm_stack(algebras):
+    zero = _expm_stack(np.zeros((3, 4, 4)))
+    assert np.array_equal(zero, np.broadcast_to(np.eye(4), zero.shape))
+    # |c| |J|_1 up to 200, one multiple per squaring count s = 0..6
+    c = np.array([0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0])
+    c = np.concatenate([-c[:0:-1], c])
+    stacks = []
+    for alg in algebras.values():
+        j = j_map(alg, np.linspace(1.0, 0.6, alg.dim_center))
+        stacks.append((c / np.abs(j).sum(axis=0).max())[:, None, None] * j)
+    stacks.append(np.random.default_rng(6).standard_normal((40, 6, 6)))
+    for a in stacks:
+        for ai, ei in zip(a, _expm_stack(a)):
+            e = expm(ai)
+            assert np.linalg.norm(ei - e) <= 1e-11 * np.linalg.norm(e)
+    # densely in c against the closed forms: scipy's own expm errs by up to
+    # 2.7e-11 relative on this pheis3 grid
+    c = np.linspace(-200.0, 200.0, 401)[:, None, None]
+    for name, even, odd in (("heis3", np.cos, np.sin), ("pheis3", np.cosh, np.sinh)):
+        j = j_map(algebras[name], [1.0])
+        exact = even(c) * np.eye(2) + odd(c) * j
+        err = np.linalg.norm(_expm_stack(c * j) - exact, axis=(1, 2))
+        assert np.all(err <= 1e-11 * np.linalg.norm(exact, axis=(1, 2)))
+
+
+def test_grid_transport_exact_reference():
+    # e^{tJ} = cos(3t) I + sin(3t) K on heis3 (K^2 = -I) and cosh(3t) I + sinh(3t) K
+    # on pheis3 (K^2 = I), at z0 = 3 over 30,000 rows
+    n, h = 30_000, 1e-4
+    t = h * np.arange(n)[:, None, None]
+    eye = np.broadcast_to(np.eye(2), (n, 2, 2))
+    for name, even, odd in (("heis3", np.cos, np.sin), ("pheis3", np.cosh, np.sinh)):
+        j = j_map(fixture(name), [3.0])
+        exact = even(3.0 * t) * eye + odd(3.0 * t) * (j / 3.0)
+        err = np.linalg.norm(grid_transport(j, h, eye) - exact, axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.linalg.norm(exact, axis=(1, 2)))
+
+
+def test_no_stacked_scipy_expm(monkeypatch):
+    # stacks go through _expm_stack; scipy's expm loops in Python over a stack
+    def flat_only(real):
+        def guarded(a):
+            assert np.ndim(a) <= 2, "stacked scipy expm"
+            return real(a)
+        return guarded
+
+    wrapped = 0
+    for info in pkgutil.iter_modules(nilconj.__path__):
+        mod = importlib.import_module(f"nilconj.{info.name}")
+        if hasattr(mod, "expm"):
+            monkeypatch.setattr(mod, "expm", flat_only(mod.expm))
+            wrapped += 1
+    assert wrapped > 0
+    geo = GeodesicSpec(fixture("heis5w"), [3.0], [1.0, 0.2, 0.3, 0.4])
+    cts = conjugate_times(geo, 2.8, witnesses=True)
+    assert cts
+    for ct in cts:
+        field = ct.certificate
+        field_values(geo, field)
+        jacobi_frame_residual(geo, field, field.times[field.times.size // 2])
+    times = np.linspace(0.0, np.sqrt(2.0), 65) ** 2
+    rng = np.random.default_rng(9)
+    field_values(geo, JacobiField([0.3], times, rng.standard_normal((65, 1)),
+                                  rng.standard_normal((65, 4))))
+    for name in FIXTURE_NAMES:
+        assert main(["compare", "--algebra", name, "--random", "2", "--json"]) == 0
