@@ -26,7 +26,6 @@ from .conjugate import (
     attach_witnesses,
     build_jacobi_field,
     conjugacy_function,
-    conjugacy_function_closed,
     conjugate_times,
     lattice_times,
     mixed_times,
@@ -96,7 +95,7 @@ __all__ = [
     "j_map", "load_algebra", "serialize",
     "DEFAULT_TOL", "Tolerances",
     "ConjugateTime", "attach_witnesses", "build_jacobi_field",
-    "conjugacy_function", "conjugacy_function_closed", "conjugate_times",
+    "conjugacy_function", "conjugate_times",
     "lattice_times", "mixed_times", "polynomial_times",
     "AsymmetricBracketError", "CenterNotLineError", "DegenerateCenterError",
     "DegenerateComplementError", "InsufficientSamplesError", "NilconjError",

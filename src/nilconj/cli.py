@@ -22,7 +22,8 @@ from .conjugate import build_jacobi_field, conjugate_times
 from .errors import NilconjError, ParseError
 from .geometry import GeodesicSpec, field_values, jacobi_frame_residual, serialize_field
 from .locus import continuation, export_samples, sample_horizontal_locus
-from .oracle import compare, detect_conjugate, integrate_propagator, sigma_min_series
+from .oracle import (_MAX_STATE_ENTRIES, compare, default_steps, detect_conjugate,
+                     integrate_propagator, sigma_min_series)
 from .spectral import spectrum
 
 __all__ = ["main"]
@@ -78,12 +79,20 @@ def _geodesic(args, alg: MetricLieAlgebra) -> GeodesicSpec:
     return GeodesicSpec(alg, z0, x0)
 
 
-def _check_horizon(args) -> None:
-    """Reject the horizons and step counts the library would raise ValueError on."""
+def _check_horizon(args, alg: MetricLieAlgebra | None = None) -> None:
+    """Reject the horizons and step counts (given alg, the oracle's memory
+    bound too) that the library would raise ValueError on."""
     if not 0.0 < args.tmax < np.inf:
         raise ParseError(f"--tmax must be positive and finite, got {args.tmax:g}")
-    if getattr(args, "steps", None) is not None and args.steps < 100:
-        raise ParseError(f"--steps must be at least 100, got {args.steps}")
+    steps = getattr(args, "steps", None)
+    if steps is not None and steps < 100:
+        raise ParseError(f"--steps must be at least 100, got {steps}")
+    if alg is not None:
+        d = 2 * (alg.dim_center + alg.dim_v)
+        steps = default_steps(args.tmax) if steps is None else steps
+        if steps * d * d > _MAX_STATE_ENTRIES:
+            raise ParseError(f"--tmax {args.tmax:g} with {steps} steps exceeds the oracle's "
+                             f"memory bound of {_MAX_STATE_ENTRIES} state entries")
 
 
 def _signature(gram: np.ndarray) -> list[int]:
@@ -190,9 +199,9 @@ def cmd_conjugate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _check_horizon(args)
     tol = _parse_tol_overrides(args.tol)
     alg = _load_algebra(args.algebra, tol)
+    _check_horizon(args, alg)
     geo = _geodesic(args, alg)
     prop = integrate_propagator(geo, args.tmax, args.steps)
     detected = detect_conjugate(geo, args.tmax, tol=tol, prop=prop)
@@ -246,9 +255,9 @@ def _compare_one(geo: GeodesicSpec, t_max: float, steps, tol: Tolerances) -> dic
 
 
 def cmd_compare(args) -> int:
-    _check_horizon(args)
     tol = _parse_tol_overrides(args.tol)
     alg = _load_algebra(args.algebra, tol)
+    _check_horizon(args, alg)
     _echo_tolerances(tol, args.json)
     results = []
     if args.random:
@@ -307,6 +316,8 @@ def cmd_locus(args) -> int:
     alg = _load_algebra(args.algebra, tol)
     _echo_tolerances(tol, args.json)
     if args.mode == "Z":
+        if args.grid < 1:
+            raise ParseError("--grid must be positive")
         dirs = ([_parse_vector(args.x0, alg.dim_v, "--x0")] if args.x0
                 else _grid_directions(alg, args.grid, args.seed))
         samples = sample_horizontal_locus(alg, dirs, tol)
@@ -315,6 +326,8 @@ def cmd_locus(args) -> int:
             raise ParseError("--mode tube requires --x0")
         if args.num < 1:
             raise ParseError("--num must be positive")
+        if not np.isfinite(args.amax):
+            raise ParseError(f"--amax must be finite, got {args.amax:g}")
         x0 = _parse_vector(args.x0, alg.dim_v, "--x0")
         # exact negation: -a and a share one |a|, and the middle tilt is 0
         a_grid = args.amax * np.arange(-args.num, args.num + 1) / args.num

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .geometry import GeodesicSpec, JacobiField
 from .numerics import (
+    _expm_stack,
     bracket_root,
     cluster_scalars,
     golden_min,
@@ -60,7 +61,6 @@ __all__ = [
     "lattice_times",
     "mixed_times",
     "conjugacy_function",
-    "conjugacy_function_closed",
     "ConjugacySeries",
     "build_jacobi_field",
     "attach_witnesses",
@@ -69,7 +69,7 @@ __all__ = [
 
 # Fixed constants of the scans, not tolerances.
 _HORIZON_SLACK = 1e-12  # relative: keeps a time computed at the horizon itself inside (0, t_max]
-_POLE_MARGIN = 1e-9     # the transcendental scan keeps this * max(1, b) off each pole b
+_POLE_MARGIN = 1e-9     # the root scan keeps this * max(1, b) off each pole b
 _TANGENT_CUT = 1e-8     # an extremum of the excess within this * |<z0, z0>| of it is a double root
 _MERGE_FLOOR = 2e-9     # absolute floor added to merge_rel when merging roots or meeting poles
 
@@ -85,11 +85,15 @@ class ConjugateTime:
     certificate: Optional[JacobiField] = None
 
 
+def _check_t_max(t_max: float) -> None:
+    if not 0.0 < t_max < np.inf:
+        raise ValueError("t_max must be positive and finite")
+
+
 def conjugate_times(geo: GeodesicSpec, t_max: float, tol: Tolerances = DEFAULT_TOL,
                     witnesses: bool = False) -> list[ConjugateTime]:
     """All conjugate times in (0, t_max], sorted, with multiplicities."""
-    if not 0.0 < t_max < np.inf:
-        raise ValueError("t_max must be positive and finite")
+    _check_t_max(t_max)
     j_zero = np.abs(geo.J).max() <= tol.zero_rel * max(1.0, np.abs(geo.z0).max())
     x_zero = np.abs(geo.x0).max() <= tol.zero_rel
     if j_zero and x_zero:
@@ -113,6 +117,7 @@ def conjugate_times(geo: GeodesicSpec, t_max: float, tol: Tolerances = DEFAULT_T
 def polynomial_times(geo: GeodesicSpec, t_max: float,
                      tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
     """Conjugate times of a straight geodesic (J = 0, x0 != 0)."""
+    _check_t_max(t_max)
     coupling = center_coupling(geo.alg, geo.x0)
     w = np.linalg.eigvals(coupling)
     scale = float(np.abs(w).max()) if w.size else 0.0
@@ -146,6 +151,7 @@ def _distinct_lattice_times(spec: Spectrum, t_max: float, tol: Tolerances) -> li
 def lattice_times(geo: GeodesicSpec, t_max: float,
                   tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
     """Conjugate times of a central geodesic (x0 = 0, J != 0)."""
+    _check_t_max(t_max)
     spec = spectrum(geo.J, tol)
     out = []
     for t in _distinct_lattice_times(spec, t_max, tol):
@@ -185,26 +191,24 @@ def _dexcess(u: np.ndarray, sign: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConjugacySeries:
-    """g(t) = <x0, x0> + excess(t) for a diagonalizable J, with u = rate t / 2 and
+    """excess(t) = g(t) - <x0, x0> for a diagonalizable J, with u = rate t / 2:
 
     excess(t) = sum <A,A> (u cot u - 1) + sum <B,B> (u coth u - 1)
 
-    over the rotating (A) and boosting (B) lines; <x0, x0> adds the kernel
-    weight <K,K>.  Term by term, the excess keeps its relative accuracy near
-    a straight geodesic, where it is much smaller than <x0, x0>.  The methods
-    act elementwise on arrays of t and return a float for a scalar t; they
-    silence the 0/0 of the branch np.where discards at u = 0.
+    over the rotating (A) and boosting (B) lines.  Term by term, the excess
+    keeps its relative accuracy near a straight geodesic, where it is much
+    smaller than <x0, x0>.  The methods act elementwise on arrays of t and
+    return a float for a scalar t; they silence the 0/0 of the branch
+    np.where discards at u = 0.
     """
 
     neg: tuple[tuple[float, float], ...]   # (rate, <A,A>) per rotating line
     pos: tuple[tuple[float, float], ...]   # (rate, <B,B>) per boosting line
-    kernel: float                          # <K,K>
 
     @classmethod
     def of(cls, alg: MetricLieAlgebra, comps: EigenComponents) -> "ConjugacySeries":
         return cls(tuple((lam, inner_v(alg, a, a)) for lam, a in comps.neg),
-                   tuple((lam, inner_v(alg, b, b)) for lam, b in comps.pos),
-                   inner_v(alg, comps.kernel, comps.kernel))
+                   tuple((lam, inner_v(alg, b, b)) for lam, b in comps.pos))
 
     def _sum(self, t: float | np.ndarray, fn, order: int) -> float | np.ndarray:
         """sum of weight * h^order * fn(h t, sign) over the lines, h = rate / 2."""
@@ -220,48 +224,55 @@ class ConjugacySeries:
     def excess(self, t: float | np.ndarray) -> float | np.ndarray:
         return self._sum(t, _excess, 0)
 
-    def value(self, t: float | np.ndarray) -> float | np.ndarray:
-        g0 = self.kernel + sum(w for _, w in self.neg) + sum(w for _, w in self.pos)
-        return g0 + self.excess(t)
-
     def derivative(self, t: float | np.ndarray) -> float | np.ndarray:
         return self._sum(t, _dexcess, 1)
 
 
-def conjugacy_function(geo: GeodesicSpec, t: float,
-                       tol: Tolerances = DEFAULT_TOL) -> float:
-    """g(t) = <J x0, v> with (exp(-tJ) - I) v = t x0; poles at lattice times.
+def _matrix_excess(geo: GeodesicSpec, t: float | np.ndarray) -> float | np.ndarray:
+    """excess(t) = <x0, phi1(M)^-1 M^2 (phi2(M) / 2 - phi3(M)) x0> for any J, M = -tJ.
 
-    Conjugate times of the transcendental branch are the solutions of
-    g(t) = <gdot, gdot>.
+    phi_k(M) = sum_j M^j / (j + k)!; g = <J x0, v> = <x0, phi1(M)^-1 x0> as
+    (exp(M) - I) v = M phi1(M) v = t x0, and <x0, M x0> = 0, so no term
+    cancels against <x0, x0>.  The phi_k are the first block row of
+    exp([[M, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0]) (Van Loan, IEEE TAC 23,
+    1978).  One stacked exponential and one batched solve serve every t.
     """
-    if t == 0.0:
-        raise PoleError("conjugacy function is a limit at t = 0, not a value")
-    member, v = image_membership(geo.J, t, geo.x0, geo.alg.gram_v, tol)
-    if not member:
-        spec = spectrum(geo.J, tol)
-        total, _ = lattice_match(spec, t, tol)
-        if total > 0:
-            raise PoleError(f"t = {t} is a lattice pole of the conjugacy function")
-        raise NotInImageError("x0 is not in the image of exp(-tJ) - I")
-    return inner_v(geo.alg, geo.J @ geo.x0, v)
+    ts = np.asarray(t, dtype=float)
+    q = geo.J.shape[0]
+    m = -ts.reshape(-1, 1, 1) * geo.J
+    blocks = np.zeros((m.shape[0], 4 * q, 4 * q))
+    blocks[:, :q, :q] = m
+    blocks[:, :3 * q, q:] += np.eye(3 * q)
+    _, phi1, phi2, phi3 = np.split(_expm_stack(blocks)[:, :q], 4, axis=-1)
+    y = m @ (m @ ((0.5 * phi2 - phi3) @ geo.x0)[..., None])
+    val = np.linalg.solve(phi1, y)[..., 0] @ (geo.alg.gram_v @ geo.x0)
+    return val.reshape(ts.shape) if ts.ndim else float(val[0])
 
 
-def conjugacy_function_closed(geo: GeodesicSpec, t: float | np.ndarray,
-                              tol: Tolerances = DEFAULT_TOL) -> float | np.ndarray:
-    """Explicit cot/coth form of the conjugacy function, elementwise over t.
+def _excess_of(geo: GeodesicSpec, spec: Spectrum):
+    """t -> excess(t): the series where J has the real-split certificate (on a
+    boosting line at large t the only accurate form), else the matrix form."""
+    if spec.diagonalizable:
+        return ConjugacySeries.of(geo.alg, eigen_components(spec, geo.x0)).excess
+    return lambda t: _matrix_excess(geo, t)
 
-    Requires the real-split certificate of the spectrum; each negative rate
-    contributes <A,A> (lt/2) cot(lt/2), each positive rate <B,B> (lt/2)
-    coth(lt/2), and a kernel component contributes its constant metric square
-    (the zero-rate limit).  Returns a float for a scalar t, else an array.
+
+def conjugacy_function(geo: GeodesicSpec, t: float | np.ndarray,
+                       tol: Tolerances = DEFAULT_TOL) -> float | np.ndarray:
+    """g(t) = <x0, (tJ/2) coth(tJ/2) x0> = <x0, x0> + excess(t), elementwise over t.
+
+    Equals <J x0, v> where (exp(-tJ) - I) v = t x0; a ker J part K of x0 adds
+    <K, K>.  Transcendental conjugate times solve g(t) = <gdot, gdot>.  Raises
+    PoleError at t = 0 and at each lattice time whose kernel x0 pairs with.
     """
     if np.any(np.asarray(t) == 0.0):
         raise PoleError("conjugacy function is a limit at t = 0, not a value")
     spec = spectrum(geo.J, tol)
-    if not spec.diagonalizable:
-        raise NotInImageError("closed form requires a diagonalizable operator")
-    return ConjugacySeries.of(geo.alg, eigen_components(spec, geo.x0)).value(t)
+    gx = geo.alg.gram_v @ geo.x0
+    for s in np.ravel(t):
+        if pairs_nonzero(lattice_match(spec, float(s), tol)[1], gx, tol):
+            raise PoleError(f"t = {s} is a lattice pole of the conjugacy function")
+    return inner_v(geo.alg, geo.x0, geo.x0) + _excess_of(geo, spec)(t)
 
 
 def _flat_split(geo: GeodesicSpec, spec: Spectrum, tol: Tolerances) -> GeodesicSpec:
@@ -282,54 +293,30 @@ def _flat_split(geo: GeodesicSpec, spec: Spectrum, tol: Tolerances) -> GeodesicS
     return geo
 
 
-def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
-                         t_max: float, tol: Tolerances) -> list[ConjugateTime]:
-    # g(t) = <gdot, gdot> is excess(t) = <z0, z0>, since g(0) = <x0, x0>
-    szz = inner_z(geo.alg, geo.z0, geo.z0)
-    if spec.diagonalizable:
-        series = ConjugacySeries.of(geo.alg, eigen_components(spec, geo.x0))
+def _scan_roots(f, poles: list[float], lo: float, hi: float, rate: float, fscale: float,
+                tol: Tolerances) -> list[tuple[float, bool]]:
+    """Sorted (root, tangent) of an array function f in (lo, hi), split at the poles.
 
-        def f(t: float | np.ndarray) -> float | np.ndarray:
-            return series.excess(t) - szz
-    else:
-        j2 = geo.J @ geo.J
-        half_norm = 0.5 * np.linalg.norm(geo.J, 2)
-
-        def numeric(t: float) -> float:
-            # no closed form: below the cut, _excess's Taylor polynomial in
-            # w = (tJ/2)^2, where the membership solve would cancel; above it,
-            # one membership solve per sample
-            if t * half_norm < _TAYLOR_CUT:
-                w, x = (0.5 * t) ** 2 * j2, geo.x0
-                excess = w @ (x / 3.0 - w @ (x / 45.0 - w @ x * (2.0 / 945.0)))
-                return inner_v(geo.alg, x, excess) - szz
-            try:
-                return conjugacy_function(geo, t, tol) - geo.speed
-            except (PoleError, NotInImageError):
-                return np.nan
-
-        f = np.vectorize(numeric, otypes=[float])
-
-    lam_max = max((line.rate for line in spec.neg), default=0.0)
-    edges = [0.0] + [p for p in poles if p < t_max] + [t_max]
+    Each gap is sampled at steps of at most pi / (4 rate); an extremum of f
+    within _TANGENT_CUT * fscale of 0 is a double root (tangent).
+    """
+    edges = [lo] + sorted(p for p in poles if lo < p < hi) + [hi]
     roots: list[tuple[float, bool]] = []
     brackets = []   # (lo, hi, f(lo), f(hi)) per sign change
     dips = {1.0: [], -1.0: []}   # (lo, hi, f(lo), f(hi)) per extremum towards 0, by sign of f
     for a, b in zip(edges[:-1], edges[1:]):
         margin = _POLE_MARGIN * max(1.0, b)
-        lo, hi = a + margin, b - margin
-        if hi <= lo:
+        a, b = a + margin, b - margin
+        if b <= a:
             continue
-        delta = (hi - lo) / 64.0
-        if lam_max > 0.0:
-            delta = min(delta, np.pi / (4.0 * lam_max))
-        npts = int(np.clip(np.ceil((hi - lo) / delta) + 1, 9, 4097))
-        ts = np.linspace(lo, hi, npts)
+        delta = (b - a) / 64.0
+        if rate > 0.0:
+            delta = min(delta, np.pi / (4.0 * rate))
+        npts = int(np.clip(np.ceil((b - a) / delta) + 1, 9, 4097))
+        ts = np.linspace(a, b, npts)
         fv = f(ts)
-        finite = np.isfinite(fv)
-        pair = finite[:-1] & finite[1:]
         roots += [(float(t), False) for t in ts[fv == 0.0]]
-        cross = np.nonzero(pair & (fv[:-1] * fv[1:] < 0.0))[0]
+        cross = np.nonzero(fv[:-1] * fv[1:] < 0.0)[0]
         brackets += [(ts[i], ts[i + 1], fv[i], fv[i + 1]) for i in cross]
         # strict extrema of f towards 0, no sign change: a double root or close pair may hide
         af = np.abs(fv)
@@ -346,21 +333,16 @@ def _scan_transcendental(geo: GeodesicSpec, spec: Spectrum, poles: list[float],
         cross = sign * f_x < 0.0   # two roots: each half brackets one
         brackets += list(zip(t_lo[cross], x_min[cross], f_lo[cross], f_x[cross]))
         brackets += list(zip(x_min[cross], t_hi[cross], f_x[cross], f_hi[cross]))
-        roots += [(float(t), True) for t in x_min[~cross & (f_min <= _TANGENT_CUT * abs(szz))]]
+        roots += [(float(t), True) for t in x_min[~cross & (f_min <= _TANGENT_CUT * fscale)]]
     if brackets:
         t_lo, t_hi, f_lo, f_hi = np.array(brackets).T
         found = bracket_root(f, t_lo, t_hi, fa=f_lo, fb=f_hi, xtol=tol.bisect_tol)
         roots += [(float(root), False) for root in found]
-    out = []
-    seen: list[float] = []
+    out: list[tuple[float, bool]] = []
     for root, tangent in sorted(roots):
-        if any(abs(root - s) <= tol.merge_rel * max(1.0, root) + _MERGE_FLOOR for s in seen):
-            continue
-        if any(abs(root - p) <= tol.merge_rel * max(1.0, p) + _MERGE_FLOOR for p in poles):
-            continue
-        seen.append(root)
-        if root <= t_max * (1.0 + _HORIZON_SLACK):
-            out.append(ConjugateTime(root, 1, "transcendental", tangent=tangent))
+        if not (any(abs(root - s) <= tol.merge_rel * max(1.0, root) + _MERGE_FLOOR for s, _ in out)
+                or any(abs(root - p) <= tol.merge_rel * max(1.0, p) + _MERGE_FLOOR for p in poles)):
+            out.append((root, tangent))
     return out
 
 
@@ -378,6 +360,7 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
     g(t) = <gdot, gdot> between consecutive poles contributes a simple
     conjugate time.
     """
+    _check_t_max(t_max)
     if geo.alg.dim_center != 1:
         raise CenterNotLineError("mixed closed form requires a one-dimensional center")
     spec = spectrum(geo.J, tol)
@@ -397,7 +380,12 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
             mult = total - 1 if pairs_nonzero(kernel, gjx, tol) else total
         if mult > 0:
             out.append(ConjugateTime(t, mult, "lattice"))
-    out.extend(_scan_transcendental(geo, spec, poles, t_max, tol))
+    # g(t) = <gdot, gdot> is excess(t) = <z0, z0>, since g(0) = <x0, x0>
+    szz = inner_z(geo.alg, geo.z0, geo.z0)
+    excess = _excess_of(geo, spec)
+    rate = max((line.rate for line in spec.neg), default=0.0)
+    out += [ConjugateTime(t, 1, "transcendental", tangent=tangent) for t, tangent
+            in _scan_roots(lambda t: excess(t) - szz, poles, 0.0, t_max, rate, abs(szz), tol)]
     return sorted(out, key=lambda ct: ct.t)
 
 

@@ -22,10 +22,9 @@ import numpy as np
 
 from .algebra import MetricLieAlgebra, j_map
 from .config import DEFAULT_TOL, Tolerances
-from .conjugate import _POLE_MARGIN, ConjugacySeries, polynomial_times
+from .conjugate import ConjugacySeries, _scan_roots, polynomial_times
 from .errors import CenterNotLineError, NoConjugateError, RootLostError, UnsupportedCaseError
 from .geometry import GeodesicSpec, geodesic_point
-from .numerics import bracket_root
 from .spectral import eigen_components, spectrum
 
 __all__ = [
@@ -42,7 +41,6 @@ _2SQRT3 = 2.0 * np.sqrt(3.0)
 # Fixed constants of the continuation corrector, not tolerances.
 _TRUST_WINDOW = (0.5, 1.5)  # Newton stays inside this x predictor
 _NEWTON_MAX_ITER = 60
-_WINDOW_SAMPLES = 65        # samples of the window scanned when Newton fails
 
 
 @dataclass(frozen=True)
@@ -130,13 +128,13 @@ def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
 
 def _track_root(series: ConjugacySeries, eps: float, s: float, predictor: float,
                 tol: Tolerances) -> float:
-    """Root of excess(s t) = s^2 eps nearest the predictor; Newton, Illinois fallback.
+    """Root of excess(s t) = s^2 eps nearest the predictor; Newton, root-scan fallback.
 
     This is the scan's equation excess(t) = <z0, z0> for z0 = s z, <z, z> = eps.
-    When Newton leaves the trust window or stalls, the window's first sign
-    change is solved instead, on samples that include points just either side
-    of each pole of the series, t = 2 pi k / (rate s) on a rotating line; a
-    sign change across a pole is not a root.
+    When Newton leaves the trust window or stalls, the first root that the
+    closed forms' root scan finds in the window is taken instead; the scan
+    splits the window at the poles of the series, t = 2 pi k / (rate s) on a
+    rotating line, so a sign change across a pole is not a root.
     """
 
     def f(t: float | np.ndarray) -> float | np.ndarray:
@@ -156,19 +154,11 @@ def _track_root(series: ConjugacySeries, eps: float, s: float, predictor: float,
         t = t_new
     turns_per_t = [lam * s / (2.0 * np.pi) for lam, _ in series.neg]
     poles = [k / c for c in turns_per_t for k in range(int(lo * c) + 1, int(hi * c) + 1)]
-    margin = _POLE_MARGIN * max(1.0, hi)
-    grid = np.union1d(np.linspace(lo, hi, _WINDOW_SAMPLES),
-                      [b + d for b in poles for d in (-margin, margin)])
-    fv = f(grid)
-    turns = np.floor(np.outer(turns_per_t, grid))
-    no_pole = np.all(turns[:, :-1] == turns[:, 1:], axis=0)
-    cross = np.nonzero(no_pole & np.isfinite(fv[:-1]) & np.isfinite(fv[1:])
-                       & (fv[:-1] * fv[1:] < 0.0))[0]
-    if not cross.size:
+    rate = s * max((lam for lam, _ in series.neg), default=0.0)
+    roots = _scan_roots(f, poles, lo, hi, rate, s * s, tol)
+    if not roots:
         raise RootLostError(f"continuation lost the conjugate-time root at a = {s}")
-    i = cross[0]
-    return bracket_root(f, grid[i], grid[i + 1], fa=fv[i], fb=fv[i + 1],
-                        xtol=tol.bisect_tol * max(1.0, predictor))
+    return roots[0][0]
 
 
 def continuation(alg: MetricLieAlgebra, x0: np.ndarray, a_grid: list[float],

@@ -41,6 +41,8 @@ __all__ = [
 _START_SKIP = 4          # steps: M(0) = 0, so refined times this close to t = 0 are dropped
 _DEDUPE_REL = 1e-8       # refined times within this * max(1, t) are one root
 _PARITY_OFFSET = 1e-7    # det M is sampled this * max(1, t*) either side of a refined t*
+# Memory bound: steps * d^2 state entries at most, about 0.75 GB of working arrays at d = 10.
+_MAX_STATE_ENTRIES = 2 ** 25
 
 
 def default_steps(t_max: float) -> int:
@@ -130,6 +132,9 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
         raise ValueError("steps must be at least 100")
     p, q = geo.alg.dim_center, geo.alg.dim_v
     d = 2 * (p + q)
+    if steps * d * d > _MAX_STATE_ENTRIES:
+        raise ValueError(f"steps * d^2 = {steps * d * d} exceeds the memory bound "
+                         f"{_MAX_STATE_ENTRIES}")
     h = t_max / steps
     eye = np.broadcast_to(np.eye(q), (2 * steps + 1, q, q))   # half grid
     bracket, forcing = _coefficients(geo, grid_transport(geo.J, 0.5 * h, eye))

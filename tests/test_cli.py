@@ -239,9 +239,14 @@ def test_removed_spellings_exit_2(capsys, argv):
     ("oracle", "--tmax", "nan"),
     ("compare", "--tmax", "inf", "--random", "2"),
     ("compare", "--tmax", "nan", "--random", "2"),
+    ("oracle", "--tmax", "1e7"),
+    ("oracle", "--steps", "1000000000"),
+    ("compare", "--tmax", "1e7"),
+    ("compare", "--steps", "1000000000", "--random", "2"),
 ])
 def test_bad_horizon_or_steps_exit_2(capsys, argv):
-    # exit 1 from compare means a discrepancy; bad input must not look like one
+    # exit 1 from compare means a discrepancy; bad input must not look like one.
+    # A run past the oracle's memory bound is refused before it allocates.
     code, _, err = run(capsys, argv[0], "--algebra", "heis3", "--z0", "1", *argv[1:])
     assert code == 2
     assert "error: ParseError" in err
@@ -282,6 +287,19 @@ def test_locus_tube_mode_csv(tmp_path, capsys):
 
 def test_locus_tube_requires_x0(capsys):
     code, _, err = run(capsys, "locus", "--algebra", "pheis3", "--mode", "tube")
+    assert code == 2
+    assert "error: ParseError" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--grid", "-1"),
+    ("--grid", "0"),
+    ("--mode", "tube", "--x0", "1,0", "--amax", "nan"),
+    ("--mode", "tube", "--x0", "1,0", "--amax", "inf"),
+])
+def test_locus_bad_input_exit_2(capsys, argv):
+    # each of these once ended in a numpy traceback (exit 1)
+    code, _, err = run(capsys, "locus", "--algebra", "pheis3", *argv)
     assert code == 2
     assert "error: ParseError" in err
 

@@ -11,22 +11,24 @@ from nilconj import (
     DEFAULT_TOL,
     CenterNotLineError,
     GeodesicSpec,
-    NotInImageError,
     PoleError,
     UnsupportedCaseError,
     build_jacobi_field,
     center_coupling,
     compare,
     conjugacy_function,
-    conjugacy_function_closed,
     conjugate_times,
     detect_conjugate,
     eigen_components,
     field_values,
     fixture,
+    image_membership,
+    inner_v,
     jacobi_frame_residual,
+    lattice_times,
     load_algebra,
     mixed_times,
+    polynomial_times,
     spectrum,
 )
 from nilconj.cli import _random_geodesic
@@ -71,6 +73,20 @@ def test_t_max_must_be_finite(heis3, t_max):
     for fn in (conjugate_times, detect_conjugate):
         with pytest.raises(ValueError, match="positive and finite"):
             fn(g, t_max)
+
+
+@pytest.mark.parametrize("t_max", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("fn, z0, x0", [
+    (conjugate_times, [1.0], [0.5, 0.0]),
+    (polynomial_times, [0.0], [0.5, 0.0]),
+    (lattice_times, [1.0], [0.0, 0.0]),
+    (mixed_times, [1.0], [0.5, 0.0]),
+])
+def test_closed_forms_share_the_horizon_check(pheis3, fn, z0, x0, t_max):
+    # the branch functions once overflowed on inf, failed to convert nan to an
+    # integer, or returned [] for a negative horizon
+    with pytest.raises(ValueError, match="positive and finite"):
+        fn(geo(pheis3, z0, x0), t_max)
 
 
 def test_unsupported_mixed_center(bicenter):
@@ -200,11 +216,17 @@ def test_conjugacy_function_poles(heis3):
         conjugacy_function(g3, 2.0 * np.pi)
 
 
-def test_conjugacy_function_not_in_image(heis4deg):
-    # x0 in ker J is never in the image of exp(-tJ) - I at generic t.
+def test_conjugacy_function_kernel_is_flat(heis4deg):
+    # x0 in ker J is never in the image of exp(-tJ) - I, yet g is defined:
+    # the ker J part K of x0 is a flat factor and adds its constant <K, K>,
+    # as in the series and the flat split; 2 pi is no pole, since x0 does not
+    # pair with its lattice kernel.
     g4 = geo(heis4deg, [1.0], [0.0, 0.0, 1.0])
-    with pytest.raises(NotInImageError):
-        conjugacy_function(g4, 1.0)
+    ts = np.array([1.0, 2.0 * np.pi, 9.0])
+    assert conjugacy_function(g4, ts).tolist() == [1.0, 1.0, 1.0]
+    assert conjugacy_function(g4, 1.0) == 1.0
+    g = geo(heis4deg, [1.0], [1.0, 0.0, 1.0])
+    assert conjugacy_function(g, 2.0) == pytest.approx(1.0 + 1.0 / np.tan(1.0), abs=1e-12)
 
 
 def test_conjugacy_function_finite_at_partial_pole(heis5w):
@@ -212,7 +234,15 @@ def test_conjugacy_function_finite_at_partial_pole(heis5w):
     # plane stays in the image and g(pi) = (pi/2) cot(pi/2) = 0.
     g5 = geo(heis5w, [1.0], [1.0, 0.0, 0.0, 0.0])
     assert conjugacy_function(g5, np.pi) == pytest.approx(0.0, abs=1e-12)
-    assert conjugacy_function_closed(g5, np.pi) == pytest.approx(0.0, abs=1e-12)
+
+
+def numerical_g(g, t):
+    """Reference g(t) = <J x0, v> from one membership solve of (exp(-tJ) - I) v = t x0.
+
+    None where x0 is not in the image (near a pole).
+    """
+    member, v = image_membership(g.J, t, g.x0, g.alg.gram_v)
+    return inner_v(g.alg, g.J @ g.x0, v) if member else None
 
 
 @pytest.mark.parametrize("name", ["heis3", "pheis3", "heis5w"])
@@ -224,19 +254,17 @@ def test_conjugacy_closed_matches_numerical(name):
         x0 = rng.standard_normal(alg.dim_v)
         g = geo(alg, z0, x0)
         t = float(rng.uniform(0.1, 9.0))
-        try:
-            num = conjugacy_function(g, t)
-        except (PoleError, NotInImageError):
+        num = numerical_g(g, t)
+        if num is None:
             continue
-        assert conjugacy_function_closed(g, t) == pytest.approx(num, abs=1e-9)
+        assert conjugacy_function(g, t) == pytest.approx(num, abs=1e-9)
         # the closed form is elementwise over an array of times
         ts = np.array([0.5 * t, t, 1.5 * t])
-        try:
-            nums = [conjugacy_function(g, float(s)) for s in ts]
-        except (PoleError, NotInImageError):
+        nums = [numerical_g(g, float(s)) for s in ts]
+        if None in nums:
             continue
-        closed = conjugacy_function_closed(g, ts)
-        assert closed.tolist() == [conjugacy_function_closed(g, float(s)) for s in ts]
+        closed = conjugacy_function(g, ts)
+        assert closed.tolist() == [conjugacy_function(g, float(s)) for s in ts]
         assert closed == pytest.approx(nums, abs=1e-9)
 
 
@@ -244,8 +272,61 @@ def test_conjugacy_closed_matches_numerical_mixed_signature(phyp):
     # one rotating and one boosting block active at once
     g = geo(phyp, [1.0], [1.0, 0.0, 1.0, 0.0])
     for t in (0.5, 1.7, 4.0):
-        num = conjugacy_function(g, t)
-        assert conjugacy_function_closed(g, t) == pytest.approx(num, abs=1e-9)
+        assert conjugacy_function(g, t) == pytest.approx(numerical_g(g, t), abs=1e-9)
+
+
+def matrix_excess(g, t):
+    """The matrix form, which the closed forms use where J has no real-split certificate."""
+    return conjugate_module._matrix_excess(g, t)
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.5, 2.0, 5.0, 9.0])
+def test_matrix_excess_matches_high_precision_on_cplx(cplx, t):
+    # reference: g - <x0, x0> from the membership solve in 50 digits, with the
+    # exponential summed as its Taylor series.  The phi1 solve is conditioned
+    # like exp(|Re lambda| t), lambda the eigenvalues of J, and a double
+    # precision membership solve errs as much: 3.2e-10 on the first draw at t = 9.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        x0 = rng.standard_normal(4)
+        g = geo(cplx, [1.0], x0 / np.linalg.norm(x0))
+        j, x, gram = (mpmath.matrix(a.tolist()) for a in (g.J, g.x0, cplx.gram_v))
+        op = mpmath.expm(-t * j, method="taylor") - mpmath.eye(4)
+        v = mpmath.lu_solve(op, t * x)
+        ref = ((j * x).T * gram * v)[0] - (x.T * gram * x)[0]
+        growth = np.exp(np.abs(np.linalg.eigvals(g.J).real).max() * t)
+        assert matrix_excess(g, t) == pytest.approx(float(ref), rel=1e-14 * growth)
+
+
+@pytest.mark.parametrize("name", ["heis3", "heis5w", "wcross"])
+def test_matrix_excess_matches_series(name, request):
+    alg = request.getfixturevalue(name)
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        g = geo(alg, rng.uniform(0.5, 1.5, 1), rng.standard_normal(alg.dim_v))
+        series = conjugate_module.ConjugacySeries.of(
+            alg, eigen_components(spectrum(g.J), g.x0)).excess
+        ts = rng.uniform(0.05, 8.0, 5)
+        assert matrix_excess(g, ts) == pytest.approx(series(ts), rel=1e-11)
+
+
+def test_matrix_excess_short_time(heis3):
+    # excess(t) = -t^2 <J x0, J x0> / 12 + O(t^4): no cancellation against <x0, x0>
+    g = geo(heis3, [1.0], [1.0, 0.0])
+    assert matrix_excess(g, 1e-9) == pytest.approx(-1e-18 / 12.0, rel=1e-11)
+    series = conjugate_module.ConjugacySeries.of(heis3, eigen_components(spectrum(g.J), g.x0))
+    assert matrix_excess(g, 1e-9) == pytest.approx(series.excess(1e-9), rel=1e-11)
+
+
+def test_conjugacy_function_array_equals_scalar_calls_on_cplx(cplx):
+    g = geo(cplx, [0.7], [0.5, 0.5, 0.5, 0.5])
+    assert not spectrum(g.J).diagonalizable
+    ts = np.array([1e-3, 0.4, 1.3, 2.9, 6.0])
+    # equal to rounding: a stack and a single matrix may take different BLAS paths
+    assert conjugacy_function(g, ts) == pytest.approx(
+        [conjugacy_function(g, float(t)) for t in ts], rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +369,8 @@ def test_mixed_scaling_covariance(heis3):
 
 
 def test_mixed_times_without_closed_series(heis5w, monkeypatch):
-    # Without the real-split certificate the root scan samples the
-    # membership-based conjugacy function; it must find the series' roots.
+    # Without the real-split certificate the root scan samples the matrix
+    # form of the excess; it must find the series' roots.
     g = geo(heis5w, [3.0], [1.0, 0.2, 0.3, 0.4])
     closed = conjugate_times(g, 7.0)
     real_spectrum = conjugate_module.spectrum
@@ -311,9 +392,9 @@ def test_cplx_has_no_real_split(cplx):
 @pytest.mark.parametrize("z", [1e-3, 1e-5, 1e-7])
 @pytest.mark.parametrize("x0", [(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.5, 0.5, 0.5, 0.5)])
 def test_mixed_complex_spectrum_near_straight(cplx, x0, z):
-    # the non-diagonalizable fallback takes the excess's Taylor polynomial in
-    # (tJ/2)^2 where the membership solve cancels; at z = 1e-7 the solve gave
-    # 1.889423 and 1.990272 for the first two x0 and 37 spurious times for the third
+    # the matrix form of the excess has no term that cancels against <x0, x0>;
+    # at z = 1e-7 a membership solve of g gave 1.889423 and 1.990272 for the
+    # first two x0 and 37 spurious times for the third
     g = geo(cplx, [z], x0)
     assert compare(conjugate_times(g, 6.0), detect_conjugate(g, 6.0)).ok
 

@@ -45,6 +45,17 @@ def test_integrate_validation(heis3):
         integrate_propagator(g, 1.0, steps=10)
 
 
+def test_integrate_memory_bound(bicenter):
+    # 2^25 state entries: at d = 10 the bound is 335,544 steps.  Both runs
+    # below are refused before any array is allocated (a 1e7 horizon once
+    # asked for a 164 GB half grid).
+    g = geo(bicenter, [1.0, 0.0], [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="memory bound"):
+        integrate_propagator(g, 1e7)
+    with pytest.raises(ValueError, match="memory bound"):
+        integrate_propagator(g, 1.0, steps=335_545)
+
+
 def test_boundary_map_vanishes_at_zero(heis3):
     g = geo(heis3, [1.0], [1.0, 0.0])
     prop = integrate_propagator(g, 1.0, steps=100)
