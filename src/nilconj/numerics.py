@@ -13,10 +13,13 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 _ROOT_MAX_ITER = 200    # bracket_root's step cap; Illinois steps shrink the bracket superlinearly
 # Degree-13 Pade approximant of exp and the largest 1-norm it takes to double
-# precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3).
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+# precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3), divided
+# by b0 so that the solve divides by a unit diagonal (I + A comes back exactly
+# for a dyadic A with A^2 = 0).
+_PADE13 = tuple(np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0]) / 64764752532480000.0)
 _THETA13 = 5.371920351148152
 
 

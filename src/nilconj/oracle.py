@@ -8,13 +8,12 @@ The moving-frame system for a field Y = z + e^{tJ} v vanishing at t = 0 is
     wdot = -J w + e^{-tJ} J_zeta e^{tJ} x0
 
 with constant zeta and z(0) = 0, v(0) = 0.  With zeta carried as rows of its
-own, the system is linear and homogeneous in the state (zeta, z, v, w) of
-d = 2p + 2q rows, so one classical RK4 step multiplies the state by one
-transfer matrix.  The boundary map M(t) sends the free initial data
-(zeta, vdot(0)) to (z(t), v(t)); t is conjugate exactly when M(t) is
-singular, with multiplicity the kernel dimension.  This module never
-consults the closed forms, so it serves as an independent oracle, including
-for geodesics the closed forms do not cover.
+own, the state (zeta, z, v, w) of d = 2p + 2q rows obeys s' = A(t) s.  The
+boundary map M(t) sends the free initial data (zeta, vdot(0)) to
+(z(t), v(t)); t is conjugate exactly when M(t) is singular, with
+multiplicity the kernel dimension.  This module never consults the closed
+forms, so it serves as an independent oracle, including for geodesics the
+closed forms do not cover.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .geometry import GeodesicSpec
-from .numerics import bracket_root, golden_min, grid_transport
+from .numerics import _expm_stack, bracket_root, golden_min
 
 __all__ = [
     "Propagator",
@@ -43,6 +42,7 @@ _DEDUPE_REL = 1e-8       # refined times within this * max(1, t) are one root
 _PARITY_OFFSET = 1e-7    # det M is sampled this * max(1, t*) either side of a refined t*
 # Memory bound: steps * d^2 state entries at most, about 0.75 GB of working arrays at d = 10.
 _MAX_STATE_ENTRIES = 2 ** 25
+_GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0    # Gauss-Legendre nodes on [0, 1]
 
 
 def default_steps(t_max: float) -> int:
@@ -51,78 +51,84 @@ def default_steps(t_max: float) -> int:
 
 @dataclass(frozen=True)
 class Propagator:
-    """RK4 node states of all basis solutions of the frame Jacobi system.
+    """Node states of all basis solutions of the frame Jacobi system.
 
-    states[n] has shape (p + 2q, p + q): rows are (z, v, w) stacked, columns
-    are the basis solutions (zeta = center basis first, then vdot(0) = e_a).
-    The boundary map at node n is the top (p + q) block of states[n].
+    basis[n] has shape (2p + 2q, p + q): rows are (zeta, z, v, w) stacked,
+    its columns span the solution space.  The raw state, whose columns are
+    the basis solutions (zeta = center basis first, then vdot(0) = e_a), is
+    basis[n] @ scale[n // block], scale unit upper triangular; the boundary
+    map M is its (z, v) block, and det M that of basis[n]'s (z, v) block.
+    system is the constant system matrix A, None where A varies with t.
     """
 
     times: np.ndarray
-    states: np.ndarray
-    dim_center: int
-    dim_v: int
+    basis: np.ndarray
+    scale: np.ndarray
+    block: int
+    geo: GeodesicSpec
+    system: np.ndarray | None
+
+    dim_center = property(lambda self: self.geo.alg.dim_center)
+    dim_v = property(lambda self: self.geo.alg.dim_v)
+
+    @property
+    def states(self) -> np.ndarray:
+        """Raw (z, v, w) rows at every node, shape (steps + 1, p + 2q, p + q)."""
+        blocks = np.arange(self.times.size) // self.block
+        return self.basis[:, self.dim_center:] @ self.scale[blocks]
 
     def matrix(self, n: int) -> np.ndarray:
-        return self.states[n, : self.dim_center + self.dim_v, :]
+        p = self.dim_center
+        return self.basis[n, p:2 * p + self.dim_v] @ self.scale[n // self.block]
 
 
-def _with_zeta(states: np.ndarray, p: int) -> np.ndarray:
-    """Full states (zeta, z, v, w) from (z, v, w) rows; zeta = e_a on the center columns."""
-    zeta = np.broadcast_to(np.eye(p, states.shape[-1]), states.shape[:-2] + (p, states.shape[-1]))
-    return np.concatenate([zeta, states], axis=-2)
-
-
-def _coefficients(geo: GeodesicSpec, ep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket and forcing blocks of the frame system at times whose e^{tJ} is ep.
-
-    bracket[..., a, :] is [., e^{tJ}x0]_a and forcing[..., :, a] is
-    e^{-tJ} J_a e^{tJ}x0.  J is G-skew-adjoint for the complement gram G, so
-    e^{-tJ} = G^{-1} (e^{tJ})^T G needs no second exponential.
-    """
+def _system(geo: GeodesicSpec, ep: np.ndarray) -> np.ndarray:
+    """System matrices A of the state (zeta, z, v, w) at times whose e^{tJ} is ep;
+    the forcing's e^{-tJ} is G^{-1} (e^{tJ})^T G, J being G-skew-adjoint."""
     alg = geo.alg
+    p, q = alg.dim_center, alg.dim_v
+    z, v, w = slice(p, 2 * p), slice(2 * p, 2 * p + q), slice(2 * p + q, None)
     xp = ep @ geo.x0
-    bracket = np.einsum("aij,...j->...ai", alg.structure, xp) @ ep
     em = np.linalg.inv(alg.gram_v) @ np.swapaxes(ep, -1, -2) @ alg.gram_v
-    forcing = em @ np.einsum("aij,...j->...ia", alg._j_basis, xp)
-    return bracket, forcing
-
-
-def _transfer(geo: GeodesicSpec, bracket: np.ndarray, forcing: np.ndarray,
-              h: float) -> np.ndarray:
-    """RK4 transfer matrices T = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of the state.
-
-    Axis -3 of the coefficient blocks holds their rows at t, t + h/2 and
-    t + h.  With A(t) the system matrix, K1 = A(t), K2 = A(t + h/2)(I + h/2 K1),
-    K3 = A(t + h/2)(I + h/2 K2) and K4 = A(t + h)(I + h K3).
-    """
-    p, q = geo.alg.dim_center, geo.alg.dim_v
-    d = 2 * (p + q)
-    z, v, w = slice(p, 2 * p), slice(2 * p, 2 * p + q), slice(2 * p + q, d)
-    a = np.zeros(bracket.shape[:-2] + (d, d))
+    a = np.zeros(ep.shape[:-2] + (2 * (p + q),) * 2)
     a[..., z, :p] = np.eye(p)
-    a[..., z, v] = bracket
+    a[..., z, v] = np.einsum("aij,...j->...ai", alg.structure, xp) @ ep
     a[..., v, w] = np.eye(q)
-    a[..., w, :p] = forcing
+    a[..., w, :p] = em @ np.einsum("aij,...j->...ia", alg._j_basis, xp)
     a[..., w, w] = -geo.J
-    a0, a1, a2 = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
-    eye = np.eye(d)
-    k2 = a1 @ (eye + 0.5 * h * a0)
-    k3 = a1 @ (eye + 0.5 * h * k2)
-    k4 = a2 @ (eye + h * k3)
-    return eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    return a
+
+
+def _transfer(geo: GeodesicSpec, a: np.ndarray | None, t0: np.ndarray,
+              dt: np.ndarray) -> np.ndarray:
+    """Transfer matrices of the state from t0 to t0 + dt, elementwise over arrays.
+
+    e^{dt a} for a constant system matrix a, exactly; with a = None the
+    exponential of the fourth-order Magnus exponent
+    dt/2 (A1 + A2) + (sqrt(3)/12) dt^2 [A2, A1], A1 and A2 taken at the Gauss
+    points of [t0, t0 + dt] (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999).
+    """
+    dt = np.asarray(dt)[..., None, None]
+    if a is not None:
+        return _expm_stack(dt * a)
+    gauss = (t0[..., None] + dt[..., 0] * _GAUSS)[..., None, None]
+    a1, a2 = np.moveaxis(_system(geo, _expm_stack(gauss * geo.J)), -3, 0)
+    return _expm_stack(0.5 * dt * (a1 + a2) + np.sqrt(3.0) / 12.0 * dt * dt * (a2 @ a1 - a1 @ a2))
 
 
 def integrate_propagator(geo: GeodesicSpec, t_max: float,
                          steps: int | None = None) -> Propagator:
-    """Fixed-step RK4 solve of all p + q basis columns simultaneously.
+    """Node states at t_n = n h, h = t_max / steps, of all p + q basis solutions.
 
-    Node n is the product T_{n-1} ... T_0 of the step transfer matrices
-    applied to the initial state.  The steps form blocks of b = ceil(sqrt(steps)):
-    pass j of a first loop builds the transfer matrix of step j of every block
-    and multiplies it onto that block's running product, a second loop carries
-    each block's start state to the next block, and one batched product gives
-    every node.  Only one step per block of transfer matrices exists at a time.
+    In blocks of b = ceil(sqrt(steps)) nodes, local[k, j] maps block start k
+    to node k b + j: e^{j h A} for every block when A is constant (one
+    stacked exponential of b + 1 matrices), else the running product of the
+    block's step transfers.  A second loop carries each block start y to the
+    next and factors it as y = c u, u the Householder R factor with its rows
+    divided by their diagonal and c = y u^{-1} = Q diag(R) orthogonal, so the
+    columns never collapse onto the fastest-growing solution; scale is the
+    running product of the u.  On a flat geodesic the columns stay orthogonal
+    with disjoint supports, u = I, and the states come back unrounded.
     """
     if not 0.0 < t_max < np.inf:
         raise ValueError("t_max must be positive and finite")
@@ -131,55 +137,51 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     if steps < 100:
         raise ValueError("steps must be at least 100")
     p, q = geo.alg.dim_center, geo.alg.dim_v
-    d = 2 * (p + q)
+    d, r = 2 * (p + q), p + q
     if steps * d * d > _MAX_STATE_ENTRIES:
         raise ValueError(f"steps * d^2 = {steps * d * d} exceeds the memory bound "
                          f"{_MAX_STATE_ENTRIES}")
     h = t_max / steps
-    eye = np.broadcast_to(np.eye(q), (2 * steps + 1, q, q))   # half grid
-    bracket, forcing = _coefficients(geo, grid_transport(geo.J, 0.5 * h, eye))
     b = int(np.ceil(np.sqrt(steps)))
-    m = -(-steps // b)
-    first = b * np.arange(m)
-    prod = np.empty((m, b, d, d))
-    run = np.eye(d)
-    for j in range(b):
-        n = np.minimum(first + j, steps - 1)
-        rows = 2 * n[:, None] + np.arange(3)
-        step = _transfer(geo, bracket[rows], forcing[rows], h)
-        step[first + j >= steps] = np.eye(d)    # the last block runs past the end
-        run = step @ run
-        prod[:, j] = run
-    start = np.zeros((m, d, p + q))
+    m = -(-(steps + 1) // b)
+    # With a one-dimensional center every J_a is a multiple of J, so e^{tJ}
+    # is an automorphism and the system matrix A(t) = A(0) is constant.
+    a = None
+    if p == 1 or not geo.x0.any() or not geo.J.any():
+        a = _system(geo, np.eye(q))
+        local = np.broadcast_to(_transfer(geo, a, None, h * np.arange(b + 1)), (m, b + 1, d, d))
+    else:
+        local = np.empty((m, b + 1, d, d))
+        local[:, 0] = np.eye(d)
+        local[:, 1:] = _transfer(geo, None, h * np.arange(m * b), h).reshape(m, b, d, d)
+        for j in range(1, b):
+            local[:, j + 1] = local[:, j + 1] @ local[:, j]
+    start, scale = np.zeros((m, d, r)), np.empty((m, r, r))
     start[0, :p, :p] = np.eye(p)                # zeta = e_a
-    start[0, 2 * p + q:, p:] = np.eye(q)        # vdot(0) = e_a
+    start[0, 2 * p + q:, p:] = np.eye(q)        # vdot(0) = e_a: orthogonal columns
+    scale[0] = np.eye(r)
     for k in range(1, m):
-        start[k] = prod[k - 1, -1] @ start[k - 1]
-    nodes = (prod @ start[:, None]).reshape(m * b, d, p + q)[:steps]
-    states = np.concatenate([start[:1, p:], nodes[:, p:]])
-    times = np.linspace(0.0, t_max, steps + 1)
-    return Propagator(times, states, p, q)
+        y = local[k - 1, b] @ start[k - 1]
+        rk = np.linalg.qr(y, mode="r")
+        u = rk / np.diagonal(rk)[:, None]           # unit upper triangular: det u = 1
+        start[k], scale[k] = np.linalg.solve(u.T, y.T).T, u @ scale[k - 1]
+    basis = (local[:, :b] @ start[:, None]).reshape(m * b, d, r)[:steps + 1]
+    return Propagator(np.linspace(0.0, t_max, steps + 1), basis, scale, b, geo, a)
 
 
 def matrix_at(prop: Propagator, t: float | np.ndarray, full: bool = False) -> np.ndarray:
-    """Boundary map at off-grid times: the cubic through the four nodes around each.
+    """Raw boundary map at any times, by the transfer from the node below each.
 
-    The Lagrange weights are taken in s = (t - t_n)/h on nodes n - 1 ... n + 2
-    for t in [t_n, t_n+1), the stencil shifted inward at both ends; at a node
-    they are exactly (0, 1, 0, 0), so the stored node comes back bit for bit.
     t is a scalar or an array of times; the result has t's shape in front of
-    the (p + q, p + q) map.  With full=True it is the whole state
-    (zeta, z, v, w) instead, 2p + 2q rows.
+    the (p + q, p + q) map.  At a node the transfer is exactly the identity.
+    With full=True it is the carried state (zeta, z, v, w) instead, 2p + 2q
+    rows: the raw state without the block's factors scale.
     """
     t = np.asarray(t, dtype=float)
-    times, h, p = prop.times, prop.times[1], prop.dim_center
-    n = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
-    k = np.clip(n - 1, 0, times.size - 4)       # first node of the stencil
-    u0, u1, u2, u3 = ((t - times[n]) / h + (n - k - j) for j in range(4))
-    w = np.stack([u1 * u2 * u3, u0 * u2 * u3, u0 * u1 * u3, u0 * u1 * u2], axis=-1)
-    w = w / np.array([-6.0, 2.0, -2.0, 6.0])
-    state = np.sum(w[..., None, None] * prop.states[k[..., None] + np.arange(4)], axis=-3)
-    return _with_zeta(state, p) if full else state[..., : p + prop.dim_v, :]
+    n = np.clip(np.searchsorted(prop.times, t, side="right") - 1, 0, prop.times.size - 1)
+    state = _transfer(prop.geo, prop.system, prop.times[n], t - prop.times[n]) @ prop.basis[n]
+    p = prop.dim_center
+    return state if full else state[..., p:2 * p + prop.dim_v, :] @ prop.scale[n // prop.block]
 
 
 def sigma_min_series(prop: Propagator) -> np.ndarray:
@@ -215,14 +217,17 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
     cosine, to refine_tol in t.  Where the parity of the multiplicity found
     differs from that of det M's sign change across the bracket, a second
     root shares it; it is solved by an Illinois iteration on det M on the
-    side of the first root where det M changes sign.
+    side of the first root where det M changes sign.  det M is read from
+    the carried state's (z, v) rows: the factors in Propagator.scale have
+    determinant 1, and the raw map's own product loses digits past the
+    point where its columns collapse.
     """
     if prop is None:
         prop = integrate_propagator(geo, t_max, steps)
     p = prop.dim_center
     times = prop.times
-    sign = np.linalg.slogdet(prop.states[:, :p + prop.dim_v])[0]
-    small = _cosines(_with_zeta(prop.states, p), p)[:, -1]
+    sign = np.linalg.slogdet(prop.basis[:, p:2 * p + prop.dim_v])[0]
+    small = _cosines(prop.basis, p)[:, -1]
     change = sign[:-1] * sign[1:] < 0
     cells = np.nonzero(change)[0]
     minima = np.nonzero((small[1:-1] <= small[:-2]) & (small[1:-1] <= small[2:]))[0] + 1
@@ -240,6 +245,9 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
     def multiplicity(t: np.ndarray) -> np.ndarray:
         return np.sum(cosines(t) < tol.rank_tol, axis=-1)
 
+    def det_m(t: np.ndarray) -> np.ndarray:
+        return np.linalg.det(matrix_at(prop, t, full=True)[..., p:2 * p + prop.dim_v, :])
+
     found = golden_min(lambda t: cosines(t)[:, -1], times[lo], times[hi],
                        xtol=tol.refine_tol)[0]
     mult = multiplicity(found)
@@ -248,15 +256,14 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
     if recheck.any():
         t_star = found[recheck]
         off = _PARITY_OFFSET * np.maximum(1.0, t_star)
-        near = np.sign(np.linalg.det(matrix_at(prop, np.stack([t_star - off, t_star + off]))))
+        near = np.sign(det_m(np.stack([t_star - off, t_star + off])))
         a, b = times[lo[recheck]], times[hi[recheck]]
         left = (near[0] != sign[lo[recheck]]) & (t_star - off > a)
         right = (near[1] != sign[hi[recheck]]) & (t_star + off < b)
         a = np.concatenate([a[left], (t_star + off)[right]])
         b = np.concatenate([(t_star - off)[left], b[right]])
         if a.size:
-            second = bracket_root(lambda t: np.linalg.det(matrix_at(prop, t)),
-                                  a, b, xtol=tol.refine_tol)
+            second = bracket_root(det_m, a, b, xtol=tol.refine_tol)
             found = np.concatenate([found, second])
             mult = np.concatenate([mult, multiplicity(second)])
     keep = (mult > 0) & (found >= _START_SKIP * times[1])
