@@ -255,6 +255,9 @@ def test_block_start_is_invisible(pheis3):
     assert np.all(np.abs(np.diagonal(prop.scale, axis1=1, axis2=2)) == 1.0)
     assert np.all(np.sign(below) == np.sign(above))
     assert np.all(np.abs(above / below - 1.0) < 1e-6)
+    below, above = matrix_at(prop, starts - 1e-9), matrix_at(prop, starts + 1e-9)
+    jump = np.linalg.norm(above - below, axis=(1, 2))
+    assert np.all(jump <= 1e-6 * np.linalg.norm(below, axis=(1, 2)))
     ts = np.concatenate([starts - 1e-9, starts, starts + 1e-9, (starts[:-1] + starts[1:]) / 2])
     batch = matrix_at(prop, ts)
     for t, m in zip(ts, batch):
