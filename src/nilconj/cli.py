@@ -258,9 +258,11 @@ def cmd_compare(args) -> int:
     tol = _parse_tol_overrides(args.tol)
     alg = _load_algebra(args.algebra, tol)
     _check_horizon(args, alg)
+    if args.random is not None and args.random < 1:
+        raise ParseError(f"--random must be positive, got {args.random}")
     _echo_tolerances(tol, args.json)
     results = []
-    if args.random:
+    if args.random is not None:
         rng = np.random.default_rng(args.seed)
         for _ in range(args.random):
             geo = _random_geodesic(alg, rng)

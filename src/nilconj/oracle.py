@@ -39,7 +39,7 @@ __all__ = [
 # Fixed numerical constants of the candidate scan, not tolerances.
 _START_SKIP = 4          # steps: M(0) = 0, so refined times this close to t = 0 are dropped
 _DEDUPE_REL = 1e-8       # refined times within this * max(1, t) are one root
-_PARITY_OFFSET = 1e-7    # det M is sampled this * max(1, t*) either side of a refined t*
+_PARITY_OFFSET = 1e-7    # sign det M is sampled this * max(1, t*) either side of a refined t*
 # Memory bound: steps * d^2 state entries at most, about 0.75 GB of working arrays at d = 10.
 _MAX_STATE_ENTRIES = 2 ** 25
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0    # Gauss-Legendre nodes on [0, 1]
@@ -202,6 +202,21 @@ def _cosines(states: np.ndarray, p: int) -> np.ndarray:
     return np.linalg.svd(basis[..., p:p + states.shape[-1], :], compute_uv=False)
 
 
+def _log_cosine_product(states: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """sign det M and the log of the product of _cosines(states, p), without a QR.
+
+    With states = Q R, the cosines are the singular values of Q's (z, v)
+    rows, so their product is |det M| / |det R| (Bjorck and Golub, Math.
+    Comp. 27, 1973); |det R|^2 = det(S^T S) = prod_j |s_j|^2 det(N^T N), the
+    s_j being the columns of S = states and N = S with unit columns.
+    """
+    sign, log_det = np.linalg.slogdet(states[..., p:p + states.shape[-1], :])
+    norms = np.linalg.norm(states, axis=-2)
+    unit = states / norms[..., None, :]
+    log_gram = np.linalg.slogdet(np.swapaxes(unit, -1, -2) @ unit)[1]
+    return sign, log_det - np.log(norms).sum(axis=-1) - 0.5 * log_gram
+
+
 def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
                      tol: Tolerances = DEFAULT_TOL,
                      prop: Propagator | None = None) -> list[tuple[float, int]]:
@@ -209,34 +224,35 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
 
     The multiplicity at a time is the number of principal-angle cosines
     between the solution space and the (z, v) axes below tol.rank_tol.  The
-    candidates are the grid cells where sign det M changes (odd
+    scan reads sign det M and the log of the product of the cosines at every
+    node.  The candidates are the grid cells where sign det M changes (odd
     multiplicities, also the two roots of a close pair in neighbouring
-    cells), the interior local minima of the smallest cosine whose bracket
-    holds no such cell (even multiplicities), and a decreasing right
-    endpoint.  All are refined together by golden section on the smallest
-    cosine, to refine_tol in t.  Where the parity of the multiplicity found
-    differs from that of det M's sign change across the bracket, a second
-    root shares it; it is solved by an Illinois iteration on det M on the
-    side of the first root where det M changes sign.  det M is read from
-    the carried state's (z, v) rows: the factors in Propagator.scale have
-    determinant 1, and the raw map's own product loses digits past the
+    cells), the interior local minima of the scan value whose bracket holds
+    no such cell (even multiplicities), and a decreasing right endpoint.  A
+    sign change is refined by an Illinois iteration on the signed smallest
+    cosine sign(det M) cos_min, which crosses zero linearly at any odd
+    multiplicity; the other candidates by golden section on the smallest
+    cosine; both to refine_tol in t.  Where the parity of the multiplicity
+    found differs from that of det M's sign change across the bracket, a
+    second root shares it; it is solved by the same Illinois iteration on
+    the side of the first root where det M changes sign.  det M is read
+    from the carried state's (z, v) rows: the factors in Propagator.scale
+    have determinant 1, and the raw map's own product loses digits past the
     point where its columns collapse.
     """
     if prop is None:
         prop = integrate_propagator(geo, t_max, steps)
     p = prop.dim_center
     times = prop.times
-    sign = np.linalg.slogdet(prop.basis[:, p:2 * p + prop.dim_v])[0]
-    small = _cosines(prop.basis, p)[:, -1]
+    sign, scan = _log_cosine_product(prop.basis, p)
     change = sign[:-1] * sign[1:] < 0
     cells = np.nonzero(change)[0]
-    minima = np.nonzero((small[1:-1] <= small[:-2]) & (small[1:-1] <= small[2:]))[0] + 1
+    minima = np.nonzero((scan[1:-1] <= scan[:-2]) & (scan[1:-1] <= scan[2:]))[0] + 1
     minima = minima[~(change[minima - 1] | change[minima])]
-    lo = np.concatenate([cells, minima - 1])
-    hi = np.concatenate([cells + 1, minima + 1])
-    if small[-1] < small[-2]:
+    lo, hi = minima - 1, minima + 1
+    if scan[-1] < scan[-2]:
         lo, hi = np.append(lo, times.size - 2), np.append(hi, times.size - 1)
-    if lo.size == 0:
+    if cells.size + lo.size == 0:
         return []
 
     def cosines(t: np.ndarray) -> np.ndarray:
@@ -245,25 +261,33 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
     def multiplicity(t: np.ndarray) -> np.ndarray:
         return np.sum(cosines(t) < tol.rank_tol, axis=-1)
 
-    def det_m(t: np.ndarray) -> np.ndarray:
-        return np.linalg.det(matrix_at(prop, t, full=True)[..., p:2 * p + prop.dim_v, :])
+    def signed_cosine(t: np.ndarray) -> np.ndarray:
+        state = matrix_at(prop, t, full=True)
+        sign_t = np.linalg.slogdet(state[..., p:2 * p + prop.dim_v, :])[0]
+        return sign_t * _cosines(state, p)[..., -1]
 
-    found = golden_min(lambda t: cosines(t)[:, -1], times[lo], times[hi],
-                       xtol=tol.refine_tol)[0]
+    ends = np.concatenate([cells, cells + 1])
+    f_ends = (sign[ends] * _cosines(prop.basis[ends], p)[:, -1]).reshape(2, -1)
+    found = bracket_root(signed_cosine, times[cells], times[cells + 1], *f_ends,
+                         xtol=tol.refine_tol)
+    if lo.size:
+        found = np.concatenate([found, golden_min(lambda t: cosines(t)[:, -1], times[lo],
+                                                  times[hi], xtol=tol.refine_tol)[0]])
+    lo, hi = np.concatenate([cells, lo]), np.concatenate([cells + 1, hi])
     mult = multiplicity(found)
     odd_change = sign[lo] * sign[hi] < 0
     recheck = (sign[lo] * sign[hi] != 0) & (odd_change != (mult % 2 == 1))
     if recheck.any():
         t_star = found[recheck]
         off = _PARITY_OFFSET * np.maximum(1.0, t_star)
-        near = np.sign(det_m(np.stack([t_star - off, t_star + off])))
+        near = np.sign(signed_cosine(np.stack([t_star - off, t_star + off])))
         a, b = times[lo[recheck]], times[hi[recheck]]
         left = (near[0] != sign[lo[recheck]]) & (t_star - off > a)
         right = (near[1] != sign[hi[recheck]]) & (t_star + off < b)
         a = np.concatenate([a[left], (t_star + off)[right]])
         b = np.concatenate([(t_star - off)[left], b[right]])
         if a.size:
-            second = bracket_root(det_m, a, b, xtol=tol.refine_tol)
+            second = bracket_root(signed_cosine, a, b, xtol=tol.refine_tol)
             found = np.concatenate([found, second])
             mult = np.concatenate([mult, multiplicity(second)])
     keep = (mult > 0) & (found >= _START_SKIP * times[1])

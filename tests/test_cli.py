@@ -243,10 +243,13 @@ def test_removed_spellings_exit_2(capsys, argv):
     ("oracle", "--steps", "1000000000"),
     ("compare", "--tmax", "1e7"),
     ("compare", "--steps", "1000000000", "--random", "2"),
+    ("compare", "--random", "0"),
+    ("compare", "--random", "-3"),
 ])
 def test_bad_horizon_or_steps_exit_2(capsys, argv):
     # exit 1 from compare means a discrepancy; bad input must not look like one.
     # A run past the oracle's memory bound is refused before it allocates.
+    # --random 0 once fell through to --z0/--x0, and --random -3 compared nothing.
     code, _, err = run(capsys, argv[0], "--algebra", "heis3", "--z0", "1", *argv[1:])
     assert code == 2
     assert "error: ParseError" in err

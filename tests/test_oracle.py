@@ -21,8 +21,10 @@ from nilconj import (
     matrix_at,
     sigma_min_series,
 )
+from nilconj import oracle
 from nilconj.cli import _random_geodesic
-from nilconj.oracle import default_steps
+from nilconj.numerics import bracket_root
+from nilconj.oracle import _cosines, _log_cosine_product, default_steps
 
 T_COT = 8.549564543061
 
@@ -262,6 +264,50 @@ def test_block_start_is_invisible(pheis3):
     batch = matrix_at(prop, ts)
     for t, m in zip(ts, batch):
         assert np.array_equal(m, matrix_at(prop, t))
+
+
+@pytest.mark.parametrize("name, z0, x0, t_max", [
+    ("heis5w", None, None, 6.0),
+    ("pheis3", [2.0], [1.0, 0.5], 30.0),             # boosting, past the column collapse
+    ("bicenter", [0.6, -0.8], [1.0, 0.5, -0.3], 6.0),  # Magnus path
+])
+def test_scan_value_is_log_cosine_product(name, z0, x0, t_max):
+    # the scan's log |det M| - sum log |s_j| - log det(N^T N) / 2 equals the
+    # log of the product of the principal-angle cosines at every node
+    alg = fixture(name)
+    g = _random_geodesic(alg, np.random.default_rng(7)) if z0 is None else geo(alg, z0, x0)
+    prop = integrate_propagator(g, t_max)
+    p = alg.dim_center
+    sign, scan = _log_cosine_product(prop.basis, p)
+    product = np.prod(_cosines(prop.basis, p), axis=-1)
+    value = np.exp(scan)
+    assert np.all(np.abs(value - product) <= 1e-12)
+    big = product > 1e-6
+    assert big.sum() > 0.9 * big.size
+    assert np.all(np.abs(value[big] / product[big] - 1.0) <= 1e-10)
+    assert np.array_equal(sign, np.sign(np.linalg.det(prop.basis[:, p:2 * p + alg.dim_v])))
+
+
+def test_odd_multiplicities_refined_by_illinois(heis5w, monkeypatch):
+    # (2.558, 1), (3.148, 1) and (5.116, 3): det M changes sign across all
+    # three, and each time comes from the Illinois iteration on the signed
+    # smallest cosine, which crosses zero linearly also at multiplicity 3.
+    g = geo(heis5w, [1.2282433281832617], [0.2102452110525806, 0.002738672169268366,
+                                           -0.19372316431950426, -0.6587791533662792])
+    illinois = []
+
+    def spy(*args, **kwargs):
+        roots = bracket_root(*args, **kwargs)
+        illinois.extend(np.atleast_1d(roots).tolist())
+        return roots
+
+    monkeypatch.setattr(oracle, "bracket_root", spy)
+    found = detect_conjugate(g, 6.0)
+    closed = conjugate_times(g, 6.0)
+    assert [m for _, m in found] == [c.multiplicity for c in closed] == [1, 1, 3]
+    for (t, _), c in zip(found, closed):
+        assert abs(t - c.t) <= DEFAULT_TOL.refine_tol
+        assert t in illinois
 
 
 # ---------------------------------------------------------------------------
