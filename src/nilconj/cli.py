@@ -151,9 +151,10 @@ def cmd_spectrum(args) -> int:
 def _witness_diagnostics(geo: GeodesicSpec, field) -> dict:
     vals = field_values(geo, field)
     endpoint = float(np.abs(vals[-1]).max())
-    mid = field.times[field.times.size // 2]
-    res_z, res_v = jacobi_frame_residual(geo, field, float(mid))
-    residual = float(max(np.abs(res_z).max(), np.abs(res_v).max()))
+    residual = 0.0
+    for t in np.linspace(field.times[0], field.times[-1], 43)[1:-1]:   # 41 interior points
+        res_z, res_v = jacobi_frame_residual(geo, field, float(t))
+        residual = max(residual, float(np.abs(res_z).max()), float(np.abs(res_v).max()))
     return {"witness_endpoint": endpoint, "witness_residual": residual}
 
 

@@ -34,7 +34,7 @@ from .errors import (
     PoleError,
     UnsupportedCaseError,
 )
-from .geometry import GeodesicSpec, JacobiField
+from .geometry import GeodesicSpec, JacobiField, _ExactField, _FieldForm
 from .numerics import (
     _expm_stack,
     bracket_root,
@@ -393,41 +393,37 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
 # explicit witness fields
 
 
-# Witness grid step times max(1, |J|_2).  The residual check takes centered
-# second differences of unit-size samples of frequency up to |J|: truncation
-# h^2 |J|^4 / 12 plus rounding 4 eps / h^2 is least at h = (48 eps)^(1/4) / |J|.
-_FD_STEP = (48.0 * np.finfo(float).eps) ** 0.25
-
-
-def _witness_grid(geo: GeodesicSpec, t0: float) -> np.ndarray:
+def _witness_view(geo: GeodesicSpec, t0: float, form: _FieldForm,
+                  zeta: np.ndarray) -> JacobiField:
+    """The witness of a closed form, sampled on [0, t0] at 32 rows per turn of |J|_2
+    (129 at least) and scaled so that its largest frame coordinate there is 1."""
     jnorm = float(np.linalg.norm(geo.J, 2)) if geo.J.size else 0.0
-    n = int(np.clip(np.ceil(t0 * max(1.0, jnorm) / _FD_STEP) + 1, 9, 400_001))   # memory bound
-    return np.linspace(0.0, t0, n)
-
-
-def _normalize_field(geo: GeodesicSpec, times: np.ndarray, z_rows: np.ndarray,
-                     v_rows: np.ndarray, zeta: np.ndarray) -> JacobiField:
-    frame_v = grid_transport(geo.J, times[1] - times[0], v_rows)
-    amp = max(float(np.abs(z_rows).max(initial=0.0)), float(np.abs(frame_v).max()))
+    n = max(129, int(np.ceil(16.0 * t0 * max(1.0, jnorm) / np.pi)) + 1)
+    times = np.linspace(0.0, t0, n)
+    eb = grid_transport(-geo.J, times[1], np.broadcast_to(form.b, (n, form.b.size)))
+    z, _, v, _, _ = form.jet(geo.J, times, eb)
+    amp = max(float(np.abs(z).max(initial=0.0)),
+              float(np.abs(grid_transport(geo.J, times[1], v)).max()))
     if amp <= 0.0:
         raise NoConjugateError("witness construction produced the zero field")
-    return JacobiField(zeta / amp, times, z_rows / amp, v_rows / amp)
+    form = dataclasses.replace(form, p=form.p / amp, q=form.q / amp, b=form.b / amp)
+    return _ExactField(zeta / amp, times, z / amp, v / amp, form)
 
 
 def _polynomial_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiField:
+    """v(t) = t (t - t0) w / 2, z(t) = (t^3 / 6 - t0 t^2 / 4) [w, x0] + t zeta, w = J_zeta x0."""
     coupling = center_coupling(geo.alg, geo.x0)
     mu = -12.0 / (t0 * t0)
     basis = _eigenspace(coupling, mu, tol)
     if basis.shape[1] == 0:
         raise NoConjugateError(f"no eigenvector for the requested time {t0}")
     zeta = basis[:, 0]
-    b = j_map(geo.alg, zeta) @ geo.x0
-    brk = bracket_v(geo.alg, b, geo.x0)
-    times = _witness_grid(geo, t0)
-    v_rows = (0.5 * times * (times - t0))[:, None] * b[None, :]
-    z_rows = ((times ** 3 / 6.0 - t0 * times ** 2 / 4.0)[:, None] * brk[None, :]
-              + times[:, None] * zeta[None, :])
-    return _normalize_field(geo, times, z_rows, v_rows, zeta)
+    w = j_map(geo.alg, zeta) @ geo.x0
+    brk = bracket_v(geo.alg, w, geo.x0)
+    form = _FieldForm(np.array([0.0 * w, -0.5 * t0 * w, 0.5 * w, 0.0 * w]),
+                      np.array([0.0 * zeta, zeta, -0.25 * t0 * brk, brk / 6.0]),
+                      np.zeros((zeta.size, w.size)), 0.0 * w)
+    return _witness_view(geo, t0, form, zeta)
 
 
 def _exp_witness(geo: GeodesicSpec, t0: float, a: np.ndarray, b: np.ndarray, c: float,
@@ -438,14 +434,14 @@ def _exp_witness(geo: GeodesicSpec, t0: float, a: np.ndarray, b: np.ndarray, c: 
     g lies in im J and J is skew-adjoint, so <J x0, J^-1 g> = -<x0, g>
     whatever the preimage, and no linear solve is needed.
     """
-    times = _witness_grid(geo, t0)
-    g_rows = grid_transport(-geo.J, times[1] - times[0],
-                            np.broadcast_to(b, (times.size, b.size))) - b[None, :]
-    v_rows = times[:, None] * a[None, :] + g_rows
-    num = times * inner_v(geo.alg, geo.J @ geo.x0, b) - g_rows @ (geo.alg.gram_v @ geo.x0)
-    # x0 = 0 gives num = 0, also on a null z0 of a higher-dimensional center
-    alpha = c * times + (num / inner_z(geo.alg, geo.z0, geo.z0) if num.any() else num)
-    return _normalize_field(geo, times, alpha[:, None] * geo.z0[None, :], v_rows, zeta)
+    gx = geo.alg.gram_v @ geo.x0
+    slope, zg = c, np.zeros((geo.z0.size, b.size))
+    if gx.any():   # x0 = 0 leaves alpha = c t, also on a null z0 of a higher-dimensional center
+        szz = inner_z(geo.alg, geo.z0, geo.z0)
+        slope = c + inner_v(geo.alg, geo.J @ geo.x0, b) / szz
+        zg = -np.outer(geo.z0, gx) / szz
+    form = _FieldForm(np.array([0.0 * a, a]), np.array([0.0 * geo.z0, slope * geo.z0]), zg, b)
+    return _witness_view(geo, t0, form, zeta)
 
 
 def _lattice_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiField:
@@ -480,8 +476,10 @@ def build_jacobi_field(geo: GeodesicSpec, ct: ConjugateTime,
                        tol: Tolerances = DEFAULT_TOL) -> JacobiField:
     """Explicit nontrivial Jacobi field vanishing at 0 and at ct.t.
 
-    The field is normalized so that its largest frame-coordinate sample has
-    unit magnitude, which keeps finite-difference residual checks meaningful.
+    It carries its closed form, which jacobi_frame_residual evaluates with
+    exact derivatives at any t in [0, ct.t]; its samples are a view of that
+    form on a uniform grid of at least 129 rows, scaled to a largest frame
+    coordinate of 1, for field_values and serialize_field.
     """
     if ct.branch == "polynomial":
         return _polynomial_witness(geo, ct.t, tol)

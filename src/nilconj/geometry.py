@@ -96,6 +96,34 @@ class JacobiField:
         object.__setattr__(self, "v", v)
 
 
+@dataclass(frozen=True, eq=False)
+class _FieldForm:
+    """Closed form of a witness, v(t) = sum_k t^k p[k] + g(t) and z(t) = sum_k t^k q[k]
+    + zg g(t) with g(t) = (exp(-tJ) - I) b, exact with its derivatives at any t
+    through g' = -J exp(-tJ) b and g'' = J^2 exp(-tJ) b."""
+
+    p: np.ndarray    # (k + 1, dim_v) power coefficients of v
+    q: np.ndarray    # (k + 1, dim_center) power coefficients of z, as many as of v
+    zg: np.ndarray   # (dim_center, dim_v)
+    b: np.ndarray    # (dim_v,)
+
+    def jet(self, j: np.ndarray, times: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(z, zdot, v, vdot, vddot), one row per time, from the rows eb = exp(-t J) b."""
+        k = np.arange(len(self.p))
+        t = times[:, None]
+        pw = t ** k, k * t ** np.maximum(k - 1, 0), k * (k - 1) * t ** np.maximum(k - 2, 0)
+        g, dg, ddg = eb - self.b, -eb @ j.T, eb @ (j @ j).T
+        return (pw[0] @ self.q + g @ self.zg.T, pw[1] @ self.q + dg @ self.zg.T,
+                pw[0] @ self.p + g, pw[1] @ self.p + dg, pw[2] @ self.p + ddg)
+
+
+@dataclass(frozen=True, eq=False)
+class _ExactField(JacobiField):
+    """A witness from build_jacobi_field: its samples are a view of its closed form."""
+
+    form: _FieldForm
+
+
 def connection(alg: MetricLieAlgebra, u: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
     """Levi-Civita connection on left-invariant fields.
 
@@ -202,24 +230,31 @@ def _stencil_index(times: np.ndarray, t: float) -> int:
 
 def jacobi_frame_residual(geo: GeodesicSpec, field: JacobiField,
                           t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Residual pair of the moving-frame field equation at the sample nearest t.
+    """Residual pair of the moving-frame field equation at t.
 
     Returns (zdot - [exp(tJ) v, xp] - zeta,
-             exp(tJ) vddot + exp(tJ) J vdot - J_zeta xp)
-    with derivatives estimated by centered finite differences on the field's
-    own grid; both vanish exactly when the field is a Jacobi field with
-    constant zeta.
+             exp(tJ) vddot + exp(tJ) J vdot - J_zeta xp);
+    both vanish exactly for a Jacobi field with constant zeta.  A witness of
+    build_jacobi_field takes the exact derivatives of its closed form at t in
+    [times[0], times[-1]]; a sampled field takes centered finite differences
+    on its own grid at the sample nearest t.
     """
     alg = geo.alg
-    i = _stencil_index(field.times, t)
-    h = field.times[i + 1] - field.times[i]
-    ti = field.times[i]
-    zdot = (field.z[i + 1] - field.z[i - 1]) / (2.0 * h)
-    vdot = (field.v[i + 1] - field.v[i - 1]) / (2.0 * h)
-    vddot = (field.v[i + 1] - 2.0 * field.v[i] + field.v[i - 1]) / (h * h)
+    if isinstance(field, _ExactField):
+        if not field.times[0] <= t <= field.times[-1]:
+            raise InsufficientSamplesError(f"t={t} lies outside the field's interval")
+        ti, eb = t, expm(-t * geo.J) @ field.form.b
+        _, zdot, v, vdot, vddot = (r[0] for r in field.form.jet(geo.J, np.array([t]), eb[None]))
+    else:
+        i = _stencil_index(field.times, t)
+        h = field.times[i + 1] - field.times[i]
+        ti, v = field.times[i], field.v[i]
+        zdot = (field.z[i + 1] - field.z[i - 1]) / (2.0 * h)
+        vdot = (field.v[i + 1] - field.v[i - 1]) / (2.0 * h)
+        vddot = (field.v[i + 1] - 2.0 * field.v[i] + field.v[i - 1]) / (h * h)
     e = expm(ti * geo.J)
     xp = e @ geo.x0
-    res_z = zdot - bracket_v(alg, e @ field.v[i], xp) - field.zeta
+    res_z = zdot - bracket_v(alg, e @ v, xp) - field.zeta
     res_v = e @ vddot + e @ (geo.J @ vdot) - j_map(alg, field.zeta) @ xp
     return res_z, res_v
 

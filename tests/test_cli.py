@@ -144,6 +144,18 @@ def test_conjugate_witness_files(tmp_path, capsys):
         assert row["witness_residual"] < 1e-6
 
 
+def test_conjugate_witness_residual_at_large_rate(capsys):
+    # the residual is the worst over 41 interior points of each field
+    code, out, _ = run(capsys, "conjugate", "--algebra", "heis5w", "--z0", "6",
+                       "--x0", "1,0.2,0.3,0.4", "--tmax", "13", "--json", "--witness")
+    assert code == 0
+    rows = json_out(out)
+    assert len(rows) == 48
+    for row in rows:
+        assert row["witness_endpoint"] <= 1e-8
+        assert row["witness_residual"] <= 1e-6
+
+
 def test_conjugate_unsupported_case_exits_2(capsys):
     code, _, err = run(capsys, "conjugate", "--algebra", "bicenter",
                        "--z0", "1,0", "--x0", "1,0,0")

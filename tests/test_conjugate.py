@@ -11,6 +11,7 @@ from nilconj import (
     DEFAULT_TOL,
     CenterNotLineError,
     GeodesicSpec,
+    InsufficientSamplesError,
     PoleError,
     UnsupportedCaseError,
     build_jacobi_field,
@@ -32,7 +33,7 @@ from nilconj import (
     spectrum,
 )
 from nilconj.cli import _random_geodesic
-from nilconj.numerics import golden_min
+from nilconj.numerics import _expm_stack, golden_min
 
 # root of (t/2) cot(t/2) = 2 in (2 pi, 4 pi)
 T_COT = 8.549564543061
@@ -612,3 +613,85 @@ def test_build_jacobi_field_single(pheis3):
     assert field.times[0] == 0.0
     assert field.times[-1] == pytest.approx(ct.t)
     witness_checks(g, type(ct)(ct.t, ct.multiplicity, ct.branch, ct.tangent, field))
+
+
+def worst_witness_residual(g, field):
+    """Largest residual norm at 41 interior points of the field's interval."""
+    worst = 0.0
+    for t in np.linspace(field.times[0], field.times[-1], 43)[1:-1]:
+        res_z, res_v = jacobi_frame_residual(g, field, float(t))
+        worst = max(worst, np.linalg.norm(res_z), np.linalg.norm(res_v))
+    return worst
+
+
+def test_witnesses_at_large_rate(heis5w):
+    # ROADMAP W2 at z0 = 6 (|J|_2 = 12): a finite-difference residual on a
+    # grid of step (48 eps)^(1/4) / |J| reached 1.04e-5 on 30 of these fields
+    g = geo(heis5w, [6.0], [1.0, 0.2, 0.3, 0.4])
+    cts = conjugate_times(g, 13.0, witnesses=True)
+    assert len(cts) == 48
+    for ct in cts:
+        vals = field_values(g, ct.certificate)
+        assert np.linalg.norm(vals[0]) == 0.0
+        assert np.linalg.norm(vals[-1]) <= 1e-8
+        assert worst_witness_residual(g, ct.certificate) <= 1e-6
+
+
+def form_jet(g, form, ts):
+    """The closed form's (z, zdot, v, vdot, vddot) at ts, from one stacked exponential."""
+    ts = np.asarray(ts, dtype=float)
+    return form.jet(g.J, ts, _expm_stack(-ts[:, None, None] * g.J) @ form.b)
+
+
+def one_field_per_branch(pheis3, heis3, heis5w):
+    cases = [(geo(pheis3, [0.0], [1.0, 0.0]), 10.0, "polynomial"),
+             (geo(heis3, [1.0], [1.0, 0.0]), 13.0, "lattice"),
+             (geo(heis3, [1.0], [1.0, 0.0]), 13.0, "transcendental"),
+             (geo(heis5w, [3.0], [1.0, 0.2, 0.3, 0.4]), 2.8, "transcendental")]
+    for g, tmax, branch in cases:
+        ct = next(ct for ct in conjugate_times(g, tmax) if ct.branch == branch)
+        yield g, build_jacobi_field(g, ct)
+
+
+def test_witness_form_derivatives(pheis3, heis3, heis5w):
+    for g, field in one_field_per_branch(pheis3, heis3, heis5w):
+        t0 = field.times[-1]
+        h = 1e-3 / max(1.0, np.linalg.norm(g.J, 2))
+        ts = t0 * np.array([0.2, 0.45, 0.7, 0.95])
+        z, zdot, v, vdot, vddot = form_jet(g, field.form, ts)
+        zp, _, vp, _, _ = form_jet(g, field.form, ts + h)
+        zm, _, vm, _, _ = form_jet(g, field.form, ts - h)
+        for exact, fd in ((zdot, (zp - zm) / (2.0 * h)), (vdot, (vp - vm) / (2.0 * h)),
+                          (vddot, (vp - 2.0 * v + vm) / (h * h))):
+            assert np.abs(fd - exact).max() <= 1e-6 * np.abs(exact).max()
+        # the samples are a view of the form
+        z, _, v, _, _ = form_jet(g, field.form, field.times)
+        assert np.abs(z - field.z).max() <= 1e-13
+        assert np.abs(v - field.v).max() <= 1e-13
+
+
+def test_perturbed_witness_form_fails(pheis3, heis3, heis5w):
+    for g, field in one_field_per_branch(pheis3, heis3, heis5w):
+        form = field.form
+        delta = 1e-3 * np.ones(g.alg.dim_v)
+        p = form.p.copy()
+        p[1] += delta
+        perturbed = [dataclasses.replace(form, p=p)]
+        if form.b.any():
+            perturbed.append(dataclasses.replace(form, b=form.b + delta))
+        for bad in perturbed:
+            view = conjugate_module._witness_view(g, field.times[-1], bad, field.zeta)
+            endpoint = np.linalg.norm(field_values(g, view)[-1])
+            assert endpoint > 1e-8 or worst_witness_residual(g, view) > 1e-6
+
+
+def test_witness_residual_domain(heis3):
+    g = geo(heis3, [1.0], [1.0, 0.0])
+    field = conjugate_times(g, 13.0, witnesses=True)[0].certificate
+    t0 = field.times[-1]
+    for t in (0.0, t0):      # the closed form needs no stencil at the ends
+        res_z, res_v = jacobi_frame_residual(g, field, t)
+        assert max(np.linalg.norm(res_z), np.linalg.norm(res_v)) <= 1e-6
+    for t in (-1e-9, t0 * (1.0 + 1e-12), 20.0, np.nan):
+        with pytest.raises(InsufficientSamplesError):
+            jacobi_frame_residual(g, field, t)
