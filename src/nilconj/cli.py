@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: validate, spectrum, conjugate, oracle, compare, locus.  Exit
-status 0 on success, 1 when `compare` finds a discrepancy, 2 on input
-errors.  The effective tolerance set is echoed on every run (header line in
-human mode, stderr line in JSON mode, so the JSON document on stdout stays a
-single machine-readable value).
+status 0 on success, 1 when `compare` finds a discrepancy, 2 on any
+NilconjError: the library checks its own input, so the CLI checks only the
+flags the library never sees.  The effective tolerance set is echoed on
+every run (header line in human mode, stderr line in JSON mode, so the JSON
+document on stdout stays a single machine-readable value).
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .conjugate import build_jacobi_field, conjugate_times
 from .errors import NilconjError, ParseError
 from .geometry import GeodesicSpec, field_values, jacobi_frame_residual, serialize_field
 from .locus import continuation, export_samples, sample_horizontal_locus
-from .oracle import (_MAX_STATE_ENTRIES, compare, default_steps, detect_conjugate,
-                     integrate_propagator, sigma_min_series)
+from .oracle import compare, detect_conjugate, integrate_propagator, sigma_min_series
 from .spectral import spectrum
 
 __all__ = ["main"]
@@ -79,31 +79,12 @@ def _geodesic(args, alg: MetricLieAlgebra) -> GeodesicSpec:
     return GeodesicSpec(alg, z0, x0)
 
 
-def _check_horizon(args, alg: MetricLieAlgebra | None = None) -> None:
-    """Reject the horizons and step counts (given alg, the oracle's memory
-    bound too) that the library would raise ValueError on."""
-    if not 0.0 < args.tmax < np.inf:
-        raise ParseError(f"--tmax must be positive and finite, got {args.tmax:g}")
-    steps = getattr(args, "steps", None)
-    if steps is not None and steps < 100:
-        raise ParseError(f"--steps must be at least 100, got {steps}")
-    if alg is not None:
-        d = 2 * (alg.dim_center + alg.dim_v)
-        steps = default_steps(args.tmax) if steps is None else steps
-        if steps * d * d > _MAX_STATE_ENTRIES:
-            raise ParseError(f"--tmax {args.tmax:g} with {steps} steps exceeds the oracle's "
-                             f"memory bound of {_MAX_STATE_ENTRIES} state entries")
-
-
 def _signature(gram: np.ndarray) -> list[int]:
     ev = np.linalg.eigvalsh(gram)
     return [int(np.sum(ev > 0)), int(np.sum(ev < 0))]
 
 
-def cmd_validate(args) -> int:
-    tol = _parse_tol_overrides(args.tol)
-    alg = _load_algebra(args.algebra, tol)
-    _echo_tolerances(tol, args.json)
+def cmd_validate(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
     doc = {
         "name": alg.name,
         "dim_center": alg.dim_center,
@@ -121,12 +102,9 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    tol = _parse_tol_overrides(args.tol)
-    alg = _load_algebra(args.algebra, tol)
+def cmd_spectrum(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
     z0 = _parse_vector(args.z0, alg.dim_center, "--z0")
     spec = spectrum(j_map(alg, z0), tol)
-    _echo_tolerances(tol, args.json)
     doc = {
         "neg": [{"rate": l.rate, "mult": l.mult} for l in spec.neg],
         "pos": [{"rate": l.rate, "mult": l.mult} for l in spec.pos],
@@ -158,13 +136,9 @@ def _witness_diagnostics(geo: GeodesicSpec, field) -> dict:
     return {"witness_endpoint": endpoint, "witness_residual": residual}
 
 
-def cmd_conjugate(args) -> int:
-    _check_horizon(args)
-    tol = _parse_tol_overrides(args.tol)
-    alg = _load_algebra(args.algebra, tol)
+def cmd_conjugate(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
     geo = _geodesic(args, alg)
     cts = conjugate_times(geo, args.tmax, tol)
-    _echo_tolerances(tol, args.json)
     rows = []
     witness_blocks = []
     for k, ct in enumerate(cts):
@@ -199,14 +173,10 @@ def cmd_conjugate(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    tol = _parse_tol_overrides(args.tol)
-    alg = _load_algebra(args.algebra, tol)
-    _check_horizon(args, alg)
+def cmd_oracle(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
     geo = _geodesic(args, alg)
     prop = integrate_propagator(geo, args.tmax, args.steps)
     detected = detect_conjugate(geo, args.tmax, tol=tol, prop=prop)
-    _echo_tolerances(tol, args.json)
     if args.out:
         sig = sigma_min_series(prop)
         with open(args.out, "w") as fh:
@@ -241,8 +211,9 @@ def _random_geodesic(alg: MetricLieAlgebra, rng: np.random.Generator) -> Geodesi
 
 
 def _compare_one(geo: GeodesicSpec, t_max: float, steps, tol: Tolerances) -> dict:
-    closed = conjugate_times(geo, t_max, tol)
+    # the oracle first: it refuses a horizon past its memory bound before any closed-form work
     detected = detect_conjugate(geo, t_max, steps=steps, tol=tol)
+    closed = conjugate_times(geo, t_max, tol)
     report = compare(closed, detected, match_tol=tol.match_tol)
     return {
         "z0": geo.z0.tolist(),
@@ -255,13 +226,9 @@ def _compare_one(geo: GeodesicSpec, t_max: float, steps, tol: Tolerances) -> dic
     }
 
 
-def cmd_compare(args) -> int:
-    tol = _parse_tol_overrides(args.tol)
-    alg = _load_algebra(args.algebra, tol)
-    _check_horizon(args, alg)
+def cmd_compare(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
     if args.random is not None and args.random < 1:
         raise ParseError(f"--random must be positive, got {args.random}")
-    _echo_tolerances(tol, args.json)
     results = []
     if args.random is not None:
         rng = np.random.default_rng(args.seed)
@@ -314,10 +281,7 @@ def _emit_samples(samples, args) -> None:
         print(f"# wrote {len(samples)} samples to {args.out}")
 
 
-def cmd_locus(args) -> int:
-    tol = _parse_tol_overrides(args.tol)
-    alg = _load_algebra(args.algebra, tol)
-    _echo_tolerances(tol, args.json)
+def cmd_locus(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
     if args.mode == "Z":
         if args.grid < 1:
             raise ParseError("--grid must be positive")
@@ -405,7 +369,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        tol = _parse_tol_overrides(args.tol)
+        alg = _load_algebra(args.algebra, tol)
+        _echo_tolerances(tol, args.json)
+        return args.func(args, alg, tol)
     except NilconjError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

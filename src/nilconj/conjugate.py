@@ -18,6 +18,7 @@ raise UnsupportedCaseError; the oracle module covers them numerically.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -31,11 +32,13 @@ from .errors import (
     CenterNotLineError,
     NoConjugateError,
     NotInImageError,
+    ParseError,
     PoleError,
     UnsupportedCaseError,
 )
 from .geometry import GeodesicSpec, JacobiField, _ExactField, _FieldForm
 from .numerics import (
+    _check_t_max,
     _expm_stack,
     bracket_root,
     cluster_scalars,
@@ -72,6 +75,7 @@ _HORIZON_SLACK = 1e-12  # relative: keeps a time computed at the horizon itself 
 _POLE_MARGIN = 1e-9     # the root scan keeps this * max(1, b) off each pole b
 _TANGENT_CUT = 1e-8     # an extremum of the excess within this * |<z0, z0>| of it is a double root
 _MERGE_FLOOR = 2e-9     # absolute floor added to merge_rel when merging roots or meeting poles
+_MAX_LATTICE_TIMES = 2 ** 20   # horizon bound: the lattice times one call may build
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +87,6 @@ class ConjugateTime:
     branch: str                 # "polynomial" | "lattice" | "transcendental"
     tangent: bool = False       # transcendental double root detected by tangency
     certificate: Optional[JacobiField] = None
-
-
-def _check_t_max(t_max: float) -> None:
-    if not 0.0 < t_max < np.inf:
-        raise ValueError("t_max must be positive and finite")
 
 
 def conjugate_times(geo: GeodesicSpec, t_max: float, tol: Tolerances = DEFAULT_TOL,
@@ -138,10 +137,14 @@ def _eigenspace(coupling: np.ndarray, mu: float, tol: Tolerances) -> np.ndarray:
 
 
 def _distinct_lattice_times(spec: Spectrum, t_max: float, tol: Tolerances) -> list[float]:
+    counts = [np.floor(t_max * line.rate / (2.0 * np.pi) * (1.0 + _HORIZON_SLACK))
+              for line in spec.neg]
+    if sum(counts) > _MAX_LATTICE_TIMES:
+        raise ParseError(f"t_max {t_max:g} has {sum(counts):g} lattice times, over the "
+                         f"bound of {_MAX_LATTICE_TIMES}")
     raw = []
-    for line in spec.neg:
-        n_max = int(np.floor(t_max * line.rate / (2.0 * np.pi) * (1.0 + _HORIZON_SLACK)))
-        raw.extend(2.0 * np.pi * n / line.rate for n in range(1, n_max + 1))
+    for line, n_max in zip(spec.neg, counts):
+        raw.extend(2.0 * np.pi * n / line.rate for n in range(1, int(n_max) + 1))
     if not raw:
         return []
     atol = tol.merge_rel * (1.0 + t_max)
@@ -300,7 +303,8 @@ def _scan_roots(f, poles: list[float], lo: float, hi: float, rate: float, fscale
     Each gap is sampled at steps of at most pi / (4 rate); an extremum of f
     within _TANGENT_CUT * fscale of 0 is a double root (tangent).
     """
-    edges = [lo] + sorted(p for p in poles if lo < p < hi) + [hi]
+    poles = sorted(poles)
+    edges = [lo] + [p for p in poles if lo < p < hi] + [hi]
     roots: list[tuple[float, bool]] = []
     brackets = []   # (lo, hi, f(lo), f(hi)) per sign change
     dips = {1.0: [], -1.0: []}   # (lo, hi, f(lo), f(hi)) per extremum towards 0, by sign of f
@@ -338,10 +342,23 @@ def _scan_roots(f, poles: list[float], lo: float, hi: float, rate: float, fscale
         t_lo, t_hi, f_lo, f_hi = np.array(brackets).T
         found = bracket_root(f, t_lo, t_hi, fa=f_lo, fb=f_hi, xtol=tol.bisect_tol)
         roots += [(float(root), False) for root in found]
+    return _merge_roots(sorted(roots), poles, tol)
+
+
+def _merge_roots(roots: list[tuple[float, bool]], poles: list[float],
+                 tol: Tolerances) -> list[tuple[float, bool]]:
+    """The sorted (root, tangent) pairs without those that meet a kept root or a pole.
+
+    Both lists are sorted, and the merge distance grows more slowly than the
+    gap, so the last kept root and the nearest pole on either side are the
+    only ones that can meet a root.
+    """
     out: list[tuple[float, bool]] = []
-    for root, tangent in sorted(roots):
-        if not (any(abs(root - s) <= tol.merge_rel * max(1.0, root) + _MERGE_FLOOR for s, _ in out)
-                or any(abs(root - p) <= tol.merge_rel * max(1.0, p) + _MERGE_FLOOR for p in poles)):
+    for root, tangent in roots:
+        i = bisect.bisect_left(poles, root)
+        if not ((out and root - out[-1][0] <= tol.merge_rel * max(1.0, root) + _MERGE_FLOOR)
+                or any(abs(root - p) <= tol.merge_rel * max(1.0, p) + _MERGE_FLOOR
+                       for p in poles[max(i - 1, 0):i + 1])):
             out.append((root, tangent))
     return out
 
@@ -487,7 +504,7 @@ def build_jacobi_field(geo: GeodesicSpec, ct: ConjugateTime,
         return _lattice_witness(geo, ct.t, tol)
     if ct.branch == "transcendental":
         return _transcendental_witness(geo, ct.t, tol)
-    raise ValueError(f"unknown branch {ct.branch!r}")
+    raise ParseError(f"unknown branch {ct.branch!r}")
 
 
 def attach_witnesses(geo: GeodesicSpec, cts: list[ConjugateTime],

@@ -5,8 +5,8 @@ class NilconjError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ParseError(NilconjError):
-    """Algebra document is malformed or fails schema validation."""
+class ParseError(NilconjError, ValueError):
+    """Input malformed or out of range."""
 
 
 class DegenerateCenterError(NilconjError):

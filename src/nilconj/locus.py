@@ -23,9 +23,10 @@ import numpy as np
 from .algebra import MetricLieAlgebra, j_map
 from .config import DEFAULT_TOL, Tolerances
 from .conjugate import ConjugacySeries, _scan_roots, polynomial_times
-from .errors import CenterNotLineError, NoConjugateError, RootLostError, UnsupportedCaseError
+from .errors import (CenterNotLineError, NoConjugateError, ParseError, RootLostError,
+                     UnsupportedCaseError)
 from .geometry import GeodesicSpec, geodesic_point
-from .spectral import eigen_components, spectrum
+from .spectral import Spectrum, eigen_components, spectrum
 
 __all__ = [
     "LocusSample",
@@ -61,13 +62,15 @@ def _unit_center(alg: MetricLieAlgebra) -> tuple[np.ndarray, float]:
     return np.array([1.0 / np.sqrt(abs(g))]), float(np.sign(g))
 
 
-def _tilt_series(alg: MetricLieAlgebra, x0: np.ndarray,
-                 tol: Tolerances) -> tuple[ConjugacySeries, float]:
-    """Conjugacy series of x0 under the unit-center J, and the center sign eps."""
+def _unit_spectrum(alg: MetricLieAlgebra, tol: Tolerances) -> tuple[Spectrum, float]:
+    """Spectrum of the unit-center J, and the center sign eps."""
     zu, eps = _unit_center(alg)
-    spec = spectrum(j_map(alg, zu), tol)
-    comps = eigen_components(spec, x0)   # raises NotDiagonalizableError when defective
-    return ConjugacySeries.of(alg, comps), eps
+    return spectrum(j_map(alg, zu), tol), eps
+
+
+def _tilt_series(alg: MetricLieAlgebra, spec: Spectrum, x0: np.ndarray) -> ConjugacySeries:
+    """Conjugacy series of x0 under the J of spec; NotDiagonalizableError when defective."""
+    return ConjugacySeries.of(alg, eigen_components(spec, x0))
 
 
 def _rate(series: ConjugacySeries, eps: float, tol: Tolerances) -> float:
@@ -88,7 +91,8 @@ def conjugate_rate(alg: MetricLieAlgebra, x0: np.ndarray,
     straight geodesic has no conjugate points at all).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    return _rate(*_tilt_series(alg, x0, tol), tol)
+    spec, eps = _unit_spectrum(alg, tol)
+    return _rate(_tilt_series(alg, spec, x0), eps, tol)
 
 
 def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
@@ -102,24 +106,26 @@ def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
     """
     if method == "auto":
         method = "delta" if alg.dim_center == 1 else "general"
+    if method not in ("delta", "general"):
+        raise ParseError(f"unknown method {method!r}")
+    if method == "delta":
+        spec, eps = _unit_spectrum(alg, tol)   # one J for every direction
     out = []
     for direction in directions:
         x0 = np.asarray(direction, dtype=float).reshape(-1)
         if method == "delta":
             try:
-                delta = conjugate_rate(alg, x0, tol)
+                delta = _rate(_tilt_series(alg, spec, x0), eps, tol)
             except NoConjugateError:
                 continue
             t = _2SQRT3 / delta
-        elif method == "general":
+        else:
             geo0 = GeodesicSpec(alg, np.zeros(alg.dim_center), x0)
             times = polynomial_times(geo0, t_max=1e12, tol=tol)
             if not times:
                 continue
             t = min(ct.t for ct in times)
             delta = _2SQRT3 / t
-        else:
-            raise ValueError(f"unknown method {method!r}")
         geo = GeodesicSpec(alg, np.zeros(alg.dim_center), x0)
         point = geodesic_point(geo, t).coords()
         out.append(LocusSample(x0, 0.0, float(t), point, float(delta)))
@@ -171,7 +177,8 @@ def continuation(alg: MetricLieAlgebra, x0: np.ndarray, a_grid: list[float],
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     zu, _ = _unit_center(alg)
-    series, eps = _tilt_series(alg, x0, tol)
+    spec, eps = _unit_spectrum(alg, tol)
+    series = _tilt_series(alg, spec, x0)
     delta = _rate(series, eps, tol)    # rejects Delta <= 0 up front
     t_limit = _2SQRT3 / delta
     track: dict[float, float] = {0.0: t_limit}
@@ -206,7 +213,7 @@ def export_samples(samples: list[LocusSample], path: str, fmt: str = "csv") -> N
             for s in samples:
                 fh.write("v " + " ".join(f"{c:.17g}" for c in s.point) + "\n")
     else:
-        raise ValueError(f"unknown export format {fmt!r}")
+        raise ParseError(f"unknown export format {fmt!r}")
 
 
 def load_samples(path: str) -> list[tuple[float, float, float, np.ndarray]]:

@@ -1,5 +1,5 @@
-"""Small numerical helpers: root and minimum searches, rank decisions,
-matrix exponentials of a stack and on a uniform grid."""
+"""Small numerical helpers: the horizon check, root and minimum searches,
+rank decisions, matrix exponentials of a stack and on a uniform grid."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
+
+from .errors import ParseError
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
@@ -21,6 +23,12 @@ _PADE13 = tuple(np.array([
     129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
     40840800.0, 960960.0, 16380.0, 182.0, 1.0]) / 64764752532480000.0)
 _THETA13 = 5.371920351148152
+
+
+def _check_t_max(t_max: float) -> None:
+    """Refuse a horizon that is not positive and finite (ParseError)."""
+    if not 0.0 < t_max < np.inf:
+        raise ParseError(f"t_max must be positive and finite, got {t_max:g}")
 
 
 def golden_min(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
+from .errors import ParseError
 from .geometry import GeodesicSpec
-from .numerics import _expm_stack, bracket_root, golden_min
+from .numerics import _check_t_max, _expm_stack, bracket_root, golden_min
 
 __all__ = [
     "Propagator",
@@ -130,17 +131,16 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     running product of the u.  On a flat geodesic the columns stay orthogonal
     with disjoint supports, u = I, and the states come back unrounded.
     """
-    if not 0.0 < t_max < np.inf:
-        raise ValueError("t_max must be positive and finite")
+    _check_t_max(t_max)
     if steps is None:
         steps = default_steps(t_max)
     if steps < 100:
-        raise ValueError("steps must be at least 100")
+        raise ParseError(f"steps must be at least 100, got {steps}")
     p, q = geo.alg.dim_center, geo.alg.dim_v
     d, r = 2 * (p + q), p + q
     if steps * d * d > _MAX_STATE_ENTRIES:
-        raise ValueError(f"steps * d^2 = {steps * d * d} exceeds the memory bound "
-                         f"{_MAX_STATE_ENTRIES}")
+        raise ParseError(f"t_max {t_max:g} with {steps} steps exceeds the oracle's memory "
+                         f"bound of {_MAX_STATE_ENTRIES} state entries")
     h = t_max / steps
     b = int(np.ceil(np.sqrt(steps)))
     m = -(-(steps + 1) // b)

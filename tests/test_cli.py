@@ -267,6 +267,15 @@ def test_bad_horizon_or_steps_exit_2(capsys, argv):
     assert "error: ParseError" in err
 
 
+@pytest.mark.parametrize("x0", ["0,0", "0.3,1"])
+def test_lattice_horizon_bound_exit_2(capsys, x0):
+    # 1.6e11 lattice times, one float each, would be built before anything else
+    code, _, err = run(capsys, "conjugate", "--algebra", "heis3", "--z0", "1", "--x0", x0,
+                       "--tmax", "1e12")
+    assert code == 2
+    assert "error: ParseError" in err and "lattice times" in err
+
+
 # ---------------------------------------------------------------------------
 # locus and continuation
 

@@ -10,8 +10,10 @@ import nilconj.conjugate as conjugate_module
 from nilconj import (
     DEFAULT_TOL,
     CenterNotLineError,
+    ConjugateTime,
     GeodesicSpec,
     InsufficientSamplesError,
+    ParseError,
     PoleError,
     UnsupportedCaseError,
     build_jacobi_field,
@@ -21,15 +23,18 @@ from nilconj import (
     conjugate_times,
     detect_conjugate,
     eigen_components,
+    export_samples,
     field_values,
     fixture,
     image_membership,
     inner_v,
+    integrate_propagator,
     jacobi_frame_residual,
     lattice_times,
     load_algebra,
     mixed_times,
     polynomial_times,
+    sample_horizontal_locus,
     spectrum,
 )
 from nilconj.cli import _random_geodesic
@@ -88,6 +93,32 @@ def test_closed_forms_share_the_horizon_check(pheis3, fn, z0, x0, t_max):
     # integer, or returned [] for a negative horizon
     with pytest.raises(ValueError, match="positive and finite"):
         fn(geo(pheis3, z0, x0), t_max)
+
+
+_BAD_INPUT = [
+    *((f"{fn.__name__}-{t_max:g}",
+       lambda alg, fn=fn, t_max=t_max: fn(geo(alg, [1.0], [0.3, 1.0]), t_max))
+      for fn in (conjugate_times, polynomial_times, lattice_times, mixed_times,
+                 integrate_propagator, detect_conjugate)
+      for t_max in (0.0, -1.0, np.inf, np.nan)),
+    ("steps", lambda alg: integrate_propagator(geo(alg, [1.0], [0.3, 1.0]), 1.0, steps=10)),
+    ("state-bound", lambda alg: detect_conjugate(geo(alg, [1.0], [0.3, 1.0]), 1e7)),
+    ("lattice-bound", lambda alg: conjugate_times(geo(alg, [1.0], [0.0, 0.0]), 1e12)),
+    ("mixed-lattice-bound", lambda alg: mixed_times(geo(alg, [1.0], [0.3, 1.0]), 1e12)),
+    ("method", lambda alg: sample_horizontal_locus(alg, [np.array([1.0, 0.0])], method="nosuch")),
+    ("fmt", lambda alg: export_samples([], "unused.csv", fmt="nosuch")),
+    ("branch", lambda alg: build_jacobi_field(geo(alg, [1.0], [0.0, 0.0]),
+                                              ConjugateTime(2.0 * np.pi, 2, "nosuch"))),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in _BAD_INPUT], ids=[i for i, _ in _BAD_INPUT])
+def test_bad_input_raises_parse_error(heis3, call):
+    # the library is the input boundary: a typed error the CLI maps to exit 2,
+    # still a ValueError for callers that catch that
+    with pytest.raises(ParseError) as exc:
+        call(heis3)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_unsupported_mixed_center(bicenter):
@@ -541,6 +572,36 @@ def test_mixed_multiplicity_bounds(heis3, heis5w):
         g = geo(alg, [1.0], x0)
         for ct in conjugate_times(g, 13.0):
             assert 1 <= ct.multiplicity <= alg.dim_v
+
+
+def test_merge_matches_all_pairs_rule(heis3, monkeypatch):
+    # the scan's merge tests a root against the last kept root and the nearest
+    # pole either side only; on a long mixed horizon, and with extra roots just
+    # inside and outside the merge distance of roots and poles, it keeps what
+    # testing every kept root and every pole keeps
+    def all_pairs(roots, poles, tol):
+        out = []
+        for root, tangent in roots:
+            if not (any(abs(root - s) <= tol.merge_rel * max(1.0, root) + floor for s, _ in out)
+                    or any(abs(root - p) <= tol.merge_rel * max(1.0, p) + floor for p in poles)):
+                out.append((root, tangent))
+        return out
+
+    floor = conjugate_module._MERGE_FLOOR
+    merge = conjugate_module._merge_roots
+    seen = []
+    monkeypatch.setattr(conjugate_module, "_merge_roots",
+                        lambda roots, poles, tol: seen.append((roots, poles)) or merge(roots, poles, tol))
+    mixed_times(geo(heis3, [1.0], [0.3, 1.0]), 2000.0)
+    [(roots, poles)] = seen
+    assert len(poles) == 318 and len(roots) > 300
+    gap = DEFAULT_TOL.merge_rel
+    extra = [(t * (1.0 + k * gap), k > 0) for t, _ in roots[::7] for k in (0.5, 3.0)]
+    extra += [(p * (1.0 + k * gap), False) for p in poles[::5] for k in (-3.0, -0.5, 0.5, 3.0)]
+    for case in (roots, sorted(roots + extra)):
+        kept = merge(case, poles, DEFAULT_TOL)
+        assert kept == all_pairs(case, poles, DEFAULT_TOL)
+    assert len(roots) < len(kept) < len(roots) + len(extra)
 
 
 # ---------------------------------------------------------------------------
