@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import FIXTURE_NAMES, MetricLieAlgebra, fixture, j_map, load_algebra
 from .config import DEFAULT_TOL, Tolerances
-from .conjugate import build_jacobi_field, conjugate_times
+from .conjugate import conjugate_times
 from .errors import NilconjError, ParseError
 from .geometry import GeodesicSpec, field_values, jacobi_frame_residual, serialize_field
 from .locus import continuation, export_samples, sample_horizontal_locus
@@ -138,14 +138,14 @@ def _witness_diagnostics(geo: GeodesicSpec, field) -> dict:
 
 def cmd_conjugate(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
     geo = _geodesic(args, alg)
-    cts = conjugate_times(geo, args.tmax, tol)
+    cts = conjugate_times(geo, args.tmax, tol, witnesses=args.witness is not None)
     rows = []
     witness_blocks = []
     for k, ct in enumerate(cts):
         row = {"t": ct.t, "mult": ct.multiplicity, "branch": ct.branch,
                "tangent": ct.tangent}
         if args.witness is not None:
-            field = build_jacobi_field(geo, ct, tol)
+            field = ct.certificate
             row.update(_witness_diagnostics(geo, field))
             if args.witness:          # path prefix: full field per file
                 path = f"{args.witness}-{k}.csv"

@@ -95,21 +95,22 @@ def conjugate_times(geo: GeodesicSpec, t_max: float, tol: Tolerances = DEFAULT_T
     _check_t_max(t_max)
     j_zero = np.abs(geo.J).max() <= tol.zero_rel * max(1.0, np.abs(geo.z0).max())
     x_zero = np.abs(geo.x0).max() <= tol.zero_rel
+    spec = None
     if j_zero and x_zero:
         out: list[ConjugateTime] = []
     elif j_zero:
         out = polynomial_times(geo, t_max, tol)
-    elif x_zero:
-        out = lattice_times(geo, t_max, tol)
-    elif geo.alg.dim_center == 1:
-        out = mixed_times(geo, t_max, tol)
+    elif x_zero or geo.alg.dim_center == 1:
+        spec = spectrum(geo.J, tol)
+        out = (_lattice_times if x_zero else _mixed_times)(geo, t_max, tol, spec)
     else:
         raise UnsupportedCaseError(
             "no closed form for a higher-dimensional center with z0 != 0 != x0; "
             "use the numerical oracle")
     out = sorted(out, key=lambda ct: ct.t)
     if witnesses:
-        out = attach_witnesses(geo, out, tol)
+        out = [dataclasses.replace(ct, certificate=build_jacobi_field(geo, ct, tol, spec))
+               for ct in out]
     return out
 
 
@@ -155,7 +156,11 @@ def lattice_times(geo: GeodesicSpec, t_max: float,
                   tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
     """Conjugate times of a central geodesic (x0 = 0, J != 0)."""
     _check_t_max(t_max)
-    spec = spectrum(geo.J, tol)
+    return _lattice_times(geo, t_max, tol, spectrum(geo.J, tol))
+
+
+def _lattice_times(geo: GeodesicSpec, t_max: float, tol: Tolerances,
+                   spec: Spectrum) -> list[ConjugateTime]:
     out = []
     for t in _distinct_lattice_times(spec, t_max, tol):
         total, _ = lattice_match(spec, t, tol)
@@ -380,7 +385,11 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
     _check_t_max(t_max)
     if geo.alg.dim_center != 1:
         raise CenterNotLineError("mixed closed form requires a one-dimensional center")
-    spec = spectrum(geo.J, tol)
+    return _mixed_times(geo, t_max, tol, spectrum(geo.J, tol))
+
+
+def _mixed_times(geo: GeodesicSpec, t_max: float, tol: Tolerances,
+                 spec: Spectrum) -> list[ConjugateTime]:
     geo = _flat_split(geo, spec, tol)
     poles = _distinct_lattice_times(spec, t_max, tol)
     gjx = geo.alg.gram_v @ (geo.J @ geo.x0)
@@ -461,9 +470,9 @@ def _exp_witness(geo: GeodesicSpec, t0: float, a: np.ndarray, b: np.ndarray, c: 
     return _witness_view(geo, t0, form, zeta)
 
 
-def _lattice_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiField:
+def _lattice_witness(geo: GeodesicSpec, t0: float, tol: Tolerances,
+                     spec: Spectrum) -> JacobiField:
     """(a, b, c, zeta) = (0, v0, 0, 0) with v0 in the lattice kernel, <J x0, v0> = 0."""
-    spec = spectrum(geo.J, tol)
     _, kernel = lattice_match(spec, t0, tol)
     if kernel.shape[1] == 0:
         raise NoConjugateError(f"no lattice kernel at t = {t0}")
@@ -480,34 +489,38 @@ def _lattice_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiFie
                         np.zeros(geo.alg.dim_center))
 
 
-def _transcendental_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiField:
+def _transcendental_witness(geo: GeodesicSpec, t0: float, tol: Tolerances,
+                            spec: Spectrum) -> JacobiField:
     """(a, b, c, zeta) = (x, -u, 1, z0) with (exp(-t0 J) - I) u = t0 x, x = x0 - K."""
-    reg = _flat_split(geo, spectrum(geo.J, tol), tol)
+    reg = _flat_split(geo, spec, tol)
     member, u = image_membership(reg.J, t0, reg.x0, reg.alg.gram_v, tol)
     if not member:
         raise NotInImageError(f"no preimage for the transcendental witness at t = {t0}")
     return _exp_witness(reg, t0, reg.x0, -u, 1.0, reg.z0.copy())
 
 
-def build_jacobi_field(geo: GeodesicSpec, ct: ConjugateTime,
-                       tol: Tolerances = DEFAULT_TOL) -> JacobiField:
+def build_jacobi_field(geo: GeodesicSpec, ct: ConjugateTime, tol: Tolerances = DEFAULT_TOL,
+                       spec: Spectrum | None = None) -> JacobiField:
     """Explicit nontrivial Jacobi field vanishing at 0 and at ct.t.
 
     It carries its closed form, which jacobi_frame_residual evaluates with
     exact derivatives at any t in [0, ct.t]; its samples are a view of that
     form on a uniform grid of at least 129 rows, scaled to a largest frame
-    coordinate of 1, for field_values and serialize_field.
+    coordinate of 1, for field_values and serialize_field.  spec is J's
+    spectrum where the caller holds it already; it is computed otherwise.
     """
     if ct.branch == "polynomial":
         return _polynomial_witness(geo, ct.t, tol)
+    if ct.branch not in ("lattice", "transcendental"):
+        raise ParseError(f"unknown branch {ct.branch!r}")
+    spec = spectrum(geo.J, tol) if spec is None else spec
     if ct.branch == "lattice":
-        return _lattice_witness(geo, ct.t, tol)
-    if ct.branch == "transcendental":
-        return _transcendental_witness(geo, ct.t, tol)
-    raise ParseError(f"unknown branch {ct.branch!r}")
+        return _lattice_witness(geo, ct.t, tol, spec)
+    return _transcendental_witness(geo, ct.t, tol, spec)
 
 
 def attach_witnesses(geo: GeodesicSpec, cts: list[ConjugateTime],
                      tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
-    return [dataclasses.replace(ct, certificate=build_jacobi_field(geo, ct, tol))
+    spec = spectrum(geo.J, tol)
+    return [dataclasses.replace(ct, certificate=build_jacobi_field(geo, ct, tol, spec))
             for ct in cts]

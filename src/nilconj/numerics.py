@@ -14,15 +14,23 @@ from .errors import ParseError
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 _ROOT_MAX_ITER = 200    # bracket_root's step cap; Illinois steps shrink the bracket superlinearly
-# Degree-13 Pade approximant of exp and the largest 1-norm it takes to double
-# precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3), divided
-# by b0 so that the solve divides by a unit diagonal (I + A comes back exactly
-# for a dyadic A with A^2 = 0).
-_PADE13 = tuple(np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0]) / 64764752532480000.0)
-_THETA13 = 5.371920351148152
+# Diagonal Pade approximants of exp by degree m and the largest 1-norm
+# theta_m that each takes to double precision without scaling (Higham, SIAM
+# J. Matrix Anal. Appl. 26, 2005, Table 2.3).  The coefficients are divided
+# by b0 so that the solve divides by a unit diagonal (I + A comes back
+# exactly for a dyadic A with A^2 = 0).
+_PADE = {m: tuple(np.array(b) / b[0]) for m, b in {
+    3: [120.0, 60.0, 12.0, 1.0],
+    5: [30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0],
+    7: [17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0],
+    9: [17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0],
+    13: [64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+         40840800.0, 960960.0, 16380.0, 182.0, 1.0],
+}.items()}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068, 13: 5.371920351148152}
 
 
 def _check_t_max(t_max: float) -> None:
@@ -103,25 +111,38 @@ def bracket_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLi
 def _expm_stack(a: np.ndarray) -> np.ndarray:
     """exp of every matrix in a (..., d, d) stack, all in one pass.
 
-    Scaling and squaring with the degree-13 Pade approximant (Higham 2005):
-    matrix i is scaled by 2^-s_i, s_i = max(0, ceil(log2(|A_i|_1 / theta13))),
-    one batched solve gives every approximant, and squaring pass k squares the
-    matrices with s_i > k.  A zero matrix gives the identity exactly.
+    The stack takes the lowest Pade degree m in (3, 5, 7, 9) whose theta_m
+    covers its largest 1-norm, unscaled; past theta_9 it takes degree 13 with
+    scaling and squaring, matrix i scaled by 2^-s_i,
+    s_i = max(0, ceil(log2(|A_i|_1 / theta_13))), and squaring pass k squares
+    the matrices with s_i > k (Higham 2005, Algorithm 2.3).  One batched
+    solve gives every approximant.  A zero matrix gives the identity exactly.
     """
     a = np.asarray(a, dtype=float)
     eye = np.eye(a.shape[-1])
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    with np.errstate(divide="ignore"):      # log2(0) = -inf: no scaling
-        s = np.maximum(0.0, np.ceil(np.log2(norm / _THETA13))).astype(int)
-    a = a * np.exp2(-s)[..., None, None]
-    b = _PADE13
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    top = norm.max(initial=0.0)
+    m = next((m for m in (3, 5, 7, 9) if top <= _THETA[m]), 13)
+    b = _PADE[m]
+    s = np.zeros(norm.shape, dtype=int)
+    if m < 13:
+        a2 = power = a @ a
+        u, v = b[3] * a2 + b[1] * eye, b[2] * a2 + b[0] * eye
+        for k in range(5, m + 1, 2):
+            power = power @ a2
+            u, v = u + b[k] * power, v + b[k - 1] * power
+        u = a @ u
+    else:
+        with np.errstate(divide="ignore"):      # log2(0) = -inf: no scaling
+            s = np.maximum(0.0, np.ceil(np.log2(norm / _THETA[13]))).astype(int)
+        a = a * np.exp2(-s)[..., None, None]
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     e = np.linalg.solve(v - u, v + u)
     for k in range(int(s.max(initial=0))):
         sq = s > k

@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dtrtrs
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ParseError
 from .geometry import GeodesicSpec
-from .numerics import _check_t_max, _expm_stack, bracket_root, golden_min
+from .numerics import _check_t_max, _expm_stack, bracket_root, golden_min, grid_transport
 
 __all__ = [
     "Propagator",
@@ -100,21 +101,38 @@ def _system(geo: GeodesicSpec, ep: np.ndarray) -> np.ndarray:
     return a
 
 
+def _magnus(geo: GeodesicSpec, ep: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
+    """Exponentials of the fourth-order Magnus exponent
+    dt/2 (A1 + A2) + (sqrt(3)/12) dt^2 [A2, A1] of steps of length dt, A1 and
+    A2 taken at the step's two Gauss points, whose e^{tJ} are ep[..., 0, :, :]
+    and ep[..., 1, :, :] (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999).
+    """
+    a1, a2 = np.moveaxis(_system(geo, ep), -3, 0)
+    return _expm_stack(0.5 * dt * (a1 + a2) + np.sqrt(3.0) / 12.0 * dt * dt * (a2 @ a1 - a1 @ a2))
+
+
 def _transfer(geo: GeodesicSpec, a: np.ndarray | None, t0: np.ndarray,
               dt: np.ndarray) -> np.ndarray:
-    """Transfer matrices of the state from t0 to t0 + dt, elementwise over arrays.
-
+    """Transfer matrices of the state from t0 to t0 + dt, elementwise over arrays:
     e^{dt a} for a constant system matrix a, exactly; with a = None the
-    exponential of the fourth-order Magnus exponent
-    dt/2 (A1 + A2) + (sqrt(3)/12) dt^2 [A2, A1], A1 and A2 taken at the Gauss
-    points of [t0, t0 + dt] (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999).
-    """
+    exponential of the Magnus exponent of [t0, t0 + dt] (_magnus)."""
     dt = np.asarray(dt)[..., None, None]
     if a is not None:
         return _expm_stack(dt * a)
     gauss = (t0[..., None] + dt[..., 0] * _GAUSS)[..., None, None]
-    a1, a2 = np.moveaxis(_system(geo, _expm_stack(gauss * geo.J)), -3, 0)
-    return _expm_stack(0.5 * dt * (a1 + a2) + np.sqrt(3.0) / 12.0 * dt * dt * (a2 @ a1 - a1 @ a2))
+    return _magnus(geo, _expm_stack(gauss * geo.J), dt)
+
+
+def _step_transfers(geo: GeodesicSpec, h: float, n: int) -> np.ndarray:
+    """The Magnus transfers of the steps [k h, (k + 1) h], k < n, as _transfer gives them.
+
+    Their Gauss points lie on two uniform grids, so their e^{tJ} are
+    e^{k h J} e^{g_i h J}: one grid_transport of the two rows e^{g_i h J}.
+    """
+    q = geo.J.shape[0]
+    gauss = np.concatenate(_expm_stack(h * _GAUSS[:, None, None] * geo.J), axis=-1)
+    ep = grid_transport(geo.J, h, np.broadcast_to(gauss, (n, q, 2 * q)))
+    return _magnus(geo, ep.reshape(n, q, 2, q).swapaxes(1, 2), h)
 
 
 def integrate_propagator(geo: GeodesicSpec, t_max: float,
@@ -124,12 +142,16 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     In blocks of b = ceil(sqrt(steps)) nodes, local[k, j] maps block start k
     to node k b + j: e^{j h A} for every block when A is constant (one
     stacked exponential of b + 1 matrices), else the running product of the
-    block's step transfers.  A second loop carries each block start y to the
-    next and factors it as y = c u, u the Householder R factor with its rows
-    divided by their diagonal and c = y u^{-1} = Q diag(R) orthogonal, so the
-    columns never collapse onto the fastest-growing solution; scale is the
-    running product of the u.  On a flat geodesic the columns stay orthogonal
-    with disjoint supports, u = I, and the states come back unrounded.
+    block's step transfers (_step_transfers).  A second loop carries each
+    block start y to the next and factors it as y = c u, u the Householder R
+    factor (LAPACK dgeqrf) with its rows divided by their diagonal and
+    c = y u^{-1} = Q diag(R) orthogonal, by a triangular solve (dtrtrs), so
+    the columns never collapse onto the fastest-growing solution; scale is
+    the running product of the u.  LAPACK is called directly because the
+    loop runs about sqrt(steps) times on matrices of a few rows, where
+    numpy.linalg's per-call overhead dominates.  On a flat geodesic the
+    columns stay orthogonal with disjoint supports, u = I, and the states
+    come back unrounded.
     """
     _check_t_max(t_max)
     if steps is None:
@@ -153,18 +175,19 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     else:
         local = np.empty((m, b + 1, d, d))
         local[:, 0] = np.eye(d)
-        local[:, 1:] = _transfer(geo, None, h * np.arange(m * b), h).reshape(m, b, d, d)
+        local[:, 1:] = _step_transfers(geo, h, m * b).reshape(m, b, d, d)
         for j in range(1, b):
             local[:, j + 1] = local[:, j + 1] @ local[:, j]
     start, scale = np.zeros((m, d, r)), np.empty((m, r, r))
     start[0, :p, :p] = np.eye(p)                # zeta = e_a
     start[0, 2 * p + q:, p:] = np.eye(q)        # vdot(0) = e_a: orthogonal columns
     scale[0] = np.eye(r)
+    upper = np.triu(np.ones((r, r), dtype=bool))
     for k in range(1, m):
         y = local[k - 1, b] @ start[k - 1]
-        rk = np.linalg.qr(y, mode="r")
-        u = rk / np.diagonal(rk)[:, None]           # unit upper triangular: det u = 1
-        start[k], scale[k] = np.linalg.solve(u.T, y.T).T, u @ scale[k - 1]
+        rk = dgeqrf(y)[0][:r]
+        u = upper * (rk / np.diagonal(rk)[:, None])     # unit upper triangular: det u = 1
+        start[k], scale[k] = dtrtrs(u.T, y.T, lower=1)[0].T, u @ scale[k - 1]
     basis = (local[:, :b] @ start[:, None]).reshape(m * b, d, r)[:steps + 1]
     return Propagator(np.linspace(0.0, t_max, steps + 1), basis, scale, b, geo, a)
 
@@ -228,7 +251,16 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
     node.  The candidates are the grid cells where sign det M changes (odd
     multiplicities, also the two roots of a close pair in neighbouring
     cells), the interior local minima of the scan value whose bracket holds
-    no such cell (even multiplicities), and a decreasing right endpoint.  A
+    no such cell (even multiplicities), and a decreasing right endpoint.
+    Where A is constant (Propagator.system), a bracket [a, b] of the last two
+    kinds is refined only if (c_a + c_b - |A|_2 (b - a)) / 2 < tol.rank_tol,
+    c_a and c_b the smallest cosines at its ends: that is a lower bound of
+    the smallest cosine on [a, b].  For the projector P(t) onto the solution
+    space, S' = A S gives P' = (I - P) A P + P A^T (I - P), whose two terms
+    map range P and ker P into each other, so |P'|_2 <= |A|_2; the cosines
+    are the nonzero singular values of the (z, v) rows of P, so by Weyl's
+    inequality each of them is |A|_2-Lipschitz in t.  A time in a bracket that fails the test would have
+    multiplicity 0 and be dropped anyway.  A varying A keeps every bracket.  A
     sign change is refined by an Illinois iteration on the signed smallest
     cosine sign(det M) cos_min, which crosses zero linearly at any odd
     multiplicity; the other candidates by golden section on the smallest
@@ -254,6 +286,16 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
         lo, hi = np.append(lo, times.size - 2), np.append(hi, times.size - 1)
     if cells.size + lo.size == 0:
         return []
+    ends = np.concatenate([cells, lo, cells + 1, hi])
+    c_ends = _cosines(prop.basis[ends], p)[:, -1].reshape(2, -1)   # lower ends, upper ends
+    f_ends = (sign[ends].reshape(2, -1) * c_ends)[:, :cells.size]
+    # the smallest cosine is |A|_2-Lipschitz; a varying A has no such bound
+    lip = np.inf if prop.system is None else np.linalg.norm(prop.system, 2)
+    c_lo, c_hi = c_ends[:, cells.size:]
+    hold = c_lo + c_hi - lip * (times[hi] - times[lo]) < 2.0 * tol.rank_tol
+    lo, hi = lo[hold], hi[hold]
+    if cells.size + lo.size == 0:
+        return []
 
     def cosines(t: np.ndarray) -> np.ndarray:
         return _cosines(matrix_at(prop, t, full=True), p)
@@ -266,8 +308,6 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
         sign_t = np.linalg.slogdet(state[..., p:2 * p + prop.dim_v, :])[0]
         return sign_t * _cosines(state, p)[..., -1]
 
-    ends = np.concatenate([cells, cells + 1])
-    f_ends = (sign[ends] * _cosines(prop.basis[ends], p)[:, -1]).reshape(2, -1)
     found = bracket_root(signed_cosine, times[cells], times[cells + 1], *f_ends,
                          xtol=tol.refine_tol)
     if lo.size:

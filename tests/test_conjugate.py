@@ -667,6 +667,24 @@ def test_witness_bonus_lattice(wcross):
         witness_checks(g, ct)
 
 
+@pytest.mark.parametrize("z0, x0, t_max", [
+    ([3.0], [1.0, 0.2, 0.3, 0.4], 2.8),     # lattice and transcendental witnesses
+    ([1.0], [0.0, 0.0, 0.0, 0.0], 13.0),    # lattice witnesses only
+])
+def test_witnesses_share_one_spectrum(heis5w, monkeypatch, z0, x0, t_max):
+    real_spectrum = conjugate_module.spectrum
+    calls = []
+
+    def spy(j, tol):
+        calls.append(j)
+        return real_spectrum(j, tol)
+
+    monkeypatch.setattr(conjugate_module, "spectrum", spy)
+    cts = conjugate_times(geo(heis5w, z0, x0), t_max, witnesses=True)
+    assert len(cts) >= 4 and all(ct.certificate is not None for ct in cts)
+    assert len(calls) == 1
+
+
 def test_build_jacobi_field_single(pheis3):
     g = geo(pheis3, [1.0], [1.0, 0.0])
     ct = conjugate_times(g, 10.0)[0]

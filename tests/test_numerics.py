@@ -20,6 +20,7 @@ from nilconj import (
 from nilconj.algebra import FIXTURE_NAMES
 from nilconj.cli import main
 from nilconj.numerics import (
+    _THETA,
     _expm_stack,
     bracket_root,
     cluster_scalars,
@@ -130,6 +131,38 @@ def test_expm_stack(algebras):
         exact = even(c) * np.eye(2) + odd(c) * j
         err = np.linalg.norm(_expm_stack(c * j) - exact, axis=(1, 2))
         assert np.all(err <= 1e-11 * np.linalg.norm(exact, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("m", sorted(_THETA))
+@pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_expm_stack_pade_degrees(m, side):
+    # a stack whose largest 1-norm lies just below (degree m) or just above
+    # (the next degree) theta_m; above theta_13 the degree-13 path squares once
+    top = _THETA[m] * side
+    rng = np.random.default_rng(m)
+    fractions = np.array([1.0, 0.5, 0.1, 1e-3])[:, None, None]
+    for d in (6, 10):
+        a = rng.standard_normal((4, d, d))
+        a *= top * fractions / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
+        for ai, ei in zip(a, _expm_stack(a)):
+            e = expm(ai)
+            assert np.linalg.norm(ei - e) <= 1e-14 * np.linalg.norm(e)
+    # 2 x 2 against the exact rotation (scipy's own expm errs by up to 4e-13
+    # relative on 2 x 2 stacks at theta_13)
+    j = j_map(fixture("heis3"), [1.0])
+    c = top * np.array([-1.0, -0.5, 0.25, 1e-3, 1.0])[:, None, None]
+    rotation = np.cos(c) * np.eye(2) + np.sin(c) * j
+    assert np.abs(_expm_stack(c * j) - rotation).max() <= 1e-15
+    # next to a matrix of 1-norm top, the zero matrix gives I and a dyadic A
+    # with A^2 = 0 gives I + A, exactly
+    unit = 2.0 ** np.floor(np.log2(top))
+    nil = np.zeros((3, 6, 6))
+    nil[0, 0, 5] = unit
+    nil[1, 2, 1] = -0.25 * unit
+    nil[2, 0, 3:] = unit * np.array([0.5, -0.25, 1.0])
+    e = _expm_stack(np.concatenate([nil, np.zeros((1, 6, 6)), top * np.eye(6)[None]]))
+    assert np.array_equal(e[:3], np.eye(6) + nil)
+    assert np.array_equal(e[3], np.eye(6))
 
 
 def test_grid_transport_exact_reference():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from nilconj import (
@@ -23,8 +25,14 @@ from nilconj import (
 )
 from nilconj import oracle
 from nilconj.cli import _random_geodesic
-from nilconj.numerics import bracket_root
-from nilconj.oracle import _cosines, _log_cosine_product, default_steps
+from nilconj.numerics import bracket_root, golden_min
+from nilconj.oracle import (
+    _cosines,
+    _log_cosine_product,
+    _step_transfers,
+    _transfer,
+    default_steps,
+)
 
 T_COT = 8.549564543061
 
@@ -153,6 +161,18 @@ def test_convergence_order(bicenter):
     ref = matrix_at(fine, ts)
     err = np.linalg.norm(matrix_at(coarse, ts) - ref, axis=(1, 2))
     assert np.all(err <= 1e-9 * np.linalg.norm(ref, axis=(1, 2)))
+
+
+def test_step_transfers_from_grid_transport(bicenter):
+    # the Gauss-point e^{tJ} of every step from one grid_transport equal the
+    # per-time exponentials they replace
+    g = geo(bicenter, [0.6, -0.8], [1.0, 0.5, -0.3])
+    h = 6.0 / default_steps(6.0)
+    n = 1560
+    grid = _step_transfers(g, h, n)
+    per_time = _transfer(g, None, h * np.arange(n), h)
+    err = np.linalg.norm(grid - per_time, axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.linalg.norm(per_time, axis=(1, 2)))
 
 
 def test_columns_are_frame_jacobi_fields(heis3):
@@ -308,6 +328,55 @@ def test_odd_multiplicities_refined_by_illinois(heis5w, monkeypatch):
     for (t, _), c in zip(found, closed):
         assert abs(t - c.t) <= DEFAULT_TOL.refine_tol
         assert t in illinois
+
+
+def _golden_spy(monkeypatch):
+    brackets = []
+
+    def spy(f, a, b, **kwargs):
+        brackets.extend(np.atleast_1d(a).tolist())
+        return golden_min(f, a, b, **kwargs)
+
+    monkeypatch.setattr(oracle, "golden_min", spy)
+    return brackets
+
+
+def test_decreasing_horizon_without_time_is_not_refined(heis3, monkeypatch):
+    # the scan falls toward 2 pi at the horizon, but the smallest cosine
+    # there is 0.77 and |A|_2 h is 5.5e-3: no time fits in the last cell
+    g = geo(heis3, [1.0], [0.0, 0.0])
+    prop = integrate_propagator(g, 5.0)
+    scan = _log_cosine_product(prop.basis, 1)[1]
+    assert scan[-1] < scan[-2]
+    brackets = _golden_spy(monkeypatch)
+    assert detect_conjugate(g, 5.0, prop=prop) == []
+    assert brackets == []
+
+
+def test_time_in_last_cell_is_refined(heis3, monkeypatch):
+    # 2 pi (multiplicity 2, no sign change) lies between the last two nodes
+    g = geo(heis3, [1.0], [0.0, 0.0])
+    t_max = 2.0 * np.pi + 1e-3
+    prop = integrate_propagator(g, t_max)
+    assert prop.times[-2] < 2.0 * np.pi
+    brackets = _golden_spy(monkeypatch)
+    found = detect_conjugate(g, t_max, prop=prop)
+    assert brackets == [prop.times[-2]]
+    assert len(found) == 1 and found[0][1] == 2
+    assert found[0][0] == pytest.approx(2.0 * np.pi, abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["heis3", "pheis3", "heis5w"]), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_smallest_cosine_is_lipschitz(name, seed, u, w):
+    # |sigma_min(t) - sigma_min(s)| <= |A|_2 |t - s|, the bound detect_conjugate
+    # uses to skip brackets
+    g = _random_geodesic(fixture(name), np.random.default_rng(seed))
+    prop = integrate_propagator(g, 6.0)
+    t, s = 6.0 * u, np.clip(6.0 * u + 0.3 * (w - 0.5), 0.0, 6.0)
+    c_t, c_s = _cosines(matrix_at(prop, np.array([t, s]), full=True), 1)[:, -1]
+    assert abs(c_t - c_s) <= np.linalg.norm(prop.system, 2) * abs(t - s) + 1e-14
 
 
 # ---------------------------------------------------------------------------
