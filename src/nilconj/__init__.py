@@ -23,7 +23,6 @@ from .algebra import (
 from .config import DEFAULT_TOL, Tolerances
 from .conjugate import (
     ConjugateTime,
-    attach_witnesses,
     build_jacobi_field,
     conjugacy_function,
     conjugate_times,
@@ -94,7 +93,7 @@ __all__ = [
     "bracket_v", "causal_character", "fixture", "inner", "inner_v", "inner_z",
     "j_map", "load_algebra", "serialize",
     "DEFAULT_TOL", "Tolerances",
-    "ConjugateTime", "attach_witnesses", "build_jacobi_field",
+    "ConjugateTime", "build_jacobi_field",
     "conjugacy_function", "conjugate_times",
     "lattice_times", "mixed_times", "polynomial_times",
     "AsymmetricBracketError", "CenterNotLineError", "DegenerateCenterError",

@@ -66,7 +66,6 @@ __all__ = [
     "conjugacy_function",
     "ConjugacySeries",
     "build_jacobi_field",
-    "attach_witnesses",
 ]
 
 
@@ -243,7 +242,8 @@ def _matrix_excess(geo: GeodesicSpec, t: float | np.ndarray) -> float | np.ndarr
     (exp(M) - I) v = M phi1(M) v = t x0, and <x0, M x0> = 0, so no term
     cancels against <x0, x0>.  The phi_k are the first block row of
     exp([[M, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0]) (Van Loan, IEEE TAC 23,
-    1978).  One stacked exponential and one batched solve serve every t.
+    1978).  One stacked exponential and one batched solve serve every t; a
+    phi1 the solve finds singular raises UnsupportedCaseError.
     """
     ts = np.asarray(t, dtype=float)
     q = geo.J.shape[0]
@@ -253,7 +253,11 @@ def _matrix_excess(geo: GeodesicSpec, t: float | np.ndarray) -> float | np.ndarr
     blocks[:, :3 * q, q:] += np.eye(3 * q)
     _, phi1, phi2, phi3 = np.split(_expm_stack(blocks)[:, :q], 4, axis=-1)
     y = m @ (m @ ((0.5 * phi2 - phi3) @ geo.x0)[..., None])
-    val = np.linalg.solve(phi1, y)[..., 0] @ (geo.alg.gram_v @ geo.x0)
+    try:
+        val = np.linalg.solve(phi1, y)[..., 0] @ (geo.alg.gram_v @ geo.x0)
+    except np.linalg.LinAlgError:
+        raise UnsupportedCaseError("phi1(-tJ) is singular to working precision, so the "
+                                   "excess has no matrix form here; use the oracle") from None
     return val.reshape(ts.shape) if ts.ndim else float(val[0])
 
 
@@ -374,11 +378,11 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
 
     x0 stands for x0 - K, without its flat factor (_flat_split).  Lattice
     times get the summed eigenspace multiplicity corrected by the membership
-    of x0 in im(exp(-tJ) - I): minus one when the pairing functional
-    <J x0, .> is nonzero on the matching kernel (in particular whenever x0 is
-    not in the image with a generic regular part), plus one when a preimage
-    v of t x0 satisfies <J x0, v> = <gdot, gdot>.  Entries with corrected
-    multiplicity zero are dropped.  On top of that, every root of
+    of x0 in im(exp(-tJ) - I), which holds iff x0 does not pair with the
+    matching kernel of lattice_match (the predicate of conjugacy_function's
+    PoleError): minus one when it pairs, plus one when a least-squares
+    preimage v of t x0 satisfies <J x0, v> = <gdot, gdot>.  Entries with
+    corrected multiplicity zero are dropped.  On top of that, every root of
     g(t) = <gdot, gdot> between consecutive poles contributes a simple
     conjugate time.
     """
@@ -392,18 +396,18 @@ def _mixed_times(geo: GeodesicSpec, t_max: float, tol: Tolerances,
                  spec: Spectrum) -> list[ConjugateTime]:
     geo = _flat_split(geo, spec, tol)
     poles = _distinct_lattice_times(spec, t_max, tol)
-    gjx = geo.alg.gram_v @ (geo.J @ geo.x0)
+    gx = geo.alg.gram_v @ geo.x0
     out = []
     for t in poles:
         total, kernel = lattice_match(spec, t, tol)
-        member, v = image_membership(geo.J, t, geo.x0, geo.alg.gram_v, tol)
-        if member:
+        if pairs_nonzero(kernel, gx, tol):   # x0 is not in the image: a pole of g
+            mult = total - 1
+        else:   # a preimage v of t x0 adds one where <J x0, v> = <gdot, gdot>
+            op = _expm_stack(-t * geo.J[None])[0] - np.eye(geo.alg.dim_v)
+            v = np.linalg.lstsq(op, t * geo.x0, rcond=None)[0]
             pairing = inner_v(geo.alg, geo.J @ geo.x0, v)
-            speed_scale = 1.0 + abs(geo.speed) + abs(pairing)
-            bonus = abs(pairing - geo.speed) <= tol.speed_eq_rel * speed_scale
-            mult = total + 1 if bonus else total
-        else:
-            mult = total - 1 if pairs_nonzero(kernel, gjx, tol) else total
+            scale = 1.0 + abs(geo.speed) + abs(pairing)
+            mult = total + 1 if abs(pairing - geo.speed) <= tol.speed_eq_rel * scale else total
         if mult > 0:
             out.append(ConjugateTime(t, mult, "lattice"))
     # g(t) = <gdot, gdot> is excess(t) = <z0, z0>, since g(0) = <x0, x0>
@@ -518,9 +522,3 @@ def build_jacobi_field(geo: GeodesicSpec, ct: ConjugateTime, tol: Tolerances = D
         return _lattice_witness(geo, ct.t, tol, spec)
     return _transcendental_witness(geo, ct.t, tol, spec)
 
-
-def attach_witnesses(geo: GeodesicSpec, cts: list[ConjugateTime],
-                     tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
-    spec = spectrum(geo.J, tol)
-    return [dataclasses.replace(ct, certificate=build_jacobi_field(geo, ct, tol, spec))
-            for ct in cts]

@@ -189,8 +189,10 @@ def geodesic_point(geo: GeodesicSpec, t: float) -> AlgebraElement:
     [0, t]: row q of the integral is (X(t), 0), and the bracket contracts its
     leading block to 2 int [X(s), exp(sJ) x0] ds = 4 (Z(t) - t z0).  Only the
     antisymmetric part of u w^T reaches the bracket, so the lift grows like
-    exp(rate t), not like its square.
+    exp(rate t), not like its square.  A straight line (J = 0) is (t z0, t x0).
     """
+    if not geo.J.any():
+        return AlgebraElement(t * geo.z0, t * geo.x0)
     q = geo.alg.dim_v
     n = q + 1
     a = np.zeros((n, n))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import HEIS3Z2
+from conftest import CPLX, HEIS3Z2
 from nilconj import DEFAULT_TOL
 from nilconj.cli import main
 
@@ -274,6 +274,19 @@ def test_lattice_horizon_bound_exit_2(capsys, x0):
                        "--tmax", "1e12")
     assert code == 2
     assert "error: ParseError" in err and "lattice times" in err
+
+
+def test_singular_matrix_excess_exits_2(tmp_path, capsys):
+    # a CPLX draw (default_rng(5), the second) whose phi1 solve goes singular
+    # at t_max 20: a typed error and exit 2, not a traceback and exit 1
+    path = tmp_path / "cplx.json"
+    path.write_text(CPLX)
+    code, out, err = run(capsys, "conjugate", "--algebra", str(path),
+                         "--z0", "1.4991761150650715",
+                         "--x0=0.16925186492508576,-0.7652751888713364,"
+                         "-0.5945994830625585,0.992805037490792", "--tmax", "20")
+    assert code == 2
+    assert "error: UnsupportedCaseError" in err and "Traceback" not in out + err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Closed-form conjugate times: all branches, frozen values, witnesses."""
 
+import contextlib
 import dataclasses
 import json
 
@@ -13,6 +14,7 @@ from nilconj import (
     ConjugateTime,
     GeodesicSpec,
     InsufficientSamplesError,
+    NilconjError,
     ParseError,
     PoleError,
     UnsupportedCaseError,
@@ -572,6 +574,41 @@ def test_mixed_multiplicity_bounds(heis3, heis5w):
         g = geo(alg, [1.0], x0)
         for ct in conjugate_times(g, 13.0):
             assert 1 <= ct.multiplicity <= alg.dim_v
+
+
+def test_mixed_long_horizon_lattice_multiplicity(heis3):
+    # x0 = (0.3, 1) is generic, so it pairs with the lattice kernel at every
+    # pole and each keeps 2 - 1 = 1.  A rank test on scipy's exp(-tJ) - I read
+    # 2 from t = 2 pi 1305 on, where that matrix errs by the rank_rel cut.
+    cts = conjugate_times(geo(heis3, [1.0], [0.3, 1.0]), 1e4)
+    lattice = [ct.multiplicity for ct in cts if ct.branch == "lattice"]
+    assert len(lattice) == 1591
+    assert set(lattice) == {1}
+
+
+def test_mixed_poles_without_preimage_take_no_exponential(heis3, monkeypatch):
+    # the pairing with lattice_match's kernel decides a pole where x0 has no
+    # preimage: no membership solve and no exponential per pole
+    calls = []
+    for name in ("image_membership", "_expm_stack"):
+        def spy(*args, _real=getattr(conjugate_module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(conjugate_module, name, spy)
+    cts = mixed_times(geo(heis3, [1.0], [0.3, 1.0]), 2000.0)
+    assert sum(ct.branch == "lattice" for ct in cts) == 318
+    assert calls == []
+
+
+@pytest.mark.parametrize("t_max", [20.0, 30.0])
+def test_cplx_long_horizon_raises_typed_errors(cplx, t_max):
+    # the matrix form's phi1 solve goes singular on some of these draws (3 at
+    # t_max 20, 13 at 30); each draw returns or raises a NilconjError, never
+    # numpy's LinAlgError
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        with contextlib.suppress(NilconjError):
+            conjugate_times(_random_geodesic(cplx, rng), t_max)
 
 
 def test_merge_matches_all_pairs_rule(heis3, monkeypatch):

@@ -244,6 +244,16 @@ def test_geodesic_point_straight_and_central(heis5w):
     assert geodesic_point(geo, 0.0).coords() == pytest.approx(np.zeros(5))
 
 
+@pytest.mark.parametrize("name, x0", [("pheis3", [0.6, -1.3]),
+                                      ("heis5w", [0.3, -0.2, 1.0, 0.4])])
+def test_geodesic_point_straight_is_exact(name, x0, request):
+    # J = 0: X(t) = t x0 and Z(t) = t z0, since [s x0, x0] = 0
+    geo = GeodesicSpec(request.getfixturevalue(name), [0.0], x0)
+    for t in (0.7, 3.0, 41.0):
+        pt = geodesic_point(geo, t)
+        assert np.array_equal(pt.v, t * np.asarray(x0)) and np.array_equal(pt.z, [0.0])
+
+
 # ---------------------------------------------------------------------------
 # sampled frame fields
 
