@@ -31,6 +31,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     CenterNotLineError,
     NoConjugateError,
+    NotDiagonalizableError,
     NotInImageError,
     ParseError,
     PoleError,
@@ -47,7 +48,6 @@ from .numerics import (
     null_space_basis,
 )
 from .spectral import (
-    EigenComponents,
     Spectrum,
     center_coupling,
     eigen_components,
@@ -175,68 +175,67 @@ def _lattice_times(geo: GeodesicSpec, t_max: float, tol: Tolerances,
 _TAYLOR_CUT = 1e-2   # |u| below which the excess terms use their Taylor polynomial
 
 
-def _excess(u: np.ndarray, sign: float) -> np.ndarray:
-    """u cot u - 1 (sign -1) or u coth u - 1 (sign +1), elementwise.
+def _excess(u: np.ndarray) -> np.ndarray:
+    """u coth u - 1, elementwise over complex u.
 
-    Both are w/3 - w^2/45 + 2 w^3/945 - ... in w = sign u^2, which below the
-    cut is exact to rounding where the closed form would cancel against 1.
+    It is w/3 - w^2/45 + 2 w^3/945 - ... in w = u^2, which below the cut is
+    exact to rounding where the closed form would cancel against 1.
     """
-    w = sign * u * u
-    far = u * np.cos(u) / np.sin(u) if sign < 0.0 else u / np.tanh(u)
-    return np.where(np.abs(u) < _TAYLOR_CUT, w * (1.0 / 3.0 - w * (1.0 / 45.0 - w * 2.0 / 945.0)),
-                    far - 1.0)
+    w = u * u
+    return np.where(np.abs(u) < _TAYLOR_CUT, w * (1.0 / 3.0 - w * (1.0 / 45.0 - w * (2.0 / 945.0))),
+                    u / np.tanh(u) - 1.0)
 
 
-def _dexcess(u: np.ndarray, sign: float) -> np.ndarray:
-    """d/du of _excess: cot u - u (1 + cot^2 u) or coth u - u (coth^2 u - 1)."""
-    w = sign * u * u
-    c = np.cos(u) / np.sin(u) if sign < 0.0 else 1.0 / np.tanh(u)
+def _dexcess(u: np.ndarray) -> np.ndarray:
+    """d/du of _excess: coth u - u (coth^2 u - 1)."""
+    w = u * u
+    c = 1.0 / np.tanh(u)
     return np.where(np.abs(u) < _TAYLOR_CUT,
-                    2.0 * sign * u * (1.0 / 3.0 - w * (2.0 / 45.0 - w * 2.0 / 315.0)),
-                    c - u * (c * c - sign))
+                    u * (2.0 / 3.0 - w * (4.0 / 45.0 - w * (4.0 / 315.0))),
+                    c - u * (c * c - 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugacySeries:
-    """excess(t) = g(t) - <x0, x0> for a diagonalizable J, with u = rate t / 2:
+    """excess(t) = g(t) - <x0, x0> for a J with an eigenbasis, with u = lambda t / 2:
 
-    excess(t) = sum <A,A> (u cot u - 1) + sum <B,B> (u coth u - 1)
+    excess(t) = Re sum w (u coth u - 1),  w = (x0^T G V) o (V^-1 x0)
 
-    over the rotating (A) and boosting (B) lines.  Term by term, the excess
+    over the eigenvalues lambda of J = V diag(lambda) V^-1.  A rotating line
+    of rate r is lambda = +-i r, where u coth u = (rt/2) cot(rt/2); a boosting
+    line is lambda = +-r; ker J adds exactly 0.  Term by term, the excess
     keeps its relative accuracy near a straight geodesic, where it is much
-    smaller than <x0, x0>.  The methods act elementwise on arrays of t and
-    return a float for a scalar t; they silence the 0/0 of the branch
-    np.where discards at u = 0.
+    smaller than <x0, x0>.  The methods act elementwise on arrays of t (an
+    array gives bit for bit the values of scalar calls) and return a float
+    for a scalar t; they silence the 0/0 of the branch np.where discards.
     """
 
-    neg: tuple[tuple[float, float], ...]   # (rate, <A,A>) per rotating line
-    pos: tuple[tuple[float, float], ...]   # (rate, <B,B>) per boosting line
+    h: np.ndarray        # lambda / 2 per eigenvalue
+    weight: np.ndarray   # w per eigenvalue
 
     @classmethod
-    def of(cls, alg: MetricLieAlgebra, comps: EigenComponents) -> "ConjugacySeries":
-        return cls(tuple((lam, inner_v(alg, a, a)) for lam, a in comps.neg),
-                   tuple((lam, inner_v(alg, b, b)) for lam, b in comps.pos))
+    def of(cls, alg: MetricLieAlgebra, spec: Spectrum, x0: np.ndarray) -> "ConjugacySeries":
+        if spec.eigenbasis is None:
+            raise NotDiagonalizableError("the conjugacy series needs an eigenbasis of J")
+        lam, vecs = spec.eigenbasis
+        return cls(0.5 * lam, (x0 @ alg.gram_v @ vecs) * np.linalg.solve(vecs, x0))
 
-    def _sum(self, t: float | np.ndarray, fn, order: int) -> float | np.ndarray:
-        """sum of weight * h^order * fn(h t, sign) over the lines, h = rate / 2."""
+    def _sum(self, t: float | np.ndarray, fn, coef: np.ndarray) -> float | np.ndarray:
+        """Re sum of coef * fn(h t) over the eigenvalues."""
         t = np.asarray(t, dtype=float)
-        val = np.zeros(t.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for sign, lines in ((-1.0, self.neg), (1.0, self.pos)):
-                for lam, w in lines:
-                    h = 0.5 * lam
-                    val = val + w * h ** order * fn(h * t, sign)
+            val = (coef * fn(t[..., None] * self.h)).real.sum(-1)
         return val if val.ndim else float(val)
 
     def excess(self, t: float | np.ndarray) -> float | np.ndarray:
-        return self._sum(t, _excess, 0)
+        return self._sum(t, _excess, self.weight)
 
     def derivative(self, t: float | np.ndarray) -> float | np.ndarray:
-        return self._sum(t, _dexcess, 1)
+        return self._sum(t, _dexcess, self.weight * self.h)
 
 
 def _matrix_excess(geo: GeodesicSpec, t: float | np.ndarray) -> float | np.ndarray:
-    """excess(t) = <x0, phi1(M)^-1 M^2 (phi2(M) / 2 - phi3(M)) x0> for any J, M = -tJ.
+    """excess(t) = <x0, phi1(M)^-1 M^2 (phi2(M) / 2 - phi3(M)) x0>, M = -tJ, for a defective J.
 
     phi_k(M) = sum_j M^j / (j + k)!; g = <J x0, v> = <x0, phi1(M)^-1 x0> as
     (exp(M) - I) v = M phi1(M) v = t x0, and <x0, M x0> = 0, so no term
@@ -262,10 +261,10 @@ def _matrix_excess(geo: GeodesicSpec, t: float | np.ndarray) -> float | np.ndarr
 
 
 def _excess_of(geo: GeodesicSpec, spec: Spectrum):
-    """t -> excess(t): the series where J has the real-split certificate (on a
-    boosting line at large t the only accurate form), else the matrix form."""
-    if spec.diagonalizable:
-        return ConjugacySeries.of(geo.alg, eigen_components(spec, geo.x0)).excess
+    """t -> excess(t): the series where J has an eigenbasis (on a boosting line or
+    a complex spectrum at large t the only accurate form), else the matrix form."""
+    if spec.eigenbasis is not None:
+        return ConjugacySeries.of(geo.alg, spec, geo.x0).excess
     return lambda t: _matrix_excess(geo, t)
 
 

@@ -4,9 +4,8 @@ For a one-dimensional nondegenerate center with unit vector z (sign
 eps = <z,z>), a straight horizontal geodesic with velocity x0 has its first
 conjugate point at t = 2 sqrt(3) / Delta, where
 
-    Delta^2 = sum_l lambda_l^2 eps <B_l,B_l> - sum_k lambda_k^2 eps <A_k,A_k>
+    Delta^2 = eps <x0, J_z^2 x0> = -eps <J_z x0, J_z x0>.
 
-over the real-rate (B) and imaginary-rate (A) components of x0 under J_z.
 No conjugate point exists unless Delta^2 > 0.  The tubular neighborhood is
 traced by the ray family gdot_a = a z + x0, following the root t(a) of the
 scalar conjugacy equation away from a = 0 by a predictor-corrector
@@ -20,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra, j_map
+from .algebra import MetricLieAlgebra, inner_v, j_map
 from .config import DEFAULT_TOL, Tolerances
 from .conjugate import ConjugacySeries, _scan_roots, polynomial_times
 from .errors import (CenterNotLineError, NoConjugateError, ParseError, RootLostError,
                      UnsupportedCaseError)
 from .geometry import GeodesicSpec, geodesic_point
-from .spectral import Spectrum, eigen_components, spectrum
+from .spectral import Spectrum, spectrum
+from .spectral import eigen_components  # unused; perfbench/layers.py wraps it here
 
 __all__ = [
     "LocusSample",
@@ -55,28 +55,19 @@ class LocusSample:
     delta: float
 
 
-def _unit_center(alg: MetricLieAlgebra) -> tuple[np.ndarray, float]:
+def _unit_center(alg: MetricLieAlgebra) -> tuple[np.ndarray, np.ndarray, float]:
+    """The unit center vector z, its J and the sign eps = <z, z>."""
     if alg.dim_center != 1:
         raise CenterNotLineError("this construction requires a one-dimensional center")
     g = float(alg.gram_center[0, 0])
-    return np.array([1.0 / np.sqrt(abs(g))]), float(np.sign(g))
+    zu = np.array([1.0 / np.sqrt(abs(g))])
+    return zu, j_map(alg, zu), float(np.sign(g))
 
 
-def _unit_spectrum(alg: MetricLieAlgebra, tol: Tolerances) -> tuple[Spectrum, float]:
-    """Spectrum of the unit-center J, and the center sign eps."""
-    zu, eps = _unit_center(alg)
-    return spectrum(j_map(alg, zu), tol), eps
-
-
-def _tilt_series(alg: MetricLieAlgebra, spec: Spectrum, x0: np.ndarray) -> ConjugacySeries:
-    """Conjugacy series of x0 under the J of spec; NotDiagonalizableError when defective."""
-    return ConjugacySeries.of(alg, eigen_components(spec, x0))
-
-
-def _rate(series: ConjugacySeries, eps: float, tol: Tolerances) -> float:
-    """Delta from the series' signed squared-rate sum; NoConjugateError unless positive."""
-    d2 = (sum(lam * lam * eps * b2 for lam, b2 in series.pos)
-          - sum(lam * lam * eps * a2 for lam, a2 in series.neg))
+def _rate(alg: MetricLieAlgebra, ju: np.ndarray, eps: float, x0: np.ndarray,
+          tol: Tolerances) -> float:
+    """Delta from Delta^2 = eps <x0, J_u^2 x0>; NoConjugateError unless positive."""
+    d2 = eps * inner_v(alg, x0, ju @ (ju @ x0))
     if d2 <= tol.zero_rel:
         raise NoConjugateError("signed squared-rate sum is not positive; "
                                "no conjugate point on this straight geodesic")
@@ -91,8 +82,8 @@ def conjugate_rate(alg: MetricLieAlgebra, x0: np.ndarray,
     straight geodesic has no conjugate points at all).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    spec, eps = _unit_spectrum(alg, tol)
-    return _rate(_tilt_series(alg, spec, x0), eps, tol)
+    _, ju, eps = _unit_center(alg)
+    return _rate(alg, ju, eps, x0, tol)
 
 
 def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
@@ -109,13 +100,13 @@ def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
     if method not in ("delta", "general"):
         raise ParseError(f"unknown method {method!r}")
     if method == "delta":
-        spec, eps = _unit_spectrum(alg, tol)   # one J for every direction
+        _, ju, eps = _unit_center(alg)   # one J for every direction
     out = []
     for direction in directions:
         x0 = np.asarray(direction, dtype=float).reshape(-1)
         if method == "delta":
             try:
-                delta = _rate(_tilt_series(alg, spec, x0), eps, tol)
+                delta = _rate(alg, ju, eps, x0, tol)
             except NoConjugateError:
                 continue
             t = _2SQRT3 / delta
@@ -132,15 +123,15 @@ def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
     return out
 
 
-def _track_root(series: ConjugacySeries, eps: float, s: float, predictor: float,
-                tol: Tolerances) -> float:
+def _track_root(series: ConjugacySeries, spec: Spectrum, eps: float, s: float,
+                predictor: float, tol: Tolerances) -> float:
     """Root of excess(s t) = s^2 eps nearest the predictor; Newton, root-scan fallback.
 
     This is the scan's equation excess(t) = <z0, z0> for z0 = s z, <z, z> = eps.
     When Newton leaves the trust window or stalls, the first root that the
     closed forms' root scan finds in the window is taken instead; the scan
     splits the window at the poles of the series, t = 2 pi k / (rate s) on a
-    rotating line, so a sign change across a pole is not a root.
+    rotating line of spec, so a sign change across a pole is not a root.
     """
 
     def f(t: float | np.ndarray) -> float | np.ndarray:
@@ -158,9 +149,9 @@ def _track_root(series: ConjugacySeries, eps: float, s: float, predictor: float,
         if abs(t_new - t) <= tol.bisect_tol * max(1.0, t):
             return t_new
         t = t_new
-    turns_per_t = [lam * s / (2.0 * np.pi) for lam, _ in series.neg]
+    turns_per_t = [line.rate * s / (2.0 * np.pi) for line in spec.neg]
     poles = [k / c for c in turns_per_t for k in range(int(lo * c) + 1, int(hi * c) + 1)]
-    rate = s * max((lam for lam, _ in series.neg), default=0.0)
+    rate = s * max((line.rate for line in spec.neg), default=0.0)
     roots = _scan_roots(f, poles, lo, hi, rate, s * s, tol)
     if not roots:
         raise RootLostError(f"continuation lost the conjugate-time root at a = {s}")
@@ -176,15 +167,15 @@ def continuation(alg: MetricLieAlgebra, x0: np.ndarray, a_grid: list[float],
     sample's geodesic has speed <x0,x0> + a^2 eps.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    zu, _ = _unit_center(alg)
-    spec, eps = _unit_spectrum(alg, tol)
-    series = _tilt_series(alg, spec, x0)
-    delta = _rate(series, eps, tol)    # rejects Delta <= 0 up front
+    zu, ju, eps = _unit_center(alg)
+    delta = _rate(alg, ju, eps, x0, tol)    # rejects Delta <= 0 up front
+    spec = spectrum(ju, tol)
+    series = ConjugacySeries.of(alg, spec, x0)
     t_limit = _2SQRT3 / delta
     track: dict[float, float] = {0.0: t_limit}
     for s in sorted({abs(float(a)) for a in a_grid if a != 0.0}):
         predictor = track[max(k for k in track if k < s)]
-        track[s] = _track_root(series, eps, s, predictor, tol)
+        track[s] = _track_root(series, spec, eps, s, predictor, tol)
     out = []
     for a in a_grid:
         a = float(a)

@@ -1,9 +1,10 @@
 """Spectral analysis of the skew-adjoint operators on the complement.
 
 Covers the splitting of the squared operator into negative / positive / zero
-eigenvalue parts, kernels of exp(tJ) - I restricted to the invertible part,
-image membership with preimages, and the coupling operator on the center
-induced by a fixed complement vector.
+eigenvalue parts, the complex eigenbasis of J where it has one, kernels of
+exp(tJ) - I restricted to the invertible part, image membership with
+preimages, and the coupling operator on the center induced by a fixed
+complement vector.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class EigenLine:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Real spectral data of J^2 on the complement."""
+    """Spectral data of J on the complement: the real lines of J^2 and J's eigenbasis."""
 
     neg: tuple[EigenLine, ...]
     pos: tuple[EigenLine, ...]
@@ -53,6 +54,7 @@ class Spectrum:
     complex_dim: int          # eigenvalues of J off both axes (diagnostic only)
     diagonalizable: bool      # plain eigenspaces are independent and span (real split certificate)
     dim_v: int
+    eigenbasis: Optional[tuple[np.ndarray, np.ndarray]]   # (lambda, V): J V = V diag(lambda)
 
 
 def spectrum(j: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
@@ -61,15 +63,18 @@ def spectrum(j: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     Eigenvalues are taken from J, not J^2, for better conditioning when J is
     defective; purely imaginary ones feed the negative list of J^2, purely
     real nonzero ones the positive list.  Eigenspace bases and multiplicities
-    come from rank-revealing factorizations of J^2 -+ lambda^2 I.  Every
-    decision is taken on J scaled by a power of two to unit size, an exact
-    scaling, so it does not depend on the size of J; the rates are scaled back.
+    come from rank-revealing factorizations of J^2 -+ lambda^2 I.  J's complex
+    eigenbasis is kept where its unit columns have a smallest singular value
+    above rank_rel (None for a defective J).  Every decision is taken on J
+    scaled by a power of two to unit size, an exact scaling, so it does not
+    depend on the size of J; the eigenvalues are scaled back.
     """
     j = np.asarray(j, dtype=float)
     q = j.shape[0]
     unit = 2.0 ** math.frexp(float(np.abs(j).max(initial=0.0)))[1]
     j = j / unit
-    w = np.linalg.eigvals(j)
+    w, vecs = np.linalg.eig(j)
+    basis_kept = np.linalg.svd(vecs, compute_uv=False).min(initial=1.0) > tol.rank_rel
     scale = float(np.abs(w).max()) if w.size else 0.0
     thr = tol.cluster_rel * scale
     neg_rates: list[float] = []
@@ -110,6 +115,7 @@ def spectrum(j: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
         complex_dim=complex_dim,
         diagonalizable=bool(split),
         dim_v=q,
+        eigenbasis=(w * unit, vecs) if basis_kept else None,
     )
 
 

@@ -81,7 +81,7 @@ PHYP = json.dumps({
 })
 
 # J(1) has the complex spectrum +-1.38678 +- 2.81175i: no real-split
-# certificate, so mixed geodesics take the scan's non-diagonalizable fallback.
+# certificate, but an eigenbasis, so mixed geodesics take the complex series.
 CPLX = json.dumps({
     "name": "cplx",
     "dim_center": 1,

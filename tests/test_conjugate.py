@@ -1,6 +1,5 @@
 """Closed-form conjugate times: all branches, frozen values, witnesses."""
 
-import contextlib
 import dataclasses
 import json
 
@@ -14,7 +13,6 @@ from nilconj import (
     ConjugateTime,
     GeodesicSpec,
     InsufficientSamplesError,
-    NilconjError,
     ParseError,
     PoleError,
     UnsupportedCaseError,
@@ -340,8 +338,7 @@ def test_matrix_excess_matches_series(name, request):
     rng = np.random.default_rng(21)
     for _ in range(20):
         g = geo(alg, rng.uniform(0.5, 1.5, 1), rng.standard_normal(alg.dim_v))
-        series = conjugate_module.ConjugacySeries.of(
-            alg, eigen_components(spectrum(g.J), g.x0)).excess
+        series = conjugate_module.ConjugacySeries.of(alg, spectrum(g.J), g.x0).excess
         ts = rng.uniform(0.05, 8.0, 5)
         assert matrix_excess(g, ts) == pytest.approx(series(ts), rel=1e-11)
 
@@ -350,8 +347,59 @@ def test_matrix_excess_short_time(heis3):
     # excess(t) = -t^2 <J x0, J x0> / 12 + O(t^4): no cancellation against <x0, x0>
     g = geo(heis3, [1.0], [1.0, 0.0])
     assert matrix_excess(g, 1e-9) == pytest.approx(-1e-18 / 12.0, rel=1e-11)
-    series = conjugate_module.ConjugacySeries.of(heis3, eigen_components(spectrum(g.J), g.x0))
+    series = conjugate_module.ConjugacySeries.of(heis3, spectrum(g.J), g.x0)
     assert matrix_excess(g, 1e-9) == pytest.approx(series.excess(1e-9), rel=1e-11)
+
+
+def test_matrix_excess_singular_phi1_raises_typed_error(heis3, monkeypatch):
+    # safety branch: a phi1 that the solve finds singular raises
+    # UnsupportedCaseError, not numpy's LinAlgError
+    real = conjugate_module._expm_stack
+
+    def zero_phi1(blocks):
+        out = real(blocks)
+        out[:, :2, 2:4] = 0.0
+        return out
+
+    monkeypatch.setattr(conjugate_module, "_expm_stack", zero_phi1)
+    with pytest.raises(UnsupportedCaseError):
+        matrix_excess(geo(heis3, [1.0], [1.0, 0.0]), np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("t", [9.0, 13.0, 20.0, 30.0])
+def test_series_excess_matches_high_precision_on_cplx(cplx, t):
+    # reference: the membership solve of the test above in 80 digits.  The
+    # matrix form erred by up to 3.6e-3 relative at t = 20 and raised at t = 30.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 80
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        x0 = rng.standard_normal(4)
+        g = geo(cplx, [1.0], x0 / np.linalg.norm(x0))
+        j, x, gram = (mpmath.matrix(a.tolist()) for a in (g.J, g.x0, cplx.gram_v))
+        op = mpmath.expm(-t * j, method="taylor") - mpmath.eye(4)
+        v = mpmath.lu_solve(op, t * x)
+        ref = ((j * x).T * gram * v)[0] - (x.T * gram * x)[0]
+        series = conjugate_module.ConjugacySeries.of(cplx, spectrum(g.J), g.x0)
+        assert series.excess(t) == pytest.approx(float(ref), rel=1e-13)
+
+
+def test_only_a_refused_eigenbasis_takes_the_matrix_form(request, monkeypatch):
+    # every fixture with a line center keeps its eigenbasis but nilpj, whose
+    # nilpotent J has none; only nilpj's excess comes from the matrix form
+    reached = []
+    real = conjugate_module._matrix_excess
+    monkeypatch.setattr(conjugate_module, "_matrix_excess",
+                        lambda g, t: reached.append(g.alg.name) or real(g, t))
+    names = ["heis3", "pheis3", "heis5w", "heis4deg", "nilpj", "wcross", "phyp", "cplx"]
+    rng = np.random.default_rng(9)
+    for name in names:
+        alg = request.getfixturevalue(name)
+        for _ in range(5):
+            g = geo(alg, [rng.uniform(0.5, 1.5)], rng.standard_normal(alg.dim_v))
+            assert (spectrum(g.J).eigenbasis is None) == (name == "nilpj")
+            conjugacy_function(g, np.array([0.3, 1.1, 2.7]))
+    assert set(reached) == {"nilpj"}
 
 
 def test_conjugacy_function_array_equals_scalar_calls_on_cplx(cplx):
@@ -403,13 +451,13 @@ def test_mixed_scaling_covariance(heis3):
 
 
 def test_mixed_times_without_closed_series(heis5w, monkeypatch):
-    # Without the real-split certificate the root scan samples the matrix
-    # form of the excess; it must find the series' roots.
+    # Without an eigenbasis the root scan samples the matrix form of the
+    # excess; it must find the series' roots.
     g = geo(heis5w, [3.0], [1.0, 0.2, 0.3, 0.4])
     closed = conjugate_times(g, 7.0)
     real_spectrum = conjugate_module.spectrum
     monkeypatch.setattr(conjugate_module, "spectrum", lambda j, tol: dataclasses.replace(
-        real_spectrum(j, tol), diagonalizable=False))
+        real_spectrum(j, tol), diagonalizable=False, eigenbasis=None))
     numeric = conjugate_times(g, 7.0)
     assert sum(ct.branch == "transcendental" for ct in closed) >= 3
     assert ([(ct.multiplicity, ct.branch, ct.tangent) for ct in numeric]
@@ -543,7 +591,7 @@ def _wcross_tangent(wcross, lo, hi, sign):
     # value m at s in (lo, hi), so z0 = sqrt(m) makes t* = s / z0 a double root.
     x0 = np.array([0.3, 0.0, 1.0, 0.0])
     spec = spectrum(geo(wcross, [1.0], x0).J)
-    series = conjugate_module.ConjugacySeries.of(wcross, eigen_components(spec, x0))
+    series = conjugate_module.ConjugacySeries.of(wcross, spec, x0)
     s, _ = golden_min(lambda t: sign * series.excess(t), lo, hi, xtol=1e-12)
     z0 = np.sqrt(series.excess(s))
     return geo(wcross, [z0], x0), s / z0
@@ -600,15 +648,19 @@ def test_mixed_poles_without_preimage_take_no_exponential(heis3, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("t_max", [20.0, 30.0])
-def test_cplx_long_horizon_raises_typed_errors(cplx, t_max):
-    # the matrix form's phi1 solve goes singular on some of these draws (3 at
-    # t_max 20, 13 at 30); each draw returns or raises a NilconjError, never
-    # numpy's LinAlgError
+@pytest.mark.parametrize("t_max, scale, draws", [(20.0, 1.0, 40), (30.0, 1.0, 40), (13.0, 2.0, 60)],
+                         ids=["20.0", "30.0", "z0x2-13.0"])
+def test_cplx_draws_match_oracle(cplx, t_max, scale, draws):
+    # the matrix form's phi1 solve went singular on 3, 13 and 12 of these
+    # draws, and it reported times that do not exist: 19.2388 and 19.3012 at
+    # z0 = -1.358 (t_max 20); 9.3857, 11.5781 and 12.4260 at z0 = -1.986,
+    # where it missed 9.3848 (z0 doubled); the series matches the oracle
     rng = np.random.default_rng(5)
-    for _ in range(40):
-        with contextlib.suppress(NilconjError):
-            conjugate_times(_random_geodesic(cplx, rng), t_max)
+    for _ in range(draws):
+        g = _random_geodesic(cplx, rng)
+        g = geo(cplx, scale * g.z0, g.x0)
+        report = compare(conjugate_times(g, t_max), detect_conjugate(g, t_max))
+        assert report.ok, (g.z0, g.x0, report)
 
 
 def test_merge_matches_all_pairs_rule(heis3, monkeypatch):

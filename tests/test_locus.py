@@ -74,6 +74,21 @@ def test_sample_locus_methods_agree(pheis3):
         assert sa.point == pytest.approx(sb.point, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["cplx", "nilpj"])
+def test_sample_locus_methods_agree_without_real_split(request, name):
+    # Delta^2 = eps <x0, J^2 x0> needs no eigenspaces: the delta method once
+    # raised NotDiagonalizableError on a complex (cplx) or defective (nilpj) J
+    alg = request.getfixturevalue(name)
+    rng = np.random.default_rng(31)
+    dirs = [rng.standard_normal(alg.dim_v) for _ in range(12)]
+    a = sample_horizontal_locus(alg, dirs, method="delta")
+    b = sample_horizontal_locus(alg, dirs, method="general")
+    assert len(a) == len(b) > 0
+    for sa, sb in zip(a, b):
+        assert sa.t == pytest.approx(sb.t, rel=1e-10)
+        assert sa.point == pytest.approx(sb.point, rel=1e-10, abs=1e-12)
+
+
 def test_sample_locus_unknown_method(pheis3):
     with pytest.raises(ValueError):
         sample_horizontal_locus(pheis3, [np.array([1.0, 0.0])], method="bogus")

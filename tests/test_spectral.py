@@ -1,5 +1,7 @@
 """Spectral layer: eigensplitting, lattice kernels, membership, coupling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -227,9 +229,7 @@ def test_eigen_components_reconstruct(heis5w):
 
 def test_eigen_components_requires_certificate(heis3):
     spec = spectrum(j_map(heis3, [1.0]))
-    fake = spec.__class__(neg=spec.neg, pos=spec.pos, zero_mult=spec.zero_mult,
-                          zero_basis=spec.zero_basis, complex_dim=spec.complex_dim,
-                          diagonalizable=False, dim_v=spec.dim_v)
+    fake = dataclasses.replace(spec, diagonalizable=False)
     with pytest.raises(NotDiagonalizableError):
         eigen_components(fake, np.array([1.0, 0.0]))
 
