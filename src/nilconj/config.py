@@ -5,13 +5,16 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .errors import ParseError
+
 
 @dataclass(frozen=True)
 class Tolerances:
     """Default tolerances used across the modules.
 
     Every knob is documented where it is consumed; ratios are relative to a
-    problem scale unless the name says otherwise.
+    problem scale unless the name says otherwise.  Each must be finite and
+    nonnegative (ParseError).
     """
 
     block_det_rel: float = 1e-10  # Gram block nondegeneracy: sigma_min > rel * sigma_max
@@ -26,6 +29,11 @@ class Tolerances:
     match_tol: float = 1e-5       # closed form vs oracle time matching (absolute)
     ortho_rel: float = 1e-8       # image-membership orthogonality and residual scale
     speed_eq_rel: float = 1e-9    # equality test <J x0, v> == <gdot, gdot>
+
+    def __post_init__(self) -> None:
+        for name, value in self.as_dict().items():
+            if not 0.0 <= value < float("inf"):
+                raise ParseError(f"tolerance {name} must be finite and nonnegative, got {value:g}")
 
     def replace(self, **kwargs: float) -> "Tolerances":
         return dataclasses.replace(self, **kwargs)

@@ -50,12 +50,12 @@ from .numerics import (
 from .spectral import (
     Spectrum,
     center_coupling,
-    eigen_components,
     image_membership,
     lattice_match,
     pairs_nonzero,
     spectrum,
 )
+from .spectral import eigen_components  # unused; perfbench/layers.py wraps it here
 
 __all__ = [
     "ConjugateTime",
@@ -289,17 +289,21 @@ def conjugacy_function(geo: GeodesicSpec, t: float | np.ndarray,
 def _flat_split(geo: GeodesicSpec, spec: Spectrum, tol: Tolerances) -> GeodesicSpec:
     """The geodesic (z0, x0 - K), K the metric projection of x0 onto ker J.
 
-    ker J is central for a one-dimensional center.  Where J has the real-split
-    certificate, n is the orthogonal sum of the ideals z + im J and ker J: the
-    group is a product with a flat factor, so (z0, x0) and (z0, x0 - K) share
-    their conjugate times and Jacobi fields.  Otherwise ker J may be null, and
-    an x0 that pairs with it is refused.
+    ker J is central for a one-dimensional center, and im J is its metric
+    complement.  Where the metric is nondegenerate on ker J (Z^T G Z has no
+    null space at rank_rel, Z spanning ker J), n is the orthogonal sum of the
+    ideals z + im J and ker J: the group is a product with a flat factor, so
+    (z0, x0) and (z0, x0 - K) share their conjugate times and Jacobi fields,
+    with K = Z (Z^T G Z)^-1 Z^T G x0.  Otherwise ker J holds a null vector,
+    and an x0 that pairs with ker J is refused.
     """
-    if spec.diagonalizable:
-        return GeodesicSpec(geo.alg, geo.z0, geo.x0 - eigen_components(spec, geo.x0).kernel)
-    if pairs_nonzero(spec.zero_basis, geo.alg.gram_v @ geo.x0, tol):
+    zb, gx = spec.zero_basis, geo.alg.gram_v @ geo.x0
+    gram_k = zb.T @ geo.alg.gram_v @ zb
+    if null_space_basis(gram_k, tol.rank_rel).shape[1] == 0:
+        return GeodesicSpec(geo.alg, geo.z0, geo.x0 - zb @ np.linalg.solve(gram_k, zb.T @ gx))
+    if pairs_nonzero(zb, gx, tol):
         raise UnsupportedCaseError(
-            "x0 pairs with ker J and J has no real-split certificate, so the flat "
+            "x0 pairs with ker J and the metric is degenerate on ker J, so the flat "
             "factor does not split off; use the numerical oracle")
     return geo
 

@@ -42,7 +42,7 @@ class NotInImageError(NilconjError):
 
 
 class NotDiagonalizableError(NilconjError):
-    """Operation requires a real-diagonalizable operator certificate."""
+    """J lacks the eigenbasis an operation needs (a real one for eigen_components)."""
 
 
 class CenterNotLineError(NilconjError):

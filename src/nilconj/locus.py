@@ -209,12 +209,12 @@ def export_samples(samples: list[LocusSample], path: str, fmt: str = "csv") -> N
 
 def load_samples(path: str) -> list[tuple[float, float, float, np.ndarray]]:
     """Read back a CSV written by export_samples as (a, t, delta, point) rows."""
-    out = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n = len(header) - 3
-        for row in reader:
-            vals = [float(c) for c in row]
-            out.append((vals[0], vals[1], vals[2], np.asarray(vals[3:3 + n])))
-    return out
+        rows = list(csv.reader(fh))
+    try:
+        vals = [[float(c) for c in row] for row in rows[1:]]
+    except ValueError:
+        vals = [[]]
+    if not rows or len(rows[0]) < 3 or any(len(v) != len(rows[0]) for v in vals):
+        raise ParseError(f"{path}: expected the header a,t,delta,... and rows of reals")
+    return [(v[0], v[1], v[2], np.asarray(v[3:])) for v in vals]

@@ -185,22 +185,30 @@ def nonzero_integer_near(x: float, rel: float) -> Optional[int]:
 
 
 def null_space_basis(a: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical null space of a.
+    """Orthonormal basis (columns) of the numerical null space of a real or complex a.
 
     The cutoff is rtol * max(sigma_max, 1) so that a uniformly tiny matrix is
     reported as identically zero rather than full rank.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = np.atleast_2d(np.asarray(a))
     if a.size == 0:
         return np.zeros((a.shape[1], 0))
     _, s, vh = np.linalg.svd(a)
     cutoff = rtol * max(float(s[0]) if s.size else 0.0, 1.0)
     rank = int(np.sum(s > cutoff))
-    return vh[rank:].T.copy()
+    return vh[rank:].T.conj().copy()
 
 
 def cluster_scalars(values: np.ndarray, atol: float) -> list[tuple[float, np.ndarray]]:
-    """Group nearly equal scalars; returns (mean, index array) per cluster."""
+    """Group nearly equal scalars; returns (mean, index array) per cluster.
+
+    Sorted values chain into one cluster while each is within atol of the one
+    before; complex ones chain by real parts, then each group by imaginary parts.
+    """
+    if np.iscomplexobj(values):
+        return [(complex(np.mean(values[idx[sub]])), idx[sub])
+                for _, idx in cluster_scalars(values.real, atol)
+                for _, sub in cluster_scalars(values.imag[idx], atol)]
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return []

@@ -51,72 +51,55 @@ class Spectrum:
     pos: tuple[EigenLine, ...]
     zero_mult: int            # algebraic multiplicity of 0 (generalized null space dim)
     zero_basis: np.ndarray    # plain kernel of J
-    complex_dim: int          # eigenvalues of J off both axes (diagnostic only)
-    diagonalizable: bool      # plain eigenspaces are independent and span (real split certificate)
+    complex_dim: int          # eigenvalues of J off both axes
+    diagonalizable: bool      # J has an eigenbasis and no eigenvalue off both axes
     dim_v: int
     eigenbasis: Optional[tuple[np.ndarray, np.ndarray]]   # (lambda, V): J V = V diag(lambda)
 
 
 def spectrum(j: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Classify the spectrum of J via the eigenvalues of J itself.
+    """Classify the spectrum of J from one clustering of its eigenvalues.
 
-    Eigenvalues are taken from J, not J^2, for better conditioning when J is
-    defective; purely imaginary ones feed the negative list of J^2, purely
-    real nonzero ones the positive list.  Eigenspace bases and multiplicities
-    come from rank-revealing factorizations of J^2 -+ lambda^2 I.  J's complex
-    eigenbasis is kept where its unit columns have a smallest singular value
-    above rank_rel (None for a defective J).  Every decision is taken on J
-    scaled by a power of two to unit size, an exact scaling, so it does not
+    Eigenvalue parts within cluster_rel * max |lambda| of 0 are snapped to 0
+    before clustering (cluster_scalars).  Each cluster mu gives its plain
+    eigenspace ker(J - mu I); their stack is J's eigenbasis where it has
+    dim_v columns and a smallest singular value above rank_rel, and J is
+    real-diagonalizable where it has that eigenbasis and no eigenvalue off
+    both axes.  A cluster at i rho (rotating) or rho (boosting), rho > 0,
+    gives a line with basis ker(J^2 -+ rho^2 I).  Every decision is taken on
+    J scaled by a power of two to unit size, an exact scaling, so it does not
     depend on the size of J; the eigenvalues are scaled back.
     """
     j = np.asarray(j, dtype=float)
     q = j.shape[0]
     unit = 2.0 ** math.frexp(float(np.abs(j).max(initial=0.0)))[1]
     j = j / unit
-    w, vecs = np.linalg.eig(j)
-    basis_kept = np.linalg.svd(vecs, compute_uv=False).min(initial=1.0) > tol.rank_rel
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    thr = tol.cluster_rel * scale
-    neg_rates: list[float] = []
-    pos_rates: list[float] = []
-    zero_mult = 0
-    complex_dim = 0
-    for val in w:
-        re, im = abs(val.real), abs(val.imag)
-        if re <= thr and im <= thr:
-            zero_mult += 1
-        elif re <= thr:
-            neg_rates.append(im)
-        elif im <= thr:
-            pos_rates.append(re)
-        else:
-            complex_dim += 1
-    j2 = j @ j
-    eye = np.eye(q)
-    neg_lines = []
-    for lam, _ in cluster_scalars(np.asarray(neg_rates), thr):
-        basis = null_space_basis(j2 + lam * lam * eye, tol.rank_rel)
-        neg_lines.append(EigenLine(lam * unit, basis.shape[1], basis))
-    pos_lines = []
-    for lam, _ in cluster_scalars(np.asarray(pos_rates), thr):
-        basis = null_space_basis(j2 - lam * lam * eye, tol.rank_rel)
-        pos_lines.append(EigenLine(lam * unit, basis.shape[1], basis))
+    w = np.linalg.eigvals(j)
+    thr = tol.cluster_rel * float(np.abs(w).max(initial=0.0))
+    w = (np.where(np.abs(w.real) <= thr, 0.0, w.real)
+         + 1j * np.where(np.abs(w.imag) <= thr, 0.0, w.imag))
+    j2, eye = j @ j, np.eye(q)
     zero_basis = null_space_basis(j, tol.rank_rel)
-    # The eigenspaces must also be independent: on a nilpotent J, eigenvalue
-    # noise can pose as a line whose basis overlaps ker J and fills the count.
-    stacked = np.hstack([line.basis for line in neg_lines + pos_lines] + [zero_basis])
-    split = (stacked.shape[1] == q
-             and np.linalg.svd(stacked, compute_uv=False).min(initial=1.0) > tol.rank_rel)
-    return Spectrum(
-        neg=tuple(neg_lines),
-        pos=tuple(pos_lines),
-        zero_mult=zero_mult,
-        zero_basis=zero_basis,
-        complex_dim=complex_dim,
-        diagonalizable=bool(split),
-        dim_v=q,
-        eigenbasis=(w * unit, vecs) if basis_kept else None,
-    )
+    neg, pos, spaces, lams = [], [], [], []
+    zero_mult = complex_dim = 0
+    for mu, idx in cluster_scalars(w, thr):
+        shift = mu if mu.imag else mu.real
+        space = null_space_basis(j - shift * eye, tol.rank_rel) if shift else zero_basis
+        spaces.append(space)
+        lams += [shift * unit] * space.shape[1]
+        if not shift:
+            zero_mult = idx.size
+        elif mu.real and mu.imag:
+            complex_dim += idx.size
+        elif mu.real > 0.0 or mu.imag > 0.0:   # one of the pair +-mu
+            basis = null_space_basis(j2 - (mu * mu).real * eye, tol.rank_rel)
+            (neg if mu.imag else pos).append(EigenLine(abs(mu) * unit, basis.shape[1], basis))
+    stacked = np.hstack(spaces)
+    kept = (stacked.shape[1] == q
+            and np.linalg.svd(stacked, compute_uv=False).min() > tol.rank_rel)
+    return Spectrum(neg=tuple(neg), pos=tuple(pos), zero_mult=zero_mult, zero_basis=zero_basis,
+                    complex_dim=complex_dim, diagonalizable=bool(kept) and complex_dim == 0,
+                    dim_v=q, eigenbasis=(np.array(lams), stacked) if kept else None)
 
 
 def lattice_match(spec: Spectrum, t: float,
@@ -191,19 +174,15 @@ class EigenComponents(NamedTuple):
 
 
 def eigen_components(spec: Spectrum, x0: np.ndarray) -> EigenComponents:
-    """Split x0 along the eigenspace bases of a diagonalizable spectrum."""
+    """Split x0 along the eigenspace bases of a real-diagonalizable spectrum."""
     if not spec.diagonalizable:
         raise NotDiagonalizableError(
-            "eigenspace decomposition requires the real-split certificate")
+            "eigenspace decomposition requires a real-diagonalizable J")
     basis = np.hstack([line.basis for line in spec.neg + spec.pos] + [spec.zero_basis])
     coeff = np.linalg.solve(basis, np.asarray(x0, dtype=float))
-    neg: list[tuple[float, np.ndarray]] = []
-    pos: list[tuple[float, np.ndarray]] = []
-    offset = 0
-    for line in spec.neg:
-        neg.append((line.rate, line.basis @ coeff[offset:offset + line.mult]))
+    parts, offset = [], 0
+    for line in spec.neg + spec.pos:
+        parts.append((line.rate, line.basis @ coeff[offset:offset + line.mult]))
         offset += line.mult
-    for line in spec.pos:
-        pos.append((line.rate, line.basis @ coeff[offset:offset + line.mult]))
-        offset += line.mult
-    return EigenComponents(neg, pos, spec.zero_basis @ coeff[offset:])
+    n = len(spec.neg)
+    return EigenComponents(parts[:n], parts[n:], spec.zero_basis @ coeff[offset:])

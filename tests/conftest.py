@@ -40,7 +40,8 @@ HEIS4DEG = json.dumps({
 })
 
 # nilpotent J (J^3 = 0, J != 0) whose kernel is a null line: J has no
-# real-split certificate, and the flat factor does not split off.
+# eigenbasis, and the metric is degenerate on ker J, so the flat factor does
+# not split off.
 NILPJ = json.dumps({
     "name": "nilpj",
     "dim_center": 1,
@@ -80,20 +81,35 @@ PHYP = json.dumps({
                  {"a": 2, "b": 3, "out": [2]}],
 })
 
-# J(1) has the complex spectrum +-1.38678 +- 2.81175i: no real-split
-# certificate, but an eigenbasis, so mixed geodesics take the complex series.
+# J(1) has the complex spectrum +-1.38678 +- 2.81175i: J is not
+# real-diagonalizable but has an eigenbasis, so mixed geodesics take the
+# complex series.
+CPLX_BRACKETS = [{"a": 0, "b": 1, "out": [3.409]},
+                 {"a": 0, "b": 2, "out": [-0.185]},
+                 {"a": 0, "b": 3, "out": [0.644]},
+                 {"a": 1, "b": 2, "out": [-1.66]},
+                 {"a": 1, "b": 3, "out": [-1.616]},
+                 {"a": 2, "b": 3, "out": [-2.482]}]
 CPLX = json.dumps({
     "name": "cplx",
     "dim_center": 1,
     "dim_v": 4,
     "gram": np.diag([1.0, 1.0, 1.0, -1.0, -1.0]).tolist(),
-    "brackets": [{"a": 0, "b": 1, "out": [3.409]},
-                 {"a": 0, "b": 2, "out": [-0.185]},
-                 {"a": 0, "b": 3, "out": [0.644]},
-                 {"a": 1, "b": 2, "out": [-1.66]},
-                 {"a": 1, "b": 3, "out": [-1.616]},
-                 {"a": 2, "b": 3, "out": [-2.482]}],
+    "brackets": CPLX_BRACKETS,
 })
+
+
+# CPLX plus e5, which brackets with nothing: a complex spectrum with a
+# kernel, of either sign of e5's gram.  The metric is nondegenerate on
+# ker J, so the flat factor splits off.
+def cplxk_doc(sign):
+    return json.dumps({
+        "name": "cplxk",
+        "dim_center": 1,
+        "dim_v": 5,
+        "gram": np.diag([1.0, 1.0, 1.0, -1.0, -1.0, sign]).tolist(),
+        "brackets": CPLX_BRACKETS,
+    })
 
 BUILTIN_NAMES = ["heis3", "pheis3", "heis5w", "bicenter"]
 
@@ -151,3 +167,8 @@ def phyp():
 @pytest.fixture(scope="session")
 def cplx():
     return load_algebra(CPLX)
+
+
+@pytest.fixture(scope="session", params=[1.0, -1.0], ids=["e5_timelike", "e5_spacelike"])
+def cplxk(request):
+    return load_algebra(cplxk_doc(request.param))

@@ -397,6 +397,17 @@ def test_tol_override_unknown_key_exits_2(capsys):
         assert "unknown tolerance" in err
 
 
+@pytest.mark.parametrize("pair", ["cluster_rel=inf", "match_tol=-1", "rank_rel=nan"])
+def test_tol_override_out_of_range_exits_2(capsys, pair):
+    # once read as they came: cluster_rel=inf tagged 2 pi and 4 pi
+    # transcendental, match_tol=-1 listed every time as missing and spurious,
+    # and rank_rel=nan had x0 pair with the empty ker J
+    code, out, err = run(capsys, "compare", "--algebra", "heis3", "--z0", "1",
+                         "--x0", "1,0", "--tmax", "13", "--tol", pair)
+    assert code == 2 and out == ""
+    assert "error: ParseError" in err and pair.partition("=")[0] in err
+
+
 def test_tol_override_bad_value_exits_2(capsys):
     code, _, err = run(capsys, "validate", "--algebra", "heis3",
                        "--tol", "rank_tol=abc")

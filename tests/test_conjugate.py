@@ -457,7 +457,7 @@ def test_mixed_times_without_closed_series(heis5w, monkeypatch):
     closed = conjugate_times(g, 7.0)
     real_spectrum = conjugate_module.spectrum
     monkeypatch.setattr(conjugate_module, "spectrum", lambda j, tol: dataclasses.replace(
-        real_spectrum(j, tol), diagonalizable=False, eigenbasis=None))
+        real_spectrum(j, tol), eigenbasis=None))
     numeric = conjugate_times(g, 7.0)
     assert sum(ct.branch == "transcendental" for ct in closed) >= 3
     assert ([(ct.multiplicity, ct.branch, ct.tangent) for ct in numeric]
@@ -541,9 +541,55 @@ def test_heis4deg_random_draws_match_oracle(heis4deg):
         assert report.ok, (g.z0, g.x0, report)
 
 
+def test_cplxk_mixed_draws_match_oracle(cplxk):
+    # a complex spectrum with a kernel: the metric is nondegenerate on ker J,
+    # so the flat factor splits off although J is not real-diagonalizable;
+    # every draw was refused while the split asked for a real eigenbasis.
+    # The endpoint bound of criterion 6 is not asserted: one witness (draw 10,
+    # t = 9.94) ends at 1.6e-8, through the exp(|Re lambda| t) amplification
+    # that the witnesses of cplx itself show on long horizons (ROADMAP)
+    rng = np.random.default_rng(7)
+    n_times = 0
+    for _ in range(40):
+        x0 = rng.standard_normal(5)
+        g = geo(cplxk, [rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)],
+                rng.uniform(0.5, 1.5) * x0 / np.linalg.norm(x0))
+        spec = spectrum(g.J)
+        assert (spec.complex_dim, spec.zero_basis.shape[1]) == (4, 1)
+        cts = conjugate_times(g, 13.0, witnesses=True)
+        report = compare(cts, detect_conjugate(g, 13.0))
+        assert report.ok, (g.z0, g.x0, report)
+        for ct in cts:
+            assert np.linalg.norm(field_values(g, ct.certificate)[0]) == 0.0
+            assert worst_witness_residual(g, ct.certificate) <= 1e-6
+        n_times += len(cts)
+    assert n_times >= 5
+
+
+def test_repeated_kernel_eigenvalue_keeps_the_eigenbasis():
+    # J has a boosting pair and a three-dimensional kernel, on which LAPACK's
+    # eigenvectors came out dependent; without the eigenbasis the matrix form
+    # of the excess found phi1(-tJ) singular here
+    alg = load_algebra(json.dumps({
+        "name": "kernel3", "dim_center": 1, "dim_v": 5,
+        "gram": np.diag([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0]).tolist(),
+        "brackets": [{"a": 0, "b": 3, "out": [-0.21533011273226269]},
+                     {"a": 1, "b": 3, "out": [-3.0875563415117093]},
+                     {"a": 2, "b": 3, "out": [-1.8737551784022775]}]}))
+    g = geo(alg, [1.3112184749020273],
+            [0.7199249651767423, 0.6812666958210453, -0.10638430120481517,
+             -0.009798540027279198, -0.07855000159668064])
+    spec = spectrum(g.J)
+    assert spec.zero_mult == 3 and spec.diagonalizable and spec.eigenbasis is not None
+    cts = conjugate_times(g, 13.0, witnesses=True)
+    assert cts and compare(cts, detect_conjugate(g, 13.0)).ok
+    for ct in cts:
+        witness_checks(g, ct)
+
+
 def test_mixed_nilpotent_kernel_pairing_refused(nilpj):
-    # J^3 = 0 with a null ker J: x0 pairs with ker J, and without the
-    # real-split certificate the flat factor does not split off.  The oracle
+    # J^3 = 0 with a null ker J: x0 pairs with ker J, and the metric is
+    # degenerate on ker J, so the flat factor does not split off.  The oracle
     # finds t = sqrt(12 <z0, z0> / <x0, J^2 x0>) here.
     g = geo(nilpj, [1.012], [0.822, 0.33, -1.303])
     with pytest.raises(UnsupportedCaseError):

@@ -6,6 +6,7 @@ import pytest
 from nilconj import (
     GeodesicSpec,
     NoConjugateError,
+    ParseError,
     RootLostError,
     UnsupportedCaseError,
     conjugate_rate,
@@ -214,6 +215,16 @@ def test_export_empty_csv(tmp_path):
     export_samples([], str(path))
     assert path.read_text().strip() == "a,t,delta"
     assert load_samples(str(path)) == []
+
+
+@pytest.mark.parametrize("text", ["", "a,t,delta,point_1\n0.1,2.0,0.5,x\n",
+                                  "a,t,delta,point_1\n0.1,2.0,0.5\n"])
+def test_load_samples_malformed_file(tmp_path, text):
+    # an empty file leaked StopIteration and a non-numeric row ValueError
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        load_samples(str(path))
 
 
 def test_export_obj(tmp_path, pheis3):

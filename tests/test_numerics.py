@@ -81,6 +81,11 @@ def test_null_space_basis():
     assert full.shape == (3, 3)
     none = null_space_basis(np.eye(3), 1e-10)
     assert none.shape == (3, 0)
+    # complex: the rotation generator's eigenvector for i, from conjugate rows of Vh
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    vec = null_space_basis(rot - 1j * np.eye(2), 1e-10)
+    assert vec.shape == (2, 1)
+    assert np.linalg.norm(rot @ vec - 1j * vec) < 1e-14
 
 
 def test_cluster_scalars():
@@ -90,6 +95,11 @@ def test_cluster_scalars():
     assert reps == pytest.approx([1.0, 2.0, 5.0])
     assert [len(idx) for _, idx in clusters] == [2, 1, 2]
     assert cluster_scalars(np.array([]), 1e-9) == []
+    # complex: by real parts, then by imaginary parts; a conjugate pair splits
+    vals = np.array([2.0j, -2.0j, 1e-12 + 2.0j, 1.0, 1.0 + 1e-12])
+    clusters = cluster_scalars(vals, 1e-9)
+    assert [rep for rep, _ in clusters] == pytest.approx([-2.0j, 2.0j, 1.0])
+    assert [sorted(idx) for _, idx in clusters] == [[1], [0, 2], [3, 4]]
 
 
 def test_grid_transport(algebras):

@@ -19,7 +19,7 @@ from nilconj import (
     lattice_kernel,
     spectrum,
 )
-from nilconj.algebra import FIXTURE_NAMES, bracket_v
+from nilconj.algebra import FIXTURE_NAMES, MetricLieAlgebra, bracket_v
 
 
 def test_spectrum_heis3(heis3):
@@ -253,3 +253,32 @@ def test_spectrum_empty_operator(heis3z2):
     assert spec.zero_basis.shape[1] == 2
     assert spec.diagonalizable
     assert lattice_kernel(j_map(heis3z2, [0.0, 1.0]), 5.0, DEFAULT_TOL).shape == (2, 0)
+
+
+def retired_certificate(spec, tol=DEFAULT_TOL):
+    """The real-split certificate spectrum once computed: the bases of the real
+    lines of J^2 and of ker J are independent and span the complement."""
+    stacked = np.hstack([line.basis for line in spec.neg + spec.pos] + [spec.zero_basis])
+    return bool(stacked.shape[1] == spec.dim_v
+                and np.linalg.svd(stacked, compute_uv=False).min() > tol.rank_rel)
+
+
+def test_diagonalizable_is_the_real_split_certificate():
+    # random algebras: center of dimension 1-2, complement 2-6, diagonal gram
+    # of random signs, each bracket with probability 0.6; a third of them
+    # leave the last vector out of every bracket, so that J has a kernel
+    rng = np.random.default_rng(3)
+    for _ in range(1000):
+        p, q = int(rng.integers(1, 3)), int(rng.integers(2, 7))
+        structure = np.zeros((p, q, q))
+        top = q - int(rng.random() < 1.0 / 3.0)
+        for a in range(top):
+            for b in range(a + 1, top):
+                if rng.random() < 0.6:
+                    structure[:, a, b] = rng.standard_normal(p)
+        alg = MetricLieAlgebra(p, q, np.diag(rng.choice([-1.0, 1.0], p + q)),
+                               structure - structure.transpose(0, 2, 1))
+        spec = spectrum(j_map(alg, rng.standard_normal(p)))
+        assert spec.diagonalizable == retired_certificate(spec)
+        if spec.diagonalizable:
+            assert spec.eigenbasis is not None
