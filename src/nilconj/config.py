@@ -20,8 +20,7 @@ class Tolerances:
     block_det_rel: float = 1e-10  # Gram block nondegeneracy: sigma_min > rel * sigma_max
     cluster_rel: float = 1e-8     # eigenvalue classification and clustering
     rank_rel: float = 1e-10       # singular-value cutoff for rank / null-space decisions
-    integer_rel: float = 1e-9     # rational-multiple detection for lattice sums
-    merge_rel: float = 1e-9       # merging numerically coincident conjugate times
+    merge_rel: float = 1e-9       # lattice band rel * max(1, t) + 2e-9: times meet, no t_max term
     zero_rel: float = 1e-13       # "is this vector/operator zero" dispatch decisions
     bisect_tol: float = 1e-12     # root tolerance in t: bracket width, Newton step
     refine_tol: float = 1e-9      # golden-section refinement tolerance in t

@@ -48,7 +48,9 @@ from .numerics import (
     null_space_basis,
 )
 from .spectral import (
+    EigenLine,
     Spectrum,
+    _lattice_band,
     center_coupling,
     image_membership,
     lattice_match,
@@ -73,8 +75,8 @@ __all__ = [
 _HORIZON_SLACK = 1e-12  # relative: keeps a time computed at the horizon itself inside (0, t_max]
 _POLE_MARGIN = 1e-9     # the root scan keeps this * max(1, b) off each pole b
 _TANGENT_CUT = 1e-8     # an extremum of the excess within this * |<z0, z0>| of it is a double root
-_MERGE_FLOOR = 2e-9     # absolute floor added to merge_rel when merging roots or meeting poles
 _MAX_LATTICE_TIMES = 2 ** 20   # horizon bound: the lattice times one call may build
+_SCAN_BLOCK = 2 ** 16   # the root scan samples at most about this many points per call of f
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +103,7 @@ def conjugate_times(geo: GeodesicSpec, t_max: float, tol: Tolerances = DEFAULT_T
         out = polynomial_times(geo, t_max, tol)
     elif x_zero or geo.alg.dim_center == 1:
         spec = spectrum(geo.J, tol)
-        out = (_lattice_times if x_zero else _mixed_times)(geo, t_max, tol, spec)
+        out = _lattice_times(spec, t_max, tol) if x_zero else _mixed_times(geo, t_max, tol, spec)
     else:
         raise UnsupportedCaseError(
             "no closed form for a higher-dimensional center with z0 != 0 != x0; "
@@ -136,36 +138,36 @@ def _eigenspace(coupling: np.ndarray, mu: float, tol: Tolerances) -> np.ndarray:
     return null_space_basis((coupling - mu * np.eye(coupling.shape[0])) / unit, tol.rank_rel)
 
 
-def _distinct_lattice_times(spec: Spectrum, t_max: float, tol: Tolerances) -> list[float]:
-    counts = [np.floor(t_max * line.rate / (2.0 * np.pi) * (1.0 + _HORIZON_SLACK))
+def _lattice_poles(spec: Spectrum, t_max: float,
+                   tol: Tolerances) -> list[tuple[float, tuple[EigenLine, ...]]]:
+    """Each lattice time in (0, t_max] with the rotating lines that meet there.
+
+    The times 2 pi n / rate of every line chain into one pole while each is
+    within the lattice band (_lattice_band) of the one before (cluster_scalars).
+    A pole is the mean of its times and carries the lines they come from.
+    """
+    counts = [int(np.floor(t_max * line.rate / (2.0 * np.pi) * (1.0 + _HORIZON_SLACK)))
               for line in spec.neg]
     if sum(counts) > _MAX_LATTICE_TIMES:
         raise ParseError(f"t_max {t_max:g} has {sum(counts):g} lattice times, over the "
                          f"bound of {_MAX_LATTICE_TIMES}")
-    raw = []
-    for line, n_max in zip(spec.neg, counts):
-        raw.extend(2.0 * np.pi * n / line.rate for n in range(1, int(n_max) + 1))
-    if not raw:
-        return []
-    atol = tol.merge_rel * (1.0 + t_max)
-    return [rep for rep, _ in cluster_scalars(np.asarray(raw), atol)]
+    raw = np.concatenate([np.zeros(0)] + [2.0 * np.pi * np.arange(1, n + 1) / line.rate
+                                          for line, n in zip(spec.neg, counts)])
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return [(t, tuple(spec.neg[k] for k in sorted(set(owner[idx].tolist()))))
+            for t, idx in cluster_scalars(raw, lambda ts: _lattice_band(ts, tol))]
 
 
 def lattice_times(geo: GeodesicSpec, t_max: float,
                   tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
     """Conjugate times of a central geodesic (x0 = 0, J != 0)."""
     _check_t_max(t_max)
-    return _lattice_times(geo, t_max, tol, spectrum(geo.J, tol))
+    return _lattice_times(spectrum(geo.J, tol), t_max, tol)
 
 
-def _lattice_times(geo: GeodesicSpec, t_max: float, tol: Tolerances,
-                   spec: Spectrum) -> list[ConjugateTime]:
-    out = []
-    for t in _distinct_lattice_times(spec, t_max, tol):
-        total, _ = lattice_match(spec, t, tol)
-        if total > 0:
-            out.append(ConjugateTime(t, total, "lattice"))
-    return out
+def _lattice_times(spec: Spectrum, t_max: float, tol: Tolerances) -> list[ConjugateTime]:
+    return [ConjugateTime(t, sum(line.mult for line in lines), "lattice")
+            for t, lines in _lattice_poles(spec, t_max, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,48 +312,51 @@ def _flat_split(geo: GeodesicSpec, spec: Spectrum, tol: Tolerances) -> GeodesicS
 
 def _scan_roots(f, poles: list[float], lo: float, hi: float, rate: float, fscale: float,
                 tol: Tolerances) -> list[tuple[float, bool]]:
-    """Sorted (root, tangent) of an array function f in (lo, hi), split at the poles.
+    """Sorted (root, tangent) of an array function f in (lo, hi), split at the sorted poles.
 
-    Each gap is sampled at steps of at most pi / (4 rate); an extremum of f
-    within _TANGENT_CUT * fscale of 0 is a double root (tangent).
+    Each gap is sampled at steps of at most pi / (4 rate), its np.linspace bit
+    for bit, all gaps in one array with one call of f per _SCAN_BLOCK points;
+    sign changes and extrema of f towards 0 count only inside a gap, and an
+    extremum within _TANGENT_CUT * fscale of 0 is a double root (tangent).
     """
-    poles = sorted(poles)
-    edges = [lo] + [p for p in poles if lo < p < hi] + [hi]
-    roots: list[tuple[float, bool]] = []
-    brackets = []   # (lo, hi, f(lo), f(hi)) per sign change
-    dips = {1.0: [], -1.0: []}   # (lo, hi, f(lo), f(hi)) per extremum towards 0, by sign of f
-    for a, b in zip(edges[:-1], edges[1:]):
-        margin = _POLE_MARGIN * max(1.0, b)
-        a, b = a + margin, b - margin
-        if b <= a:
-            continue
-        delta = (b - a) / 64.0
-        if rate > 0.0:
-            delta = min(delta, np.pi / (4.0 * rate))
-        npts = int(np.clip(np.ceil((b - a) / delta) + 1, 9, 4097))
-        ts = np.linspace(a, b, npts)
+    edges = np.array([lo] + [p for p in poles if lo < p < hi] + [hi])
+    margin = _POLE_MARGIN * np.maximum(1.0, edges[1:])
+    a, b = edges[:-1] + margin, edges[1:] - margin
+    a, b = a[b > a], b[b > a]
+    delta = np.minimum((b - a) / 64.0, np.pi / (4.0 * rate) if rate > 0.0 else np.inf)
+    npts = np.clip(np.ceil((b - a) / delta) + 1, 9, 4097).astype(int)
+    cut = [0, *np.searchsorted(np.cumsum(npts), range(_SCAN_BLOCK, npts.sum(), _SCAN_BLOCK)), a.size]
+    roots, brackets, dips = [], [], []   # brackets: (lo, hi, f(lo), f(hi)); dips add sign(f)
+    for g in map(slice, cut[:-1], cut[1:]):   # blocks of whole gaps
+        n = npts[g]
+        first = np.cumsum(n) - n
+        k = np.arange(n.sum()) - np.repeat(first, n)   # each point's index in its gap
+        ts = k * np.repeat((b[g] - a[g]) / (n - 1), n) + np.repeat(a[g], n)
+        ts[first + n - 1] = b[g]
         fv = f(ts)
+        inner = k[1:] > 0   # points i and i + 1 lie in one gap
         roots += [(float(t), False) for t in ts[fv == 0.0]]
-        cross = np.nonzero(fv[:-1] * fv[1:] < 0.0)[0]
-        brackets += [(ts[i], ts[i + 1], fv[i], fv[i + 1]) for i in cross]
+        i = np.nonzero(inner & (fv[:-1] * fv[1:] < 0.0))[0]
+        brackets.append(np.array([ts[i], ts[i + 1], fv[i], fv[i + 1]]))
         # strict extrema of f towards 0, no sign change: a double root or close pair may hide
         af = np.abs(fv)
-        dip = ((fv[:-2] * fv[1:-1] > 0.0) & (fv[1:-1] * fv[2:] > 0.0)
-               & (af[1:-1] < af[:-2]) & (af[1:-1] < af[2:]))
-        for i in np.nonzero(dip)[0] + 1:
-            dips[float(np.sign(fv[i]))].append((ts[i - 1], ts[i + 1], fv[i - 1], fv[i + 1]))
-    for sign, cands in dips.items():
-        if not cands:
+        i = np.nonzero(inner[:-1] & inner[1:] & (fv[:-2] * fv[1:-1] > 0.0)
+                       & (fv[1:-1] * fv[2:] > 0.0) & (af[1:-1] < af[:-2])
+                       & (af[1:-1] < af[2:]))[0] + 1
+        dips.append(np.array([ts[i - 1], ts[i + 1], fv[i - 1], fv[i + 1], np.sign(fv[i])]))
+    dips = np.hstack(dips)
+    for sign in (1.0, -1.0):
+        t_lo, t_hi, f_lo, f_hi, _ = dips[:, dips[4] == sign]
+        if not t_lo.size:
             continue
-        t_lo, t_hi, f_lo, f_hi = np.array(cands).T
         x_min, f_min = golden_min(lambda t: sign * f(t), t_lo, t_hi, xtol=tol.refine_tol)
         f_x = f(x_min)
         cross = sign * f_x < 0.0   # two roots: each half brackets one
-        brackets += list(zip(t_lo[cross], x_min[cross], f_lo[cross], f_x[cross]))
-        brackets += list(zip(x_min[cross], t_hi[cross], f_x[cross], f_hi[cross]))
+        brackets.append(np.array([t_lo, x_min, f_lo, f_x])[:, cross])
+        brackets.append(np.array([x_min, t_hi, f_x, f_hi])[:, cross])
         roots += [(float(t), True) for t in x_min[~cross & (f_min <= _TANGENT_CUT * fscale)]]
-    if brackets:
-        t_lo, t_hi, f_lo, f_hi = np.array(brackets).T
+    t_lo, t_hi, f_lo, f_hi = np.hstack(brackets)
+    if t_lo.size:
         found = bracket_root(f, t_lo, t_hi, fa=f_lo, fb=f_hi, xtol=tol.bisect_tol)
         roots += [(float(root), False) for root in found]
     return _merge_roots(sorted(roots), poles, tol)
@@ -368,9 +373,9 @@ def _merge_roots(roots: list[tuple[float, bool]], poles: list[float],
     out: list[tuple[float, bool]] = []
     for root, tangent in roots:
         i = bisect.bisect_left(poles, root)
-        if not ((out and root - out[-1][0] <= tol.merge_rel * max(1.0, root) + _MERGE_FLOOR)
-                or any(abs(root - p) <= tol.merge_rel * max(1.0, p) + _MERGE_FLOOR
-                       for p in poles[max(i - 1, 0):i + 1])):
+        near = poles[max(i - 1, 0):i + 1]
+        if not ((out and root - out[-1][0] <= _lattice_band(root, tol))
+                or any(abs(root - p) <= _lattice_band(p, tol) for p in near)):
             out.append((root, tangent))
     return out
 
@@ -379,15 +384,13 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
                 tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
     """Conjugate times for a one-dimensional center with z0 != 0 != x0.
 
-    x0 stands for x0 - K, without its flat factor (_flat_split).  Lattice
-    times get the summed eigenspace multiplicity corrected by the membership
-    of x0 in im(exp(-tJ) - I), which holds iff x0 does not pair with the
-    matching kernel of lattice_match (the predicate of conjugacy_function's
-    PoleError): minus one when it pairs, plus one when a least-squares
-    preimage v of t x0 satisfies <J x0, v> = <gdot, gdot>.  Entries with
-    corrected multiplicity zero are dropped.  On top of that, every root of
-    g(t) = <gdot, gdot> between consecutive poles contributes a simple
-    conjugate time.
+    x0 stands for x0 - K, without its flat factor (_flat_split).  Each lattice
+    pole (_lattice_poles) takes the summed multiplicity of its lines, minus one
+    where x0 pairs with one of their bases (then x0 is not in
+    im(exp(-tJ) - I), and t is a pole of g), else plus one where a
+    least-squares preimage v of t x0 has <J x0, v> = <gdot, gdot>; a pole left
+    at zero is dropped.  Every root of g(t) = <gdot, gdot> between consecutive
+    poles adds a simple conjugate time.
     """
     _check_t_max(t_max)
     if geo.alg.dim_center != 1:
@@ -398,12 +401,13 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
 def _mixed_times(geo: GeodesicSpec, t_max: float, tol: Tolerances,
                  spec: Spectrum) -> list[ConjugateTime]:
     geo = _flat_split(geo, spec, tol)
-    poles = _distinct_lattice_times(spec, t_max, tol)
+    poles = _lattice_poles(spec, t_max, tol)
     gx = geo.alg.gram_v @ geo.x0
+    pairs = {line: pairs_nonzero(line.basis, gx, tol) for line in spec.neg}
     out = []
-    for t in poles:
-        total, kernel = lattice_match(spec, t, tol)
-        if pairs_nonzero(kernel, gx, tol):   # x0 is not in the image: a pole of g
+    for t, lines in poles:
+        total = sum(line.mult for line in lines)
+        if any(pairs[line] for line in lines):   # x0 is not in the image: a pole of g
             mult = total - 1
         else:   # a preimage v of t x0 adds one where <J x0, v> = <gdot, gdot>
             op = _expm_stack(-t * geo.J[None])[0] - np.eye(geo.alg.dim_v)
@@ -418,7 +422,8 @@ def _mixed_times(geo: GeodesicSpec, t_max: float, tol: Tolerances,
     excess = _excess_of(geo, spec)
     rate = max((line.rate for line in spec.neg), default=0.0)
     out += [ConjugateTime(t, 1, "transcendental", tangent=tangent) for t, tangent
-            in _scan_roots(lambda t: excess(t) - szz, poles, 0.0, t_max, rate, abs(szz), tol)]
+            in _scan_roots(lambda t: excess(t) - szz, [t for t, _ in poles], 0.0, t_max, rate,
+                           abs(szz), tol)]
     return sorted(out, key=lambda ct: ct.t)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import MetricLieAlgebra, inner_v, j_map
 from .config import DEFAULT_TOL, Tolerances
-from .conjugate import ConjugacySeries, _scan_roots, polynomial_times
+from .conjugate import ConjugacySeries, _lattice_poles, _scan_roots, polynomial_times
 from .errors import (CenterNotLineError, NoConjugateError, ParseError, RootLostError,
                      UnsupportedCaseError)
 from .geometry import GeodesicSpec, geodesic_point
@@ -104,6 +104,7 @@ def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
     out = []
     for direction in directions:
         x0 = np.asarray(direction, dtype=float).reshape(-1)
+        geo = GeodesicSpec(alg, np.zeros(alg.dim_center), x0)
         if method == "delta":
             try:
                 delta = _rate(alg, ju, eps, x0, tol)
@@ -111,13 +112,11 @@ def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
                 continue
             t = _2SQRT3 / delta
         else:
-            geo0 = GeodesicSpec(alg, np.zeros(alg.dim_center), x0)
-            times = polynomial_times(geo0, t_max=1e12, tol=tol)
+            times = polynomial_times(geo, t_max=1e12, tol=tol)
             if not times:
                 continue
             t = min(ct.t for ct in times)
             delta = _2SQRT3 / t
-        geo = GeodesicSpec(alg, np.zeros(alg.dim_center), x0)
         point = geodesic_point(geo, t).coords()
         out.append(LocusSample(x0, 0.0, float(t), point, float(delta)))
     return out
@@ -130,8 +129,8 @@ def _track_root(series: ConjugacySeries, spec: Spectrum, eps: float, s: float,
     This is the scan's equation excess(t) = <z0, z0> for z0 = s z, <z, z> = eps.
     When Newton leaves the trust window or stalls, the first root that the
     closed forms' root scan finds in the window is taken instead; the scan
-    splits the window at the poles of the series, t = 2 pi k / (rate s) on a
-    rotating line of spec, so a sign change across a pole is not a root.
+    splits the window at the lattice poles of the series (_lattice_poles of
+    spec, at s t), so a sign change across a pole is not a root.
     """
 
     def f(t: float | np.ndarray) -> float | np.ndarray:
@@ -149,8 +148,7 @@ def _track_root(series: ConjugacySeries, spec: Spectrum, eps: float, s: float,
         if abs(t_new - t) <= tol.bisect_tol * max(1.0, t):
             return t_new
         t = t_new
-    turns_per_t = [line.rate * s / (2.0 * np.pi) for line in spec.neg]
-    poles = [k / c for c in turns_per_t for k in range(int(lo * c) + 1, int(hi * c) + 1)]
+    poles = [p / s for p, _ in _lattice_poles(spec, s * hi, tol)]
     rate = s * max((line.rate for line in spec.neg), default=0.0)
     roots = _scan_roots(f, poles, lo, hi, rate, s * s, tol)
     if not roots:

@@ -176,14 +176,6 @@ def grid_transport(j: np.ndarray, h: float, rows: ArrayLike) -> np.ndarray:
     return x.reshape(m * b, r, q)[:n].transpose(0, 2, 1).reshape(rows.shape)
 
 
-def nonzero_integer_near(x: float, rel: float) -> Optional[int]:
-    """Round x to the nearest nonzero integer if it is within rel * max(1, |x|)."""
-    n = int(round(x))
-    if n != 0 and abs(x - n) <= rel * max(1.0, abs(x)):
-        return n
-    return None
-
-
 def null_space_basis(a: np.ndarray, rtol: float) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical null space of a real or complex a.
 
@@ -199,26 +191,21 @@ def null_space_basis(a: np.ndarray, rtol: float) -> np.ndarray:
     return vh[rank:].T.conj().copy()
 
 
-def cluster_scalars(values: np.ndarray, atol: float) -> list[tuple[float, np.ndarray]]:
+def cluster_scalars(values: np.ndarray, atol) -> list[tuple[float, np.ndarray]]:
     """Group nearly equal scalars; returns (mean, index array) per cluster.
 
     Sorted values chain into one cluster while each is within atol of the one
-    before; complex ones chain by real parts, then each group by imaginary parts.
+    before; for real values atol may be a function of the later value (over an
+    array).  Complex ones chain by real parts, then each group by imaginary parts.
     """
     if np.iscomplexobj(values):
         return [(complex(np.mean(values[idx[sub]])), idx[sub])
                 for _, idx in cluster_scalars(values.real, atol)
                 for _, sub in cluster_scalars(values.imag[idx], atol)]
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return []
     order = np.argsort(values)
-    clusters: list[tuple[float, np.ndarray]] = []
-    start = 0
-    sorted_vals = values[order]
-    for i in range(1, values.size + 1):
-        if i == values.size or sorted_vals[i] - sorted_vals[i - 1] > atol:
-            idx = order[start:i]
-            clusters.append((float(np.mean(values[idx])), idx))
-            start = i
-    return clusters
+    ordered = values[order]
+    bound = atol(ordered[1:]) if callable(atol) else atol
+    cut = (np.flatnonzero(np.diff(ordered) > bound) + 1).tolist()
+    return [(float(ordered[i]) if j == i + 1 else float(np.mean(ordered[i:j])), order[i:j])
+            for i, j in zip([0] + cut, cut + [values.size]) if j > i]

@@ -356,15 +356,19 @@ def compare(closed: list, detected: list[tuple[float, int]],
             match_tol: float = DEFAULT_TOL.match_tol) -> MatchReport:
     """Match sorted time lists greedily within match_tol.
 
-    `closed` entries may be ConjugateTime objects or (t, mult) pairs.
+    Entries may be ConjugateTime objects or (t, mult) pairs of any sequence
+    type, such as the lists json.loads returns; anything else is a ParseError.
     """
-    def as_pair(entry):
-        if isinstance(entry, tuple):
-            return float(entry[0]), int(entry[1])
-        return float(entry.t), int(entry.multiplicity)
+    def as_pair(entry) -> tuple[float, int]:
+        pair = (entry.t, entry.multiplicity) if hasattr(entry, "multiplicity") else entry
+        try:
+            t, mult = () if isinstance(pair, (str, bytes)) else pair
+            return float(t), int(mult)
+        except (TypeError, ValueError):
+            raise ParseError(f"expected a (t, mult) pair, got {entry!r}") from None
 
     cl = sorted(as_pair(e) for e in closed)
-    de = sorted((float(t), int(m)) for t, m in detected)
+    de = sorted(as_pair(e) for e in detected)
     matched, missing, spurious, mismatches = [], [], [], []
     i = j = 0
     while i < len(cl) and j < len(de):

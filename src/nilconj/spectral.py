@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from .algebra import MetricLieAlgebra, bracket_v
 from .config import DEFAULT_TOL, Tolerances
 from .errors import NotDiagonalizableError
-from .numerics import cluster_scalars, nonzero_integer_near, null_space_basis
+from .numerics import cluster_scalars, null_space_basis
 
 __all__ = [
     "EigenLine",
@@ -102,25 +102,31 @@ def spectrum(j: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
                     dim_v=q, eigenbasis=(np.array(lams), stacked) if kept else None)
 
 
+def _lattice_band(t: float | np.ndarray, tol: Tolerances) -> float | np.ndarray:
+    """merge_rel * max(1, t) + 2e-9, with no horizon term: the one rule by which a
+    line meets a lattice time, lattice times chain into a pole, and roots merge."""
+    return tol.merge_rel * np.maximum(1.0, t) + 2e-9
+
+
 def lattice_match(spec: Spectrum, t: float,
                   tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
     """Summed multiplicity and basis of ker(exp(tJ) - I) on the invertible part.
 
-    Selects the rotating lines with t * lambda in 2 pi Z \\ {0}; the plain
-    kernel of J is excluded by construction.
+    Selects the rotating lines that meet t, with some n >= 1 such that |t - 2 pi n
+    / rate| is within the lattice band (_lattice_band); ker J is left out.
     """
-    lines = [line for line in spec.neg
-             if nonzero_integer_near(t * line.rate / (2.0 * np.pi), tol.integer_rel) is not None]
-    if not lines:
-        return 0, np.zeros((spec.dim_v, 0))
-    return sum(line.mult for line in lines), np.hstack([line.basis for line in lines])
+    near = [max(1, round(t * line.rate / (2.0 * np.pi))) for line in spec.neg]   # nearest n
+    lines = [line for line, n in zip(spec.neg, near)
+             if abs(t - 2.0 * np.pi * n / line.rate) <= _lattice_band(t, tol)]
+    return (sum(line.mult for line in lines),
+            np.hstack([np.zeros((spec.dim_v, 0))] + [line.basis for line in lines]))
 
 
 def lattice_kernel(j: np.ndarray, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Basis of ker(exp(tJ) - I) inside the part where J is invertible.
 
     Equals the direct sum of the eigenspaces ker(J^2 + lambda^2 I) over the
-    rates with t * lambda in 2 pi Z \\ {0}.
+    rotating rates lambda that meet t (lattice_match).
     """
     return lattice_match(spectrum(np.asarray(j, dtype=float), tol), t, tol)[1]
 

@@ -67,6 +67,17 @@ WCROSS = json.dumps({
                  {"a": 2, "b": 3, "out": [2 / 3]}],
 })
 
+# definite, with rotation rates 1 and 1 + 1e-7: the lattice times 2 pi n and
+# 2 pi n / (1 + 1e-7) lie 6.3e-7 n apart, outside the lattice band.
+NEARRES = json.dumps({
+    "name": "nearres",
+    "dim_center": 1,
+    "dim_v": 4,
+    "gram": np.eye(5).tolist(),
+    "brackets": [{"a": 0, "b": 1, "out": [1.0]},
+                 {"a": 2, "b": 3, "out": [1.0 + 1e-7]}],
+})
+
 # one rotating block (rate 1) and one boosting block (rate 2).
 PHYP = json.dumps({
     "name": "phyp",
@@ -157,6 +168,11 @@ def nilpj():
 @pytest.fixture(scope="session")
 def wcross():
     return load_algebra(WCROSS)
+
+
+@pytest.fixture(scope="session")
+def nearres():
+    return load_algebra(NEARRES)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Closed-form conjugate times: all branches, frozen values, witnesses."""
 
+import bisect
 import dataclasses
 import json
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import nilconj.conjugate as conjugate_module
+import nilconj.spectral as spectral_module
 from nilconj import (
     DEFAULT_TOL,
     CenterNotLineError,
@@ -681,7 +683,7 @@ def test_mixed_long_horizon_lattice_multiplicity(heis3):
 
 
 def test_mixed_poles_without_preimage_take_no_exponential(heis3, monkeypatch):
-    # the pairing with lattice_match's kernel decides a pole where x0 has no
+    # the pairing with the pole's lines decides a pole where x0 has no
     # preimage: no membership solve and no exponential per pole
     calls = []
     for name in ("image_membership", "_expm_stack"):
@@ -717,12 +719,12 @@ def test_merge_matches_all_pairs_rule(heis3, monkeypatch):
     def all_pairs(roots, poles, tol):
         out = []
         for root, tangent in roots:
-            if not (any(abs(root - s) <= tol.merge_rel * max(1.0, root) + floor for s, _ in out)
-                    or any(abs(root - p) <= tol.merge_rel * max(1.0, p) + floor for p in poles)):
+            if not (any(abs(root - s) <= band(root, tol) for s, _ in out)
+                    or any(abs(root - p) <= band(p, tol) for p in poles)):
                 out.append((root, tangent))
         return out
 
-    floor = conjugate_module._MERGE_FLOOR
+    band = spectral_module._lattice_band
     merge = conjugate_module._merge_roots
     seen = []
     monkeypatch.setattr(conjugate_module, "_merge_roots",
@@ -737,6 +739,68 @@ def test_merge_matches_all_pairs_rule(heis3, monkeypatch):
         kept = merge(case, poles, DEFAULT_TOL)
         assert kept == all_pairs(case, poles, DEFAULT_TOL)
     assert len(roots) < len(kept) < len(roots) + len(extra)
+
+
+def test_root_scan_does_not_depend_on_its_block_size(heis3, monkeypatch):
+    # every gap is sampled whole inside one block, so blocks of 1,024 points
+    # (16 gaps of 65) give the times of the default 65,536
+    g = geo(heis3, [1.0], [0.3, 1.0])
+    want = conjugate_times(g, 2000.0)
+    monkeypatch.setattr(conjugate_module, "_SCAN_BLOCK", 2 ** 10)
+    got = conjugate_times(g, 2000.0)
+    assert [(ct.t, ct.multiplicity, ct.branch) for ct in got] == \
+        [(ct.t, ct.multiplicity, ct.branch) for ct in want]
+
+
+def test_near_resonant_lattice_times_do_not_depend_on_the_horizon(nearres):
+    # the first lattice times of rates 1 and 1 + 1e-7 lie 6.3e-7 apart, outside
+    # the lattice band.  Merged by a distance that grew with t_max, they became
+    # one pole that neither line met: at t_max 1e3 the central list lost both,
+    # and the mixed one read 6.283185307 as a transcendental time of mult 1
+    central, mixed = geo(nearres, [1.0], [0.0] * 4), geo(nearres, [1.0], [0.3, 1.0, 0.2, 0.5])
+    want_central = [(6.283184679, 2, "lattice"), (6.283185307, 2, "lattice")]
+    want_mixed = [(6.283184679, 1, "lattice"), (6.283184811, 1, "transcendental"),
+                  (6.283185307, 1, "lattice"), (8.667275509, 1, "transcendental")]
+    for t_max in (10.0, 1e3, 1e4):
+        for g, want in ((central, want_central), (mixed, want_mixed)):
+            got = [(round(ct.t, 9), ct.multiplicity, ct.branch)
+                   for ct in conjugate_times(g, t_max) if ct.t <= 10.0]
+            assert got == want, t_max
+
+
+def test_conjugate_times_do_not_depend_on_the_horizon(request):
+    # conjugate_times(g, T) restricted to (0, t] is conjugate_times(g, t) for
+    # every t away from the reported times: the lattice band has no horizon
+    # term, so the poles and their lines are the same at every horizon
+    rng = np.random.default_rng(11)
+    cases = [(name, 30.0, 25) for name in ("heis3", "pheis3", "heis5w", "wcross", "phyp", "cplx")]
+    for name, t_big, draws in cases + [("nearres", 1e3, 10)]:
+        alg = request.getfixturevalue(name)
+        for _ in range(draws):
+            g = _random_geodesic(alg, rng)
+            full = conjugate_times(g, t_big)
+            edges = [0.0] + [ct.t for ct in full] + [t_big]
+            i = bisect.bisect_left(edges, rng.uniform(1.0, min(t_big, 20.0)))
+            t = 0.5 * (edges[i - 1] + edges[i])   # midway between reported times
+            part = conjugate_times(g, t)
+            head = [ct for ct in full if ct.t <= t]
+            assert [(ct.multiplicity, ct.branch, ct.tangent) for ct in head] == \
+                [(ct.multiplicity, ct.branch, ct.tangent) for ct in part], (name, g.z0, g.x0, t)
+            for a, b in zip(head, part):
+                assert abs(a.t - b.t) <= DEFAULT_TOL.merge_rel * max(1.0, a.t), (name, a.t, b.t)
+
+
+def test_lattice_and_mixed_times_make_no_lattice_match_call(heis5w, wcross, monkeypatch):
+    # each pole carries the lines that meet there, so no pole is re-decided
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice_match called")
+
+    monkeypatch.setattr(conjugate_module, "lattice_match", refuse)
+    assert times_mults(lattice_times(geo(heis5w, [1.0], [0.0] * 4), 13.0))[:2] == \
+        [(pytest.approx(np.pi), 2), (pytest.approx(2.0 * np.pi), 4)]
+    c = np.sqrt(9.0 / (9.0 - np.pi * np.sqrt(3.0)))   # the bonus x0 of test_mixed_bonus_multiplicity
+    cts = mixed_times(geo(wcross, [1.0], [0.0, 0.0, c, 0.0]), 4.0)
+    assert (pytest.approx(np.pi), 3) in times_mults(cts)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from nilconj.numerics import (
     cluster_scalars,
     golden_min,
     grid_transport,
-    nonzero_integer_near,
     null_space_basis,
 )
 
@@ -64,14 +63,6 @@ def test_bracket_root():
     assert len(calls) <= 12
 
 
-def test_nonzero_integer_near():
-    assert nonzero_integer_near(2.0 + 1e-12, 1e-9) == 2
-    assert nonzero_integer_near(-3.0 - 1e-12, 1e-9) == -3
-    assert nonzero_integer_near(2.5, 1e-9) is None
-    assert nonzero_integer_near(1e-12, 1e-9) is None  # zero is excluded
-    assert nonzero_integer_near(2.0 + 1e-6, 1e-9) is None
-
-
 def test_null_space_basis():
     a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     basis = null_space_basis(a, 1e-10)
@@ -95,6 +86,10 @@ def test_cluster_scalars():
     assert reps == pytest.approx([1.0, 2.0, 5.0])
     assert [len(idx) for _, idx in clusters] == [2, 1, 2]
     assert cluster_scalars(np.array([]), 1e-9) == []
+    # a callable atol gives the bound at each value from the second on
+    clusters = cluster_scalars(np.array([30.0, 1.0, 14.0, 1.5, 10.0]), lambda v: 0.5 * v)
+    assert [(rep, sorted(idx)) for rep, idx in clusters] == [(1.25, [1, 3]), (12.0, [2, 4]),
+                                                            (30.0, [0])]
     # complex: by real parts, then by imaginary parts; a conjugate pair splits
     vals = np.array([2.0j, -2.0j, 1e-12 + 2.0j, 1.0, 1.0 + 1e-12])
     clusters = cluster_scalars(vals, 1e-9)

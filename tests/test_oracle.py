@@ -1,5 +1,9 @@
 """Numerical oracle: propagator accuracy, rank-drop detection, matching."""
 
+import ast
+import inspect
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from nilconj import (
     GeodesicSpec,
     JacobiField,
     MatchReport,
+    ParseError,
     bracket_v,
     compare,
     conjugate_times,
@@ -516,3 +521,21 @@ def test_compare_accepts_conjugate_time_objects():
     rep = compare(closed, [(3.0, 2)], match_tol=1e-5)
     assert rep.ok
     assert isinstance(rep, MatchReport)
+
+
+def test_compare_reads_json_pairs_and_refuses_other_entries():
+    # json.loads gives [t, mult] lists, once read as ConjugateTime objects
+    # (AttributeError: 'list' object has no attribute 't')
+    closed = json.loads("[[1.0, 2], [2.0, 1]]")
+    rep = compare(closed, json.loads("[[1.000001, 2], [2.0, 1]]"), match_tol=1e-5)
+    assert rep.ok and rep.matched == [(1.0, 1.000001, 2, 2), (2.0, 2.0, 1, 1)]
+    assert compare([np.array([3.0, 2.0])], [ConjugateTime(3.0, 2, "lattice")]).ok
+    for bad in ("12", b"12", 3.0, None, [1.0], [1.0, 2, 3], ["t", 1], {"t": 1.0}):
+        with pytest.raises(ParseError):
+            compare([bad], [(1.0, 1)], match_tol=1e-5)
+        with pytest.raises(ParseError):
+            compare([(1.0, 1)], [bad], match_tol=1e-5)
+    # the oracle stays independent of the closed forms
+    tree = ast.parse(inspect.getsource(oracle))
+    assert "conjugate" not in {node.module for node in ast.walk(tree)
+                               if isinstance(node, ast.ImportFrom)}

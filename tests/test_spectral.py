@@ -20,6 +20,7 @@ from nilconj import (
     spectrum,
 )
 from nilconj.algebra import FIXTURE_NAMES, MetricLieAlgebra, bracket_v
+from nilconj.spectral import lattice_match
 
 
 def test_spectrum_heis3(heis3):
@@ -115,6 +116,20 @@ def test_lattice_kernel_heis3(heis3):
     assert full.shape == (2, 2)
     # t = pi gives exp(-tJ) = -I, no nonzero fixed vectors.
     assert lattice_kernel(j, np.pi).shape == (2, 0)
+
+
+def test_lattice_match_band_heis3(heis3):
+    # a line meets t within merge_rel * max(1, t) + 2e-9 of one of its lattice
+    # times, the band of every lattice decision, at any t
+    spec = spectrum(j_map(heis3, [1.0]))
+    total, kern = lattice_match(spec, 2.0 * np.pi * (1.0 + 3e-10))
+    assert total == 2 and kern.shape == (2, 2)
+    assert lattice_match(spec, 2.0 * np.pi * (1.0 + 1e-6))[0] == 0
+    assert lattice_match(spec, 2.0 * np.pi * 1e4 * (1.0 + 3e-10))[0] == 2
+    # inside the band's absolute floor, where rounding t / 2 pi to 1 within
+    # 1e-9 once missed
+    assert lattice_match(spec, 2.0 * np.pi + 7e-9)[0] == 2
+    assert lattice_match(spec, 2.0 * np.pi + 9e-9)[0] == 0
 
 
 def test_lattice_kernel_heis5w(heis5w):
