@@ -51,6 +51,7 @@ from .spectral import (
     EigenLine,
     Spectrum,
     _lattice_band,
+    _meets,
     center_coupling,
     image_membership,
     lattice_match,
@@ -177,21 +178,21 @@ def _lattice_times(spec: Spectrum, t_max: float, tol: Tolerances) -> list[Conjug
 _TAYLOR_CUT = 1e-2   # |u| below which the excess terms use their Taylor polynomial
 
 
-def _excess(u: np.ndarray) -> np.ndarray:
-    """u coth u - 1, elementwise over complex u.
+def _excess(u: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """u coth u - 1, elementwise over complex u, from th = tanh u.
 
     It is w/3 - w^2/45 + 2 w^3/945 - ... in w = u^2, which below the cut is
     exact to rounding where the closed form would cancel against 1.
     """
     w = u * u
     return np.where(np.abs(u) < _TAYLOR_CUT, w * (1.0 / 3.0 - w * (1.0 / 45.0 - w * (2.0 / 945.0))),
-                    u / np.tanh(u) - 1.0)
+                    u / th - 1.0)
 
 
-def _dexcess(u: np.ndarray) -> np.ndarray:
-    """d/du of _excess: coth u - u (coth^2 u - 1)."""
+def _dexcess(u: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """d/du of _excess: coth u - u (coth^2 u - 1), from th = tanh u."""
     w = u * u
-    c = 1.0 / np.tanh(u)
+    c = 1.0 / th
     return np.where(np.abs(u) < _TAYLOR_CUT,
                     u * (2.0 / 3.0 - w * (4.0 / 45.0 - w * (4.0 / 315.0))),
                     c - u * (c * c - 1.0))
@@ -222,18 +223,22 @@ class ConjugacySeries:
         lam, vecs = spec.eigenbasis
         return cls(0.5 * lam, (x0 @ alg.gram_v @ vecs) * np.linalg.solve(vecs, x0))
 
-    def _sum(self, t: float | np.ndarray, fn, coef: np.ndarray) -> float | np.ndarray:
-        """Re sum of coef * fn(h t) over the eigenvalues."""
+    def _sums(self, t: float | np.ndarray, *parts) -> tuple:
+        """Re sum of coef * fn(u, tanh u), u = h t, over the eigenvalues, per (fn, coef)
+        part; the parts share one tanh."""
         t = np.asarray(t, dtype=float)
+        u = t[..., None] * self.h
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = (coef * fn(t[..., None] * self.h)).real.sum(-1)
-        return val if val.ndim else float(val)
+            th = np.tanh(u)
+            vals = [(coef * fn(u, th)).real.sum(-1) for fn, coef in parts]
+        return tuple(val if val.ndim else float(val) for val in vals)
 
     def excess(self, t: float | np.ndarray) -> float | np.ndarray:
-        return self._sum(t, _excess, self.weight)
+        return self._sums(t, (_excess, self.weight))[0]
 
-    def derivative(self, t: float | np.ndarray) -> float | np.ndarray:
-        return self._sum(t, _dexcess, self.weight * self.h)
+    def excess_and_derivative(self, t: float | np.ndarray) -> tuple:
+        """(excess(t), d excess / dt) from one tanh per term, for a Newton step."""
+        return self._sums(t, (_excess, self.weight), (_dexcess, self.weight * self.h))
 
 
 def _matrix_excess(geo: GeodesicSpec, t: float | np.ndarray) -> float | np.ndarray:
@@ -282,9 +287,13 @@ def conjugacy_function(geo: GeodesicSpec, t: float | np.ndarray,
         raise PoleError("conjugacy function is a limit at t = 0, not a value")
     spec = spectrum(geo.J, tol)
     gx = geo.alg.gram_v @ geo.x0
-    for s in np.ravel(t):
-        if pairs_nonzero(lattice_match(spec, float(s), tol)[1], gx, tol):
-            raise PoleError(f"t = {s} is a lattice pole of the conjugacy function")
+    ts = np.ravel(np.asarray(t, dtype=float))
+    pole = np.zeros(ts.shape, dtype=bool)
+    for line in spec.neg:
+        if pairs_nonzero(line.basis, gx, tol):
+            pole |= _meets(line, ts, tol)
+    if pole.any():
+        raise PoleError(f"t = {ts[pole][0]} is a lattice pole of the conjugacy function")
     return inner_v(geo.alg, geo.x0, geo.x0) + _excess_of(geo, spec)(t)
 
 

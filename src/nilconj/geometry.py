@@ -8,6 +8,7 @@ frame Y(t) = z(t) + exp(tJ) v(t).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .algebra import (
     j_map,
 )
 from .errors import InsufficientSamplesError, ParseError
-from .numerics import _expm_stack, grid_transport
+from .numerics import _expm_each, _expm_stack, grid_transport
 
 __all__ = [
     "GeodesicSpec",
@@ -39,6 +40,7 @@ __all__ = [
 
 _UNIFORM_REL = 1e-9     # fixed: grid steps equal to this relative accuracy count as uniform
 _COVER_SLACK = 1e-12    # fixed, relative: a time this far past half a step keeps its sample
+_POINT_BLOCK = 2 ** 16  # geodesic_point's lifts hold at most this many entries per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,38 +182,80 @@ def geodesic_velocity(geo: GeodesicSpec, t: float) -> AlgebraElement:
     return AlgebraElement(geo.z0, expm(t * geo.J) @ geo.x0)
 
 
-def geodesic_point(geo: GeodesicSpec, t: float) -> AlgebraElement:
-    """Exponential coordinates (Z(t), X(t)) of the geodesic point, exactly.
+def geodesic_point(geo: GeodesicSpec | tuple,
+                   t: float | np.ndarray) -> AlgebraElement | np.ndarray:
+    """Exponential coordinates (Z(t), X(t)) of geodesic points, exactly.
 
-    u = (X, 1) and w = (exp(sJ) x0, 0) both solve y' = A y, A = [[J, x0], [0, 0]],
-    so Q = u w^T - w u^T solves Q' = A Q + Q A^T.  One block-triangular
-    exponential of that flow (Van Loan, IEEE TAC 23, 1978) integrates Q over
-    [0, t]: row q of the integral is (X(t), 0), and the bracket contracts its
-    leading block to 2 int [X(s), exp(sJ) x0] ds = 4 (Z(t) - t z0).  Only the
-    antisymmetric part of u w^T reaches the bracket, so the lift grows like
-    exp(rate t), not like its square.  A straight line (J = 0) is (t z0, t x0).
+    geo is one GeodesicSpec with a scalar t, giving an AlgebraElement, or a
+    stack (alg, z0, x0) of k rows of initial data with k times t, giving the
+    (k, dim) coordinates, center block first; a GeodesicSpec is the stack of
+    one.  u = (X, 1) and w = (exp(sJ) x0, 0) both solve y' = A y,
+    A = [[J, x0], [0, 0]], so Q = u w^T - w u^T solves Q' = A Q + Q A^T.  One
+    block-triangular exponential of that flow (Van Loan, IEEE TAC 23, 1978)
+    integrates Q over [0, t]: row q of the integral is (X(t), 0), and the
+    bracket contracts its leading block to 2 int [X(s), exp(sJ) x0] ds =
+    4 (Z(t) - t z0).  Only the antisymmetric part of u w^T reaches the
+    bracket, so the lift grows like exp(rate t), not like its square.  A
+    straight line (J = 0) is (t z0, t x0) exactly, with no exponential.  The
+    other rows' lifts go in blocks of at most _POINT_BLOCK entries (one row at
+    least), each block one exponential per Pade degree (_expm_each), so a
+    row's point does not depend on the stack or the block it is in.
     """
-    if not geo.J.any():
-        return AlgebraElement(t * geo.z0, t * geo.x0)
-    q = geo.alg.dim_v
+    if isinstance(geo, GeodesicSpec):
+        p = geo.alg.dim_center
+        point = geodesic_point((geo.alg, geo.z0[None], geo.x0[None]), np.array([t]))[0]
+        return AlgebraElement(point[:p], point[p:])
+    alg, z0, x0 = geo
+    p, q = alg.dim_center, alg.dim_v
+    z0, x0 = np.asarray(z0, dtype=float), np.asarray(x0, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if z0.shape != (t.size, p) or x0.shape != (t.size, q):
+        raise ParseError("geodesic_point needs one row of z0 and of x0 per time")
+    out = np.hstack([t[:, None] * z0, t[:, None] * x0])
+    i, j, x_at, inner, lift_map = _lift_layout(q)
+    d = i.size
+    bracket = 0.5 * alg.structure[:, i[inner], j[inner]].T   # 1/4 of the antisymmetric sum
+    rows_per_block = max(1, _POINT_BLOCK // (d + 1) ** 2)
+    for start in range(0, t.size, rows_per_block):
+        jz = np.einsum("ka,aij->kij", z0[start:start + rows_per_block], alg._j_basis)
+        bent = np.flatnonzero(jz.any(axis=(1, 2)))
+        if not bent.size:
+            continue
+        rows, k = bent + start, bent.size
+        a_rows = np.concatenate([jz[bent], x0[rows, :, None]], axis=2)   # [J, x0]
+        lift = (a_rows.reshape(k, -1) @ lift_map).reshape(k, d + 1, d + 1)
+        c = _expm_each(t[rows, None, None] * lift)[:, :d, d]   # int_0^t Q
+        out[rows, :p] += (c[:, None, inner] @ bracket)[:, 0]
+        out[rows, p:] = -c[:, x_at]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _lift_layout(q: int) -> tuple[np.ndarray, ...]:
+    """geodesic_point's fixed layout for dim_v = q: (i, j, x_at, inner, lift_map).
+
+    The d coordinates of an antisymmetric (q + 1) x (q + 1) matrix Q are
+    Q[i, j], i < j; Q[x_at[c]] is Q[c, q], and inner marks the pairs with
+    j < q.  lift_map takes the first q rows [J, x0] of A = [[J, x0], [0, 0]],
+    flattened, to the lift [[F, Q(0)], [0, 0]], flattened: F is the flow
+    Q -> A Q + Q A^T in coordinates, and Q(0) = e_q (x0, 0) - (x0, 0) e_q^T.
+    Its entries are 0 and +-1, and each lift entry takes at most two entries
+    of A, so the product is exact.
+    """
     n = q + 1
-    a = np.zeros((n, n))
-    a[:q, :q] = geo.J
-    a[:q, q] = geo.x0
-    i, j = np.triu_indices(n, 1)        # coordinates Q[i, j], i < j
+    i, j = np.triu_indices(n, 1)
     d = i.size
     basis = np.zeros((n, n, d))
     basis[i, j, np.arange(d)] = 1.0
     basis[j, i, np.arange(d)] = -1.0
-    flow = np.einsum("ik,kjd->ijd", a, basis) + np.einsum("ikd,jk->ijd", basis, a)
-    lift = np.zeros((2 * d, 2 * d))
-    lift[:d, :d] = flow[i, j]
-    lift[d:, :d] = np.eye(d)
-    q0 = np.outer(np.eye(n)[q], np.append(geo.x0, 0.0))
-    q0 = q0 - q0.T
-    integral = basis @ (expm(t * lift)[d:, :d] @ q0[i, j])
-    z_t = t * geo.z0 + 0.25 * np.einsum("aij,ij->a", geo.alg.structure, integral[:q, :q])
-    return AlgebraElement(z_t, integral[q, :q])
+    a = np.zeros((q * n, n, n))             # A with one unit entry in its first q rows
+    a[:, :q] = np.eye(q * n).reshape(q * n, q, n)
+    flow = np.einsum("eil,ljd->eijd", a, basis) + np.einsum("ild,ejl->eijd", basis, a)
+    x_at = np.flatnonzero(j == q)
+    lift = np.zeros((q * n, d + 1, d + 1))
+    lift[:, :d, :d] = flow[:, i, j]
+    lift[np.arange(q) * n + q, x_at, d] = -1.0   # x0_c gives Q(0)[c, q] = -x0_c
+    return i, j, x_at, np.flatnonzero(j < q), lift.reshape(q * n, -1)
 
 
 def _stencil_index(times: np.ndarray, t: float) -> int:

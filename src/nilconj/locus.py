@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra, inner_v, j_map
+from .algebra import MetricLieAlgebra, j_map
 from .config import DEFAULT_TOL, Tolerances
 from .conjugate import ConjugacySeries, _lattice_poles, _scan_roots, polynomial_times
 from .errors import (CenterNotLineError, NoConjugateError, ParseError, RootLostError,
@@ -64,10 +64,16 @@ def _unit_center(alg: MetricLieAlgebra) -> tuple[np.ndarray, np.ndarray, float]:
     return zu, j_map(alg, zu), float(np.sign(g))
 
 
+def _squared_rates(alg: MetricLieAlgebra, ju: np.ndarray, eps: float,
+                   x0: np.ndarray) -> np.ndarray:
+    """Delta^2 = eps <x0, J_u^2 x0> for each row of x0, in one batched product."""
+    return eps * ((x0 @ alg.gram_v)[:, None] @ ((x0 @ ju.T) @ ju.T)[:, :, None])[:, 0, 0]
+
+
 def _rate(alg: MetricLieAlgebra, ju: np.ndarray, eps: float, x0: np.ndarray,
           tol: Tolerances) -> float:
     """Delta from Delta^2 = eps <x0, J_u^2 x0>; NoConjugateError unless positive."""
-    d2 = eps * inner_v(alg, x0, ju @ (ju @ x0))
+    d2 = _squared_rates(alg, ju, eps, x0[None])[0]
     if d2 <= tol.zero_rel:
         raise NoConjugateError("signed squared-rate sum is not positive; "
                                "no conjugate point on this straight geodesic")
@@ -99,27 +105,26 @@ def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
         method = "delta" if alg.dim_center == 1 else "general"
     if method not in ("delta", "general"):
         raise ParseError(f"unknown method {method!r}")
+    x0 = [np.asarray(d, dtype=float).reshape(-1) for d in directions]
+    if any(row.shape != (alg.dim_v,) for row in x0):
+        raise ParseError("each direction needs dim_v components")
+    x0 = np.array(x0).reshape(-1, alg.dim_v)
+    if not np.all(np.isfinite(x0)):
+        raise ParseError("directions must be finite")
     if method == "delta":
         _, ju, eps = _unit_center(alg)   # one J for every direction
-    out = []
-    for direction in directions:
-        x0 = np.asarray(direction, dtype=float).reshape(-1)
-        geo = GeodesicSpec(alg, np.zeros(alg.dim_center), x0)
-        if method == "delta":
-            try:
-                delta = _rate(alg, ju, eps, x0, tol)
-            except NoConjugateError:
-                continue
-            t = _2SQRT3 / delta
-        else:
-            times = polynomial_times(geo, t_max=1e12, tol=tol)
-            if not times:
-                continue
-            t = min(ct.t for ct in times)
-            delta = _2SQRT3 / t
-        point = geodesic_point(geo, t).coords()
-        out.append(LocusSample(x0, 0.0, float(t), point, float(delta)))
-    return out
+        d2 = _squared_rates(alg, ju, eps, x0)
+        x0, delta = x0[d2 > tol.zero_rel], np.sqrt(d2[d2 > tol.zero_rel])
+        t = _2SQRT3 / delta
+    else:   # 0 stands for no conjugate time
+        first = np.array([min((ct.t for ct in polynomial_times(
+            GeodesicSpec(alg, np.zeros(alg.dim_center), row), t_max=1e12, tol=tol)), default=0.0)
+            for row in x0])
+        x0, t = x0[first > 0.0], first[first > 0.0]
+        delta = _2SQRT3 / t
+    points = geodesic_point((alg, np.zeros((t.size, alg.dim_center)), x0), t)
+    return [LocusSample(x, 0.0, ts, point, d)
+            for x, ts, point, d in zip(x0, t.tolist(), points, delta.tolist())]
 
 
 def _track_root(series: ConjugacySeries, spec: Spectrum, eps: float, s: float,
@@ -139,10 +144,11 @@ def _track_root(series: ConjugacySeries, spec: Spectrum, eps: float, s: float,
     t = predictor
     lo, hi = _TRUST_WINDOW[0] * predictor, _TRUST_WINDOW[1] * predictor
     for _ in range(_NEWTON_MAX_ITER):
-        df = s * series.derivative(s * t)
+        excess, slope = series.excess_and_derivative(s * t)
+        df = s * slope
         if df == 0.0 or not np.isfinite(df):
             break
-        t_new = t - f(t) / df
+        t_new = t - (excess - s * s * eps) / df
         if not (lo < t_new < hi):
             break
         if abs(t_new - t) <= tol.bisect_tol * max(1.0, t):
@@ -174,14 +180,11 @@ def continuation(alg: MetricLieAlgebra, x0: np.ndarray, a_grid: list[float],
     for s in sorted({abs(float(a)) for a in a_grid if a != 0.0}):
         predictor = track[max(k for k in track if k < s)]
         track[s] = _track_root(series, spec, eps, s, predictor, tol)
-    out = []
-    for a in a_grid:
-        a = float(a)
-        t = track[abs(a)]
-        geo = GeodesicSpec(alg, a * zu, x0)
-        point = geodesic_point(geo, t).coords()
-        out.append(LocusSample(x0, a, float(t), point, delta))
-    return out
+    a = np.array(a_grid, dtype=float).reshape(-1)
+    t = np.array([track[abs(s)] for s in a.tolist()])
+    points = geodesic_point((alg, a[:, None] * zu, np.broadcast_to(x0, (a.size, x0.size))), t)
+    return [LocusSample(x0, s, ts, point, delta)
+            for s, ts, point in zip(a.tolist(), t.tolist(), points)]
 
 
 def export_samples(samples: list[LocusSample], path: str, fmt: str = "csv") -> None:

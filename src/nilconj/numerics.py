@@ -31,6 +31,7 @@ _PADE = {m: tuple(np.array(b) / b[0]) for m, b in {
 }.items()}
 _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
           9: 2.097847961257068, 13: 5.371920351148152}
+_THETA_LOW = np.array([_THETA[m] for m in (3, 5, 7, 9)])   # degree 13 takes every larger norm
 
 
 def _check_t_max(t_max: float) -> None:
@@ -122,7 +123,7 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     eye = np.eye(a.shape[-1])
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     top = norm.max(initial=0.0)
-    m = next((m for m in (3, 5, 7, 9) if top <= _THETA[m]), 13)
+    m = (3, 5, 7, 9, 13)[np.searchsorted(_THETA_LOW, top)]
     b = _PADE[m]
     s = np.zeros(norm.shape, dtype=int)
     if m < 13:
@@ -148,6 +149,23 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
         sq = s > k
         e[sq] = e[sq] @ e[sq]
     e[norm == 0.0] = eye
+    return e
+
+
+def _expm_each(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix in a (k, d, d) stack, each bit for bit as in a stack of its own.
+
+    The stack splits by the Pade degree that each matrix takes alone, with one
+    _expm_stack call per degree present, so no matrix's result depends on the
+    others in its stack.
+    """
+    degree = np.searchsorted(_THETA_LOW, np.abs(a).sum(axis=-2).max(axis=-1))
+    levels = np.unique(degree)
+    if levels.size <= 1:
+        return _expm_stack(a)
+    e = np.empty_like(a)
+    for level in levels:
+        e[degree == level] = _expm_stack(a[degree == level])
     return e
 
 

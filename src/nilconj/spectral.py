@@ -108,6 +108,13 @@ def _lattice_band(t: float | np.ndarray, tol: Tolerances) -> float | np.ndarray:
     return tol.merge_rel * np.maximum(1.0, t) + 2e-9
 
 
+def _meets(line: EigenLine, t: float | np.ndarray, tol: Tolerances) -> bool | np.ndarray:
+    """Whether 2 pi n / rate, for the n >= 1 nearest, lies within the lattice band
+    (_lattice_band) of t, elementwise over t."""
+    n = np.maximum(1.0, np.round(t * line.rate / (2.0 * np.pi)))
+    return np.abs(t - 2.0 * np.pi * n / line.rate) <= _lattice_band(t, tol)
+
+
 def lattice_match(spec: Spectrum, t: float,
                   tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
     """Summed multiplicity and basis of ker(exp(tJ) - I) on the invertible part.
@@ -115,9 +122,7 @@ def lattice_match(spec: Spectrum, t: float,
     Selects the rotating lines that meet t, with some n >= 1 such that |t - 2 pi n
     / rate| is within the lattice band (_lattice_band); ker J is left out.
     """
-    near = [max(1, round(t * line.rate / (2.0 * np.pi))) for line in spec.neg]   # nearest n
-    lines = [line for line, n in zip(spec.neg, near)
-             if abs(t - 2.0 * np.pi * n / line.rate) <= _lattice_band(t, tol)]
+    lines = [line for line in spec.neg if _meets(line, t, tol)]
     return (sum(line.mult for line in lines),
             np.hstack([np.zeros((spec.dim_v, 0))] + [line.basis for line in lines]))
 

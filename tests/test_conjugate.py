@@ -3,6 +3,7 @@
 import bisect
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,48 @@ def test_conjugacy_function_finite_at_partial_pole(heis5w):
     # plane stays in the image and g(pi) = (pi/2) cot(pi/2) = 0.
     g5 = geo(heis5w, [1.0], [1.0, 0.0, 0.0, 0.0])
     assert conjugacy_function(g5, np.pi) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_conjugacy_function_pole_check_is_the_lattice_match_rule(heis5w, wcross):
+    # every element is a pole exactly where lattice_match's kernel at it pairs
+    # with x0; an array stops at its first pole, and one without poles gives
+    # the values of scalar calls
+    rng = np.random.default_rng(83)
+    for alg in (heis5w, wcross):
+        for _ in range(10):
+            g = geo(alg, rng.standard_normal(1), rng.standard_normal(4) * rng.integers(0, 2, 4))
+            spec = spectrum(g.J)
+            lattice = np.array([2.0 * np.pi * n / line.rate
+                                for line in spec.neg for n in (1, 2, 5)])
+            ts = rng.permutation(np.concatenate([rng.uniform(0.1, 20.0, 12), lattice,
+                                                 lattice * (1.0 + 1e-10), lattice * (1.0 + 1e-6)]))
+            gx = alg.gram_v @ g.x0
+            pole = np.array([spectral_module.pairs_nonzero(
+                spectral_module.lattice_match(spec, float(t))[1], gx) for t in ts])
+            for t in ts[pole]:
+                with pytest.raises(PoleError):
+                    conjugacy_function(g, float(t))
+            if pole.any():
+                with pytest.raises(PoleError, match=re.escape(f"t = {ts[pole][0]} is")):
+                    conjugacy_function(g, ts)
+            assert conjugacy_function(g, ts[~pole]).tolist() == \
+                [conjugacy_function(g, float(t)) for t in ts[~pole]]
+
+
+def test_series_excess_and_derivative_share_one_pass(pheis3, heis5w, cplx):
+    # the Newton step's pair: its excess is excess's bit for bit, over an array
+    # as in scalar calls, and its derivative is the excess's slope
+    rng = np.random.default_rng(84)
+    ts = np.concatenate([rng.uniform(0.001, 9.0, 20), [1e-3, 0.5]])
+    for alg in (pheis3, heis5w, cplx):
+        g = geo(alg, rng.standard_normal(1), rng.standard_normal(alg.dim_v))
+        series = conjugate_module.ConjugacySeries.of(alg, spectrum(g.J), g.x0)
+        excess, slope = series.excess_and_derivative(ts)
+        assert excess.tolist() == series.excess(ts).tolist()
+        assert [series.excess_and_derivative(float(t)) for t in ts] == list(zip(excess, slope))
+        h = 1e-6 * np.maximum(1.0, ts)
+        fd = (series.excess(ts + h) - series.excess(ts - h)) / (2.0 * h)
+        assert slope == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def numerical_g(g, t):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import nilconj.geometry as geometry_module
 from nilconj import (
     AlgebraElement,
     GeodesicSpec,
@@ -242,6 +243,60 @@ def test_geodesic_point_straight_and_central(heis5w):
     assert pt.z == pytest.approx([2.1], abs=1e-14)
     assert np.linalg.norm(pt.v) < 1e-14
     assert geodesic_point(geo, 0.0).coords() == pytest.approx(np.zeros(5))
+
+
+@pytest.mark.parametrize("t", [20.0, 30.0])
+def test_geodesic_point_long_boosting_pheis3(pheis3, t):
+    geo = GeodesicSpec(pheis3, [1.0], [1.0, 0.0])
+    pt = geodesic_point(geo, t)
+    exact = np.array([1.5 * t - 0.5 * np.sinh(t), np.sinh(t), 1.0 - np.cosh(t)])
+    assert np.abs(pt.coords() - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def random_stack(alg, rng, k):
+    """k rows of initial data, every third one straight (z0 = 0), and k times in [0, 8)."""
+    z0 = rng.standard_normal((k, alg.dim_center))
+    z0[::3] = 0.0
+    return z0, rng.standard_normal((k, alg.dim_v)), rng.uniform(0.0, 8.0, k)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_geodesic_point_stack_matches_one_by_one(name):
+    alg = fixture(name)
+    z0, x0, ts = random_stack(alg, np.random.default_rng(61), 40)
+    stacked = geodesic_point((alg, z0, x0), ts)
+    assert stacked.shape == (40, alg.dim)
+    for row, z, x, t in zip(stacked, z0, x0, ts):
+        one = geodesic_point(GeodesicSpec(alg, z, x), t).coords()
+        assert np.abs(row - one).max() <= 1e-13 * np.abs(one).max()
+
+
+def test_geodesic_point_stack_keeps_straight_rows_exact(pheis3, heis3z2):
+    # J = 0 rows come back as (t z0, t x0) bit for bit: z0 = 0, and on
+    # heis3z2 a center direction that brackets with nothing
+    for alg, z0 in ((pheis3, [[0.0], [0.5], [0.0]]),
+                    (heis3z2, [[0.0, 0.7], [0.5, 0.0], [0.0, -2.0]])):
+        z0, x0 = np.array(z0), np.array([[0.3, -1.1], [1.0, 0.2], [2.0, 5.0]])
+        ts = np.array([0.7, 3.0, 41.0])
+        pts = geodesic_point((alg, z0, x0), ts)
+        for k in (0, 2):
+            assert np.array_equal(pts[k], np.concatenate([ts[k] * z0[k], ts[k] * x0[k]]))
+        assert not np.array_equal(pts[1, 1:], ts[1] * x0[1])
+
+
+def test_geodesic_point_block_size_does_not_change_points(heis5w, monkeypatch):
+    z0, x0, ts = random_stack(heis5w, np.random.default_rng(62), 30)
+    ts[:10] *= 0.01   # small norms: these lifts take lower Pade degrees
+    full = geodesic_point((heis5w, z0, x0), ts)
+    monkeypatch.setattr(geometry_module, "_POINT_BLOCK", 1)   # one row per block
+    assert np.array_equal(geodesic_point((heis5w, z0, x0), ts), full)
+    monkeypatch.setattr(geometry_module, "_POINT_BLOCK", 7 * 121)   # 7 rows per block
+    assert np.array_equal(geodesic_point((heis5w, z0, x0), ts), full)
+
+
+def test_geodesic_point_stack_refuses_mismatched_rows(pheis3):
+    with pytest.raises(ParseError):
+        geodesic_point((pheis3, np.zeros((2, 1)), np.ones((3, 2))), np.ones(3))
 
 
 @pytest.mark.parametrize("name, x0", [("pheis3", [0.6, -1.3]),

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import nilconj.geometry as geometry_module
+import nilconj.locus as locus_module
+import nilconj.spectral as spectral_module
 from nilconj import (
     GeodesicSpec,
     NoConjugateError,
@@ -88,6 +92,37 @@ def test_sample_locus_methods_agree_without_real_split(request, name):
     for sa, sb in zip(a, b):
         assert sa.t == pytest.approx(sb.t, rel=1e-10)
         assert sa.point == pytest.approx(sb.point, rel=1e-10, abs=1e-12)
+
+
+def test_sample_locus_refuses_malformed_directions(pheis3):
+    with pytest.raises(ParseError):
+        sample_horizontal_locus(pheis3, [np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
+    with pytest.raises(ParseError):
+        sample_horizontal_locus(pheis3, [np.array([np.nan, 1.0])], method="delta")
+
+
+def test_each_locus_call_makes_one_geodesic_point_call_and_no_scipy_expm(pheis3, monkeypatch):
+    # one stacked geodesic_point call per locus call, and no scipy exponential
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return geodesic_point(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.expm called")
+
+    monkeypatch.setattr(locus_module, "geodesic_point", counted)
+    for module in (scipy.linalg, geometry_module, spectral_module):
+        monkeypatch.setattr(module, "expm", refuse)
+    dirs = [np.array([np.cos(a), np.sin(a)]) for a in np.linspace(-0.6, 0.6, 9)]
+    for method in ("delta", "general"):
+        assert len(sample_horizontal_locus(pheis3, dirs, method=method)) == 9
+    tube = continuation(pheis3, [1.0, 0.2], list(0.2 * np.arange(-5, 6) / 5))
+    assert len(tube) == 11 and len(calls) == 3
+    # the delta method reads every rate off one product, with no GeodesicSpec
+    monkeypatch.setattr(locus_module, "GeodesicSpec", refuse)
+    assert len(sample_horizontal_locus(pheis3, dirs, method="delta")) == 9
 
 
 def test_sample_locus_unknown_method(pheis3):
