@@ -44,7 +44,6 @@ from .numerics import (
     bracket_root,
     cluster_scalars,
     golden_min,
-    grid_transport,
     null_space_basis,
 )
 from .spectral import (
@@ -444,17 +443,14 @@ def _witness_view(geo: GeodesicSpec, t0: float, form: _FieldForm,
                   zeta: np.ndarray) -> JacobiField:
     """The witness of a closed form, sampled on [0, t0] at 32 rows per turn of |J|_2
     (129 at least) and scaled so that its largest frame coordinate there is 1."""
-    jnorm = float(np.linalg.norm(geo.J, 2)) if geo.J.size else 0.0
-    n = max(129, int(np.ceil(16.0 * t0 * max(1.0, jnorm) / np.pi)) + 1)
+    n = max(129, int(np.ceil(16.0 * t0 * max(1.0, np.linalg.norm(geo.J, 2)) / np.pi)) + 1)
     times = np.linspace(0.0, t0, n)
-    eb = grid_transport(-geo.J, times[1], np.broadcast_to(form.b, (n, form.b.size)))
-    z, _, v, _, _ = form.jet(geo.J, times, eb)
-    amp = max(float(np.abs(z).max(initial=0.0)),
-              float(np.abs(grid_transport(geo.J, times[1], v)).max()))
+    z, _, v, ev, _, _ = form.jet(times, times[1])
+    amp = max(float(np.abs(z).max(initial=0.0)), float(np.abs(ev).max()))
     if amp <= 0.0:
         raise NoConjugateError("witness construction produced the zero field")
-    form = dataclasses.replace(form, p=form.p / amp, q=form.q / amp, b=form.b / amp)
-    return _ExactField(zeta / amp, times, z / amp, v / amp, form)
+    form = dataclasses.replace(form, p=form.p / amp, q=form.q / amp, c=form.c / amp)
+    return _ExactField(zeta / amp, times, z / amp, v / amp, form, ev / amp)
 
 
 def _polynomial_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> JacobiField:
@@ -469,55 +465,54 @@ def _polynomial_witness(geo: GeodesicSpec, t0: float, tol: Tolerances) -> Jacobi
     brk = bracket_v(geo.alg, w, geo.x0)
     form = _FieldForm(np.array([0.0 * w, -0.5 * t0 * w, 0.5 * w, 0.0 * w]),
                       np.array([0.0 * zeta, zeta, -0.25 * t0 * brk, brk / 6.0]),
-                      np.zeros((zeta.size, w.size)), 0.0 * w)
+                      np.zeros((zeta.size, w.size)), 0.0 * w, np.eye(w.size), geo.J)
     return _witness_view(geo, t0, form, zeta)
 
 
-def _exp_witness(geo: GeodesicSpec, t0: float, a: np.ndarray, b: np.ndarray, c: float,
-                 zeta: np.ndarray) -> JacobiField:
-    """Field v(t) = t a + g(t), z(t) = alpha(t) z0 with g(t) = (exp(-tJ) - I) b.
+def _exp_witness(geo: GeodesicSpec, t0: float, basis: np.ndarray, k: np.ndarray,
+                 a: np.ndarray, c: np.ndarray, slope: float) -> JacobiField:
+    """Field v(t) = B (t a + g(t)), z(t) = alpha(t) z0, zeta = slope z0, with g(t) =
+    (exp(-tK) - I) c on a J-invariant span of B, J B = B K.
 
-    The center coefficient is alpha(t) = c t + <J x0, J^-1 g(t) + t b> / <z0, z0>.
-    g lies in im J and J is skew-adjoint, so <J x0, J^-1 g> = -<x0, g>
-    whatever the preimage, and no linear solve is needed.
+    The center coefficient is alpha(t) = slope t + <J x0, J^-1 B g(t) + t B c> /
+    <z0, z0>.  B g lies in im J and J is skew-adjoint, so <J x0, J^-1 B g> =
+    -<x0, B g> whatever the preimage, and no linear solve is needed.
     """
-    gx = geo.alg.gram_v @ geo.x0
-    slope, zg = c, np.zeros((geo.z0.size, b.size))
-    if gx.any():   # x0 = 0 leaves alpha = c t, also on a null z0 of a higher-dimensional center
+    gx, zeta = geo.alg.gram_v @ geo.x0, slope * geo.z0
+    zg = np.zeros((geo.z0.size, c.size))
+    if gx.any():   # x0 = 0 leaves alpha = slope t, also on a null z0 of a higher-dimensional center
         szz = inner_z(geo.alg, geo.z0, geo.z0)
-        slope = c + inner_v(geo.alg, geo.J @ geo.x0, b) / szz
-        zg = -np.outer(geo.z0, gx) / szz
-    form = _FieldForm(np.array([0.0 * a, a]), np.array([0.0 * geo.z0, slope * geo.z0]), zg, b)
+        slope += inner_v(geo.alg, geo.J @ geo.x0, basis @ c) / szz
+        zg = -np.outer(geo.z0, gx @ basis) / szz
+    form = _FieldForm(np.array([0.0 * a, a]), np.array([0.0 * geo.z0, slope * geo.z0]), zg, c,
+                      basis, k)
     return _witness_view(geo, t0, form, zeta)
 
 
 def _lattice_witness(geo: GeodesicSpec, t0: float, tol: Tolerances,
                      spec: Spectrum) -> JacobiField:
-    """(a, b, c, zeta) = (0, v0, 0, 0) with v0 in the lattice kernel, <J x0, v0> = 0."""
+    """(a, c, slope) = (0, c0, 0) on the lattice kernel B, the rotating lines that meet
+    t0, with <J x0, B c0> = 0; K has only their rates."""
     _, kernel = lattice_match(spec, t0, tol)
-    if kernel.shape[1] == 0:
-        raise NoConjugateError(f"no lattice kernel at t = {t0}")
     gjx = geo.alg.gram_v @ (geo.J @ geo.x0)
-    if not pairs_nonzero(kernel, gjx, tol):
-        v0 = kernel[:, 0]
-    else:
-        if kernel.shape[1] < 2:
-            raise NoConjugateError(f"no admissible lattice witness at t = {t0}")
-        # combination annihilating the pairing functional
-        _, _, vh = np.linalg.svd((kernel.T @ gjx)[None, :])
-        v0 = kernel @ vh[1:].T[:, 0]
-    return _exp_witness(geo, t0, np.zeros(geo.alg.dim_v), v0, 0.0,
-                        np.zeros(geo.alg.dim_center))
+    pairs = pairs_nonzero(kernel, gjx, tol)
+    if kernel.shape[1] < 1 + pairs:   # no kernel, or one column that J x0 pairs with
+        raise NoConjugateError(f"no admissible lattice witness at t = {t0}")
+    # the first column, else a combination annihilating the pairing functional
+    c0 = np.linalg.svd((kernel.T @ gjx)[None, :])[2][1] if pairs else np.eye(kernel.shape[1])[0]
+    k = np.linalg.lstsq(kernel, geo.J @ kernel, rcond=None)[0]
+    return _exp_witness(geo, t0, kernel, k, 0.0 * c0, c0, 0.0)
 
 
 def _transcendental_witness(geo: GeodesicSpec, t0: float, tol: Tolerances,
                             spec: Spectrum) -> JacobiField:
-    """(a, b, c, zeta) = (x, -u, 1, z0) with (exp(-t0 J) - I) u = t0 x, x = x0 - K."""
+    """(a, c, slope) = (x, -u, 1) on B = I, with (exp(-t0 J) - I) u = t0 x, x = x0 less
+    its ker J part (_flat_split)."""
     reg = _flat_split(geo, spec, tol)
     member, u = image_membership(reg.J, t0, reg.x0, reg.alg.gram_v, tol)
     if not member:
         raise NotInImageError(f"no preimage for the transcendental witness at t = {t0}")
-    return _exp_witness(reg, t0, reg.x0, -u, 1.0, reg.z0.copy())
+    return _exp_witness(reg, t0, np.eye(reg.alg.dim_v), reg.J, reg.x0, -u, 1.0)
 
 
 def build_jacobi_field(geo: GeodesicSpec, ct: ConjugateTime, tol: Tolerances = DEFAULT_TOL,

@@ -89,41 +89,51 @@ class JacobiField:
             raise ParseError("sample arrays must have one row per time")
         if n >= 2 and not np.all(np.diff(times) > 0.0):
             raise ParseError("sample times must be strictly increasing")
-        for arr in (zeta, times, z, v):
+        for name, arr in (("zeta", zeta), ("times", times), ("z", z), ("v", v)):
             if not np.all(np.isfinite(arr)):
                 raise ParseError("field samples must be finite")
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "v", v)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
 class _FieldForm:
-    """Closed form of a witness, v(t) = sum_k t^k p[k] + g(t) and z(t) = sum_k t^k q[k]
-    + zg g(t) with g(t) = (exp(-tJ) - I) b, exact with its derivatives at any t
-    through g' = -J exp(-tJ) b and g'' = J^2 exp(-tJ) b."""
+    """Closed form of a witness on a J-invariant span of B, J B = B K: with P(t) = sum_k
+    t^k p[k], v(t) = B (P(t) + g(t)) and z(t) = sum_k t^k q[k] + zg g(t), g(t) = (exp(-tK)
+    - I) c, so exp(tJ) v(t) = B (exp(tK) (P(t) - c) + c), and no exponential of J is formed."""
 
-    p: np.ndarray    # (k + 1, dim_v) power coefficients of v
-    q: np.ndarray    # (k + 1, dim_center) power coefficients of z, as many as of v
-    zg: np.ndarray   # (dim_center, dim_v)
-    b: np.ndarray    # (dim_v,)
+    p: np.ndarray      # (k + 1, r) power coefficients of v in B coordinates
+    q: np.ndarray      # (k + 1, dim_center) power coefficients of z, as many as of v
+    zg: np.ndarray     # (dim_center, r)
+    c: np.ndarray      # (r,)
+    basis: np.ndarray  # (dim_v, r) B
+    k: np.ndarray      # (r, r) K
 
-    def jet(self, j: np.ndarray, times: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(z, zdot, v, vdot, vddot), one row per time, from the rows eb = exp(-t J) b."""
-        k = np.arange(len(self.p))
-        t = times[:, None]
-        pw = t ** k, k * t ** np.maximum(k - 1, 0), k * (k - 1) * t ** np.maximum(k - 2, 0)
-        g, dg, ddg = eb - self.b, -eb @ j.T, eb @ (j @ j).T
-        return (pw[0] @ self.q + g @ self.zg.T, pw[1] @ self.q + dg @ self.zg.T,
-                pw[0] @ self.p + g, pw[1] @ self.p + dg, pw[2] @ self.p + ddg)
+    def jet(self, times: np.ndarray, step: float | None = None) -> tuple[np.ndarray, ...]:
+        """(z, zdot, v, exp(tJ) v, exp(tJ) vdot, exp(tJ) vddot), one row per time, exact:
+        exp(tJ) v' = B (exp(tK) P' - K c), exp(tJ) v'' = B (exp(tK) P'' + K^2 c).  exp(+-tK)
+        are the blocks of exp(t diag(K, -K)), one stack, or grid_transport's if times = i step."""
+        d, t, r = np.arange(len(self.p)), times[:, None], self.c.size
+        pw = np.array([t ** d, d * t ** np.maximum(d - 1, 0), d * (d - 1) * t ** np.maximum(d - 2, 0)])
+        poly = pw @ self.p
+        poly[0] -= self.c   # P - c, P', P''
+        rows, gen = np.zeros((times.size, 2 * r, 3)), np.zeros((2 * r, 2 * r))
+        rows[:, :r], rows[:, r:, 0] = poly.transpose(1, 2, 0), self.c
+        gen[:r, :r], gen[r:, r:] = self.k, -self.k
+        out = (_expm_stack(times[:, None, None] * gen) @ rows if step is None
+               else grid_transport(gen, step, rows))
+        back, kc = out[:, r:, 0], self.k @ self.c
+        frame = (out[:, :r] + np.array([self.c, -kc, self.k @ kc]).T).transpose(2, 0, 1)
+        return (pw[0] @ self.q + (back - self.c) @ self.zg.T,
+                pw[1] @ self.q - back @ (self.zg @ self.k).T,
+                (poly[0] + back) @ self.basis.T, *(frame @ self.basis.T))
 
 
 @dataclass(frozen=True, eq=False)
 class _ExactField(JacobiField):
-    """A witness from build_jacobi_field: its samples are a view of its closed form."""
+    """A witness from build_jacobi_field: its samples and frame values are a view of its form."""
 
     form: _FieldForm
+    frame: np.ndarray
 
 
 def connection(alg: MetricLieAlgebra, u: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
@@ -164,9 +174,7 @@ def curvature(alg: MetricLieAlgebra, x: AlgebraElement, y: AlgebraElement,
 
 def jacobi_operator(geo: GeodesicSpec, t: float, y: AlgebraElement) -> AlgebraElement:
     """Closed form of R(Y, gdot(t)) gdot(t) for Y = z + x in frame coordinates."""
-    alg = geo.alg
-    j = geo.J
-    xp = expm(t * j) @ geo.x0
+    alg, j, xp = geo.alg, geo.J, geodesic_velocity(geo, t).v
     z, x = y.z, y.v
     jz = j_map(alg, z)
     jxp = j @ xp
@@ -279,9 +287,9 @@ def jacobi_frame_residual(geo: GeodesicSpec, field: JacobiField,
     """Residual pair of the moving-frame field equation at t.
 
     Returns (zdot - [exp(tJ) v, xp] - zeta,
-             exp(tJ) vddot + exp(tJ) J vdot - J_zeta xp);
+             exp(tJ) vddot + J exp(tJ) vdot - J_zeta xp);
     both vanish exactly for a Jacobi field with constant zeta.  A witness of
-    build_jacobi_field takes the exact derivatives of its closed form at t in
+    build_jacobi_field takes the exact frame values of its closed form at t in
     [times[0], times[-1]]; a sampled field takes centered finite differences
     on its own grid at the sample nearest t.
     """
@@ -289,19 +297,18 @@ def jacobi_frame_residual(geo: GeodesicSpec, field: JacobiField,
     if isinstance(field, _ExactField):
         if not field.times[0] <= t <= field.times[-1]:
             raise InsufficientSamplesError(f"t={t} lies outside the field's interval")
-        ti, eb = t, expm(-t * geo.J) @ field.form.b
-        _, zdot, v, vdot, vddot = (r[0] for r in field.form.jet(geo.J, np.array([t]), eb[None]))
+        xp = expm(t * geo.J) @ geo.x0
+        _, zdot, _, ev, evdot, evddot = (r[0] for r in field.form.jet(np.array([t])))
     else:
         i = _stencil_index(field.times, t)
-        h = field.times[i + 1] - field.times[i]
-        ti, v = field.times[i], field.v[i]
+        h, v = field.times[i + 1] - field.times[i], field.v
+        e = expm(field.times[i] * geo.J)
+        xp = e @ geo.x0
         zdot = (field.z[i + 1] - field.z[i - 1]) / (2.0 * h)
-        vdot = (field.v[i + 1] - field.v[i - 1]) / (2.0 * h)
-        vddot = (field.v[i + 1] - 2.0 * field.v[i] + field.v[i - 1]) / (h * h)
-    e = expm(ti * geo.J)
-    xp = e @ geo.x0
-    res_z = zdot - bracket_v(alg, e @ v, xp) - field.zeta
-    res_v = e @ vddot + e @ (geo.J @ vdot) - j_map(alg, field.zeta) @ xp
+        ev, evdot = e @ v[i], e @ (v[i + 1] - v[i - 1]) / (2.0 * h)
+        evddot = e @ (v[i + 1] - 2.0 * v[i] + v[i - 1]) / (h * h)
+    res_z = zdot - bracket_v(alg, ev, xp) - field.zeta
+    res_v = evddot + geo.J @ evdot - j_map(alg, field.zeta) @ xp
     return res_z, res_v
 
 
@@ -322,11 +329,9 @@ def serialize_field(field: JacobiField, stride: int = 1) -> str:
 
 
 def field_values(geo: GeodesicSpec, field: JacobiField) -> np.ndarray:
-    """Frame values Y(t_i) = (z_i, exp(t_i J) v_i), one row per sample."""
-    times = field.times
-    dt = np.diff(times)
-    if dt.size > 0 and np.allclose(dt, dt[0], rtol=_UNIFORM_REL, atol=0.0):
-        v = grid_transport(geo.J, dt[0], field.v) @ expm(times[0] * geo.J).T
-    else:
-        v = (_expm_stack(times[:, None, None] * geo.J) @ field.v[:, :, None])[:, :, 0]
-    return np.hstack([field.z, v])
+    """Frame values Y(t_i) = (z_i, exp(t_i J) v_i), one row per sample, from one stacked
+    exponential; a witness of build_jacobi_field holds them from its closed form."""
+    if isinstance(field, _ExactField):
+        return np.hstack([field.z, field.frame])
+    e = _expm_stack(field.times[:, None, None] * geo.J)
+    return np.hstack([field.z, (e @ field.v[:, :, None])[:, :, 0]])

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from nilconj import fixture, load_algebra
+from nilconj import MetricLieAlgebra, fixture, load_algebra
+from nilconj.cli import _random_geodesic
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -121,6 +122,27 @@ def cplxk_doc(sign):
         "gram": np.diag([1.0, 1.0, 1.0, -1.0, -1.0, sign]).tolist(),
         "brackets": CPLX_BRACKETS,
     })
+
+
+
+def random_algebra(rng):
+    """(algebra, geodesic) of the random-algebra probe, drawn from rng in this order:
+    center dimension p in [1, 2] and complement dimension q in [2, 5]; a diagonal
+    gram of random signs; for each pair a < b of complement indices, with
+    probability 0.6, a bracket with N(0, 1) outputs (else the single bracket
+    (0, 1) -> (1, ..., 1)); then cli._random_geodesic."""
+    p, q = int(rng.integers(1, 3)), int(rng.integers(2, 6))
+    gram = np.diag(rng.choice([-1.0, 1.0], p + q))
+    structure = np.zeros((p, q, q))
+    for a in range(q):
+        for b in range(a + 1, q):
+            if rng.random() < 0.6:
+                structure[:, a, b] = rng.standard_normal(p)
+    if not structure.any():
+        structure[:, 0, 1] = 1.0
+    alg = MetricLieAlgebra(p, q, gram, structure - structure.transpose(0, 2, 1))
+    return alg, _random_geodesic(alg, rng)
+
 
 BUILTIN_NAMES = ["heis3", "pheis3", "heis5w", "bicenter"]
 

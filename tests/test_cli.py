@@ -156,6 +156,36 @@ def test_conjugate_witness_residual_at_large_rate(capsys):
         assert row["witness_residual"] <= 1e-6
 
 
+# draw 173 of the random-algebra probe (conftest.random_algebra, default_rng(3)):
+# J has the rotating rate 0.498 and the boosting rate 2.82
+DRAW173 = json.dumps({
+    "name": "draw173",
+    "dim_center": 1,
+    "dim_v": 5,
+    "gram": np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]).tolist(),
+    "brackets": [{"a": 1, "b": 2, "out": [-0.04642735433419728]},
+                 {"a": 1, "b": 3, "out": [-2.6173164194237817]},
+                 {"a": 1, "b": 4, "out": [0.4586703067977707]},
+                 {"a": 2, "b": 4, "out": [0.46896230646529885]},
+                 {"a": 3, "b": 4, "out": [-0.7107702239060719]}],
+})
+
+
+def test_conjugate_lattice_witness_beside_a_boosting_line(tmp_path, capsys):
+    # exp(tJ) formed on the whole complement grew the rounding off the
+    # rotating line by exp(2.82 t0): the witness ended at 1.4 of its maximum
+    path = tmp_path / "draw173.json"
+    path.write_text(DRAW173)
+    code, out, _ = run(capsys, "conjugate", "--algebra", str(path), "--z0",
+                       "1.0567036953465523", "--tmax", "13", "--witness", "--json")
+    assert code == 0
+    (row,) = json_out(out)
+    assert (row["t"], row["mult"], row["branch"]) == (pytest.approx(12.6102695, abs=1e-7), 2,
+                                                      "lattice")
+    assert row["witness_endpoint"] <= 1e-8
+    assert row["witness_residual"] <= 1e-6
+
+
 def test_conjugate_unsupported_case_exits_2(capsys):
     code, _, err = run(capsys, "conjugate", "--algebra", "bicenter",
                        "--z0", "1,0", "--x0", "1,0,0")
