@@ -240,57 +240,82 @@ def _log_cosine_product(states: np.ndarray, p: int) -> tuple[np.ndarray, np.ndar
     return sign, log_det - np.log(norms).sum(axis=-1) - 0.5 * log_gram
 
 
+def _cover(prop: Propagator, lip: float, rank_tol: float) -> tuple[np.ndarray, ...]:
+    """sign det M and the scan value (NaN where unread) per node, and the mask of cells kept."""
+    times, n = prop.times, prop.times.size
+    sign, scan, live = np.zeros(n), np.full(n, np.nan), np.zeros(n - 1, dtype=bool)
+
+    def read(idx: np.ndarray) -> None:
+        if idx.size:
+            states = prop.basis if idx.size == n else prop.basis[idx]   # all nodes: no copy
+            sign[idx], scan[idx] = _log_cosine_product(states, prop.dim_center)
+
+    w = 1 << (int(prop.block).bit_length() - 1)
+    while w > 1 and lip * w * times[1] >= 2.0:       # products are at most 1: these cannot clear
+        w //= 2
+    lo = np.arange(0, n - 1, w)
+    read(np.append(lo, n - 1))
+    while True:
+        hi = np.minimum(lo + w, n - 1)
+        lo = lo[np.exp(scan[lo]) + np.exp(scan[hi]) - lip * (times[hi] - times[lo]) < 2.0 * rank_tol]
+        if w == 1:
+            break
+        w //= 2
+        read(mid := lo[lo + w < n - 1] + w)
+        lo = np.concatenate([lo, mid])
+    live[lo] = True
+    near = np.convolve(live, [1, 0, 0, 1])[1:n + 1] > 0    # nodes k - 1 and k + 2 of kept cells k
+    read(np.nonzero(near & np.isnan(scan))[0])
+    return sign, scan, live
+
+
 def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
                      tol: Tolerances = DEFAULT_TOL,
                      prop: Propagator | None = None) -> list[tuple[float, int]]:
     """Conjugate times in (0, t_max] by rank drop of the boundary map.
 
-    The multiplicity at a time is the number of principal-angle cosines
-    between the solution space and the (z, v) axes below tol.rank_tol.  The
-    scan reads sign det M and the log of the product of the cosines at every
-    node.  The candidates are the grid cells where sign det M changes (odd
-    multiplicities, also the two roots of a close pair in neighbouring
-    cells), the interior local minima of the scan value whose bracket holds
-    no such cell (even multiplicities), and a decreasing right endpoint.
-    Where A is constant (Propagator.system), a bracket [a, b] of the last two
-    kinds is refined only if (c_a + c_b - |A|_2 (b - a)) / 2 < tol.rank_tol,
-    c_a and c_b the smallest cosines at its ends: that is a lower bound of
-    the smallest cosine on [a, b].  For the projector P(t) onto the solution
-    space, S' = A S gives P' = (I - P) A P + P A^T (I - P), whose two terms
-    map range P and ker P into each other, so |P'|_2 <= |A|_2; the cosines
-    are the nonzero singular values of the (z, v) rows of P, so by Weyl's
-    inequality each of them is |A|_2-Lipschitz in t.  A time in a bracket that fails the test would have
-    multiplicity 0 and be dropped anyway.  A varying A keeps every bracket.  A
-    sign change is refined by an Illinois iteration on the signed smallest
-    cosine sign(det M) cos_min, which crosses zero linearly at any odd
-    multiplicity; the other candidates by golden section on the smallest
-    cosine; both to refine_tol in t.  Where the parity of the multiplicity
-    found differs from that of det M's sign change across the bracket, a
-    second root shares it; it is solved by the same Illinois iteration on
-    the side of the first root where det M changes sign.  det M is read
-    from the carried state's (z, v) rows: the factors in Propagator.scale
-    have determinant 1, and the raw map's own product loses digits past the
-    point where its columns collapse.
+    prop, if given, must be integrate_propagator(geo, t_max, steps)'s (else
+    ParseError).  The multiplicity at a time is the number of principal-angle
+    cosines between the solution space and the (z, v) axes below tol.rank_tol.
+    They are |A|_2-Lipschitz in t: the projector P onto the solution space has
+    P' = (I - P) A P + P A^T (I - P), so |P'|_2 <= |A|_2, and they are the
+    nonzero singular values of P's (z, v) rows (Weyl).  So between nodes a < b
+    the smallest is at least (c_a + c_b - |A|_2 (b - a)) / 2, with c the
+    smallest cosine or e^scan, the product of the cosines.  Where A is constant
+    (Propagator.system), _cover halves the propagator's blocks, cut to a power
+    of 2 nodes, to the grid cells where this bound on e^scan is below rank_tol;
+    a varying A keeps every cell.  The candidates are the kept cells where sign
+    det M changes (odd multiplicities), refined by an Illinois iteration on
+    sign(det M) cos_min, which crosses zero linearly there; and the scan's
+    interior minima beside a kept cell whose bracket holds no such cell, and a
+    decreasing right end, refined by golden section on cos_min where the bound
+    on their ends' smallest cosines is below rank_tol; all to refine_tol in t.
+    Where the multiplicity's parity differs from det M's sign change across the
+    bracket, the same iteration solves a second root on the side of the first
+    where det M changes sign.  det M comes from the carried state's (z, v)
+    rows, since Propagator.scale's factors have determinant 1.
     """
     if prop is None:
         prop = integrate_propagator(geo, t_max, steps)
-    p = prop.dim_center
-    times = prop.times
-    sign, scan = _log_cosine_product(prop.basis, p)
+    elif (prop.geo.alg is not geo.alg or not np.array_equal(prop.geo.z0, geo.z0)
+          or not np.array_equal(prop.geo.x0, geo.x0) or prop.times[-1] != t_max
+          or steps not in (None, prop.times.size - 1)):
+        raise ParseError("prop was not integrated for this geodesic, t_max and steps")
+    p, times = prop.dim_center, prop.times
+    lip = np.inf if prop.system is None else np.linalg.norm(prop.system, 2)
+    sign, scan, live = _cover(prop, lip, tol.rank_tol)
     change = sign[:-1] * sign[1:] < 0
     cells = np.nonzero(change)[0]
     minima = np.nonzero((scan[1:-1] <= scan[:-2]) & (scan[1:-1] <= scan[2:]))[0] + 1
-    minima = minima[~(change[minima - 1] | change[minima])]
+    minima = minima[(live[minima - 1] | live[minima]) & ~(change[minima - 1] | change[minima])]
     lo, hi = minima - 1, minima + 1
-    if scan[-1] < scan[-2]:
+    if live[-1] and scan[-1] < scan[-2]:
         lo, hi = np.append(lo, times.size - 2), np.append(hi, times.size - 1)
     if cells.size + lo.size == 0:
         return []
     ends = np.concatenate([cells, lo, cells + 1, hi])
     c_ends = _cosines(prop.basis[ends], p)[:, -1].reshape(2, -1)   # lower ends, upper ends
     f_ends = (sign[ends].reshape(2, -1) * c_ends)[:, :cells.size]
-    # the smallest cosine is |A|_2-Lipschitz; a varying A has no such bound
-    lip = np.inf if prop.system is None else np.linalg.norm(prop.system, 2)
     c_lo, c_hi = c_ends[:, cells.size:]
     hold = c_lo + c_hi - lip * (times[hi] - times[lo]) < 2.0 * tol.rank_tol
     lo, hi = lo[hold], hi[hold]

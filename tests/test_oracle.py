@@ -16,6 +16,7 @@ from nilconj import (
     GeodesicSpec,
     JacobiField,
     MatchReport,
+    MetricLieAlgebra,
     ParseError,
     bracket_v,
     compare,
@@ -33,6 +34,7 @@ from nilconj.cli import _random_geodesic
 from nilconj.numerics import bracket_root, golden_min
 from nilconj.oracle import (
     _cosines,
+    _cover,
     _log_cosine_product,
     _step_transfers,
     _transfer,
@@ -382,6 +384,90 @@ def test_smallest_cosine_is_lipschitz(name, seed, u, w):
     t, s = 6.0 * u, np.clip(6.0 * u + 0.3 * (w - 0.5), 0.0, 6.0)
     c_t, c_s = _cosines(matrix_at(prop, np.array([t, s]), full=True), 1)[:, -1]
     assert abs(c_t - c_s) <= np.linalg.norm(prop.system, 2) * abs(t - s) + 1e-14
+
+
+def test_given_propagator_must_match_the_call(heis3, pheis3):
+    # a propagator of another geodesic, horizon or step count is refused: it
+    # used to answer for its own geodesic, here (9.42, 2), past the horizon 5
+    g = GeodesicSpec(heis3, [1.0], [0, 0])
+    with pytest.raises(ParseError):
+        detect_conjugate(g, 5.0, prop=integrate_propagator(GeodesicSpec(heis3, [2.0], [0, 0]), 10.0))
+    prop = integrate_propagator(g, 5.0, steps=1000)
+    for call in (lambda: detect_conjugate(g, 6.0, prop=prop),
+                 lambda: detect_conjugate(g, 5.0, steps=1280, prop=prop),
+                 lambda: detect_conjugate(GeodesicSpec(heis3, [1.0], [0, 1e-9]), 5.0, prop=prop),
+                 lambda: detect_conjugate(GeodesicSpec(pheis3, [1.0], [0, 0]), 5.0, prop=prop)):
+        with pytest.raises(ParseError):
+            call()
+    assert detect_conjugate(g, 5.0, steps=1000, prop=prop) == detect_conjugate(g, 5.0, steps=1000)
+
+
+BOOSTING = [([1.0], [1.0, 0.0], 20.0), ([1.0], [0.3, 1.0], 20.0), ([2.0], [1.0, 0.5], 10.0)]
+
+
+@pytest.mark.parametrize("name, z0, x0, t_max", [("pheis3", *case) for case in BOOSTING] + [
+    # kept cells whose outer neighbours only the cover's last read supplies
+    ("heis3", [1.2880395945039917], [-0.4857076904852617, -0.888260090320954], 16.0),
+    ("heis3", None, None, 6.0), ("pheis3", None, None, 6.0), ("heis5w", None, None, 6.0)])
+def test_cover_clears_no_cell_that_can_hold_a_time(name, z0, x0, t_max):
+    # the certificate: on every cell the cover clears, the smallest cosine is
+    # at least rank_tol at 8 interior points (z0 None: 10 draws of
+    # default_rng(11) per one-dimensional-center fixture).  The nodes it reads,
+    # among them both neighbours of every kept cell, carry the full scan's
+    # values, so the candidate rules see what they saw on every node.
+    alg = fixture(name)
+    rng = np.random.default_rng(11)
+    draws = [geo(alg, z0, x0)] if z0 else [_random_geodesic(alg, rng) for _ in range(10)]
+    for g in draws:
+        prop = integrate_propagator(g, t_max)
+        sign, scan, live = _cover(prop, np.linalg.norm(prop.system, 2), DEFAULT_TOL.rank_tol)
+        read = ~np.isnan(scan)
+        full_sign, full_scan = _log_cosine_product(prop.basis, 1)
+        assert np.array_equal(scan[read], full_scan[read])
+        assert np.array_equal(sign[read], full_sign[read])
+        kept = np.nonzero(live)[0]
+        assert read[np.clip(np.concatenate([kept - 1, kept + 2]), 0, live.size)].all()
+        cleared = np.nonzero(~live)[0]
+        assert cleared.size > live.size / 2
+        t = prop.times[cleared, None] + prop.times[1] * np.arange(1, 9) / 9.0
+        assert _cosines(matrix_at(prop, t, full=True), 1)[..., -1].min() >= DEFAULT_TOL.rank_tol
+
+
+def _rows_read(monkeypatch):
+    rows = []
+
+    def spy(states, p):
+        rows.append(states.shape[0])
+        return _log_cosine_product(states, p)
+
+    monkeypatch.setattr(oracle, "_log_cosine_product", spy)
+    return rows
+
+
+@pytest.mark.parametrize("case, share", [(0, 0.10), (1, 0.10), (2, 0.25)])
+def test_cover_reads_few_nodes_on_boosting_cases(pheis3, monkeypatch, case, share):
+    # 5,121, 5,121 and 2,561 nodes, of which the full scan read every one
+    z0, x0, t_max = BOOSTING[case]
+    rows = _rows_read(monkeypatch)
+    g = geo(pheis3, z0, x0)
+    assert compare(conjugate_times(g, t_max), detect_conjugate(g, t_max)).ok
+    assert sum(rows) <= share * (default_steps(t_max) + 1)
+
+
+def test_cover_reads_no_node_twice(bicenter, monkeypatch):
+    # draw 490 of the random-algebra probe (default_rng(1), z0 x 4, tmax 13)
+    # clears no interval; a varying A (bicenter, mixed) has no bound at all
+    structure = np.zeros((1, 4, 4))
+    structure[0, 0, 2], structure[0, 0, 3] = -1.9327734792407785, -1.2943125559549216
+    structure[0, 1, 2] = 2.123911190262613
+    alg = MetricLieAlgebra(1, 4, np.diag([1.0, 1.0, 1.0, -1.0, -1.0]),
+                           structure - structure.transpose(0, 2, 1))
+    g490 = geo(alg, [4 * 0.5710181839783786], [0.7998391525908957, -0.5169822635467994,
+                                                -0.22031945102385522, -1.1085874631122914])
+    for g, t_max in ((g490, 13.0), (geo(bicenter, [0.6, -0.8], [1.0, 0.5, -0.3]), 6.0)):
+        rows = _rows_read(monkeypatch)
+        detect_conjugate(g, t_max)
+        assert sum(rows) <= default_steps(t_max) + 1
 
 
 # ---------------------------------------------------------------------------
