@@ -152,7 +152,7 @@ def cmd_conjugate(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
                 with open(path, "w") as fh:
                     fh.write(serialize_field(field))
                 row["witness_file"] = path
-            else:                     # bare flag: downsampled CSV on stdout
+            elif not args.json:       # bare flag: downsampled CSV on stdout
                 stride = max(1, field.times.size // 128)
                 witness_blocks.append((ct.t, serialize_field(field, stride)))
         rows.append(row)

@@ -70,26 +70,20 @@ def _squared_rates(alg: MetricLieAlgebra, ju: np.ndarray, eps: float,
     return eps * ((x0 @ alg.gram_v)[:, None] @ ((x0 @ ju.T) @ ju.T)[:, :, None])[:, 0, 0]
 
 
-def _rate(alg: MetricLieAlgebra, ju: np.ndarray, eps: float, x0: np.ndarray,
-          tol: Tolerances) -> float:
-    """Delta from Delta^2 = eps <x0, J_u^2 x0>; NoConjugateError unless positive."""
+def conjugate_rate(alg: MetricLieAlgebra, x0: np.ndarray,
+                   tol: Tolerances = DEFAULT_TOL) -> float:
+    """Delta > 0 such that the first conjugate time along x0 is 2 sqrt(3)/Delta.
+
+    Delta^2 = eps <x0, J_u^2 x0>.  Raises NoConjugateError when it is not
+    positive (then the straight geodesic has no conjugate points at all).
+    """
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    _, ju, eps = _unit_center(alg)
     d2 = _squared_rates(alg, ju, eps, x0[None])[0]
     if d2 <= tol.zero_rel:
         raise NoConjugateError("signed squared-rate sum is not positive; "
                                "no conjugate point on this straight geodesic")
     return float(np.sqrt(d2))
-
-
-def conjugate_rate(alg: MetricLieAlgebra, x0: np.ndarray,
-                   tol: Tolerances = DEFAULT_TOL) -> float:
-    """Delta > 0 such that the first conjugate time along x0 is 2 sqrt(3)/Delta.
-
-    Raises NoConjugateError when the signed rate sum is not positive (then the
-    straight geodesic has no conjugate points at all).
-    """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    _, ju, eps = _unit_center(alg)
-    return _rate(alg, ju, eps, x0, tol)
 
 
 def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
@@ -171,8 +165,8 @@ def continuation(alg: MetricLieAlgebra, x0: np.ndarray, a_grid: list[float],
     sample's geodesic has speed <x0,x0> + a^2 eps.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
+    delta = conjugate_rate(alg, x0, tol)    # rejects Delta <= 0 up front
     zu, ju, eps = _unit_center(alg)
-    delta = _rate(alg, ju, eps, x0, tol)    # rejects Delta <= 0 up front
     spec = spectrum(ju, tol)
     series = ConjugacySeries.of(alg, spec, x0)
     t_limit = _2SQRT3 / delta

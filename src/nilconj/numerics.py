@@ -153,7 +153,7 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
 
 
 def _expm_each(a: np.ndarray) -> np.ndarray:
-    """exp of every matrix in a (k, d, d) stack, each bit for bit as in a stack of its own.
+    """exp of every matrix in a (..., d, d) stack, each bit for bit as in a stack of its own.
 
     The stack splits by the Pade degree that each matrix takes alone, with one
     _expm_stack call per degree present, so no matrix's result depends on the

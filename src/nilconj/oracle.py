@@ -26,7 +26,7 @@ from scipy.linalg.lapack import dgeqrf, dtrtrs
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ParseError
 from .geometry import GeodesicSpec
-from .numerics import _check_t_max, _expm_stack, bracket_root, golden_min, grid_transport
+from .numerics import _check_t_max, _expm_each, _expm_stack, bracket_root, golden_min
 
 __all__ = [
     "Propagator",
@@ -101,38 +101,22 @@ def _system(geo: GeodesicSpec, ep: np.ndarray) -> np.ndarray:
     return a
 
 
-def _magnus(geo: GeodesicSpec, ep: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
-    """Exponentials of the fourth-order Magnus exponent
-    dt/2 (A1 + A2) + (sqrt(3)/12) dt^2 [A2, A1] of steps of length dt, A1 and
-    A2 taken at the step's two Gauss points, whose e^{tJ} are ep[..., 0, :, :]
-    and ep[..., 1, :, :] (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999).
-    """
-    a1, a2 = np.moveaxis(_system(geo, ep), -3, 0)
-    return _expm_stack(0.5 * dt * (a1 + a2) + np.sqrt(3.0) / 12.0 * dt * dt * (a2 @ a1 - a1 @ a2))
-
-
 def _transfer(geo: GeodesicSpec, a: np.ndarray | None, t0: np.ndarray,
               dt: np.ndarray) -> np.ndarray:
     """Transfer matrices of the state from t0 to t0 + dt, elementwise over arrays:
     e^{dt a} for a constant system matrix a, exactly; with a = None the
-    exponential of the Magnus exponent of [t0, t0 + dt] (_magnus)."""
+    exponential of the fourth-order Magnus exponent dt/2 (A1 + A2) +
+    (sqrt(3)/12) dt^2 [A2, A1], A1 and A2 taken at the step's two Gauss points
+    (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999).  The Magnus
+    exponentials are taken per Pade degree (_expm_each), so no transfer
+    depends on the others in its array.
+    """
     dt = np.asarray(dt)[..., None, None]
     if a is not None:
         return _expm_stack(dt * a)
     gauss = (t0[..., None] + dt[..., 0] * _GAUSS)[..., None, None]
-    return _magnus(geo, _expm_stack(gauss * geo.J), dt)
-
-
-def _step_transfers(geo: GeodesicSpec, h: float, n: int) -> np.ndarray:
-    """The Magnus transfers of the steps [k h, (k + 1) h], k < n, as _transfer gives them.
-
-    Their Gauss points lie on two uniform grids, so their e^{tJ} are
-    e^{k h J} e^{g_i h J}: one grid_transport of the two rows e^{g_i h J}.
-    """
-    q = geo.J.shape[0]
-    gauss = np.concatenate(_expm_stack(h * _GAUSS[:, None, None] * geo.J), axis=-1)
-    ep = grid_transport(geo.J, h, np.broadcast_to(gauss, (n, q, 2 * q)))
-    return _magnus(geo, ep.reshape(n, q, 2, q).swapaxes(1, 2), h)
+    a1, a2 = np.moveaxis(_system(geo, _expm_each(gauss * geo.J)), -3, 0)
+    return _expm_each(0.5 * dt * (a1 + a2) + np.sqrt(3.0) / 12.0 * dt * dt * (a2 @ a1 - a1 @ a2))
 
 
 def integrate_propagator(geo: GeodesicSpec, t_max: float,
@@ -142,7 +126,7 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     In blocks of b = ceil(sqrt(steps)) nodes, local[k, j] maps block start k
     to node k b + j: e^{j h A} for every block when A is constant (one
     stacked exponential of b + 1 matrices), else the running product of the
-    block's step transfers (_step_transfers).  A second loop carries each
+    block's step transfers (_transfer).  A second loop carries each
     block start y to the next and factors it as y = c u, u the Householder R
     factor (LAPACK dgeqrf) with its rows divided by their diagonal and
     c = y u^{-1} = Q diag(R) orthogonal, by a triangular solve (dtrtrs), so
@@ -175,7 +159,7 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     else:
         local = np.empty((m, b + 1, d, d))
         local[:, 0] = np.eye(d)
-        local[:, 1:] = _step_transfers(geo, h, m * b).reshape(m, b, d, d)
+        local[:, 1:] = _transfer(geo, None, h * np.arange(m * b), h).reshape(m, b, d, d)
         for j in range(1, b):
             local[:, j + 1] = local[:, j + 1] @ local[:, j]
     start, scale = np.zeros((m, d, r)), np.empty((m, r, r))

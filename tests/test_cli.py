@@ -8,6 +8,7 @@ import pytest
 from conftest import CPLX, HEIS3Z2
 from nilconj import DEFAULT_TOL
 from nilconj.cli import main
+from nilconj.geometry import serialize_field
 
 SQ3 = np.sqrt(3.0)
 
@@ -127,6 +128,27 @@ def test_conjugate_witness_stdout(capsys):
     first = [float(x) for x in lines[1].split(",")]
     assert first == [0.0, 0.0, 0.0, 0.0]
     assert "# witnesses: max endpoint" in out
+
+
+def test_conjugate_json_bare_witness_serializes_nothing(monkeypatch, capsys):
+    # JSON mode never prints the bare flag's CSV blocks, so it builds none
+    calls = []
+
+    def spy(field, stride=1):
+        calls.append(stride)
+        return serialize_field(field, stride)
+
+    monkeypatch.setattr("nilconj.cli.serialize_field", spy)
+    argv = ("conjugate", "--algebra", "pheis3", "--z0", "1", "--x0", "1,0", "--tmax", "10")
+    code, out, _ = run(capsys, *argv, "--json", "--witness")
+    assert code == 0 and calls == []
+    rows = json_out(out)
+    plain = json_out(run(capsys, *argv, "--json")[1])
+    assert [{k: r[k] for k in ("t", "mult", "branch", "tangent")} for r in rows] == plain
+    assert all(set(r) == {"t", "mult", "branch", "tangent", "witness_endpoint",
+                          "witness_residual"} for r in rows)
+    code, out, _ = run(capsys, *argv, "--witness")     # text mode prints one block per row
+    assert code == 0 and len(calls) == len(rows) == out.count("# witness field for t =")
 
 
 def test_conjugate_witness_files(tmp_path, capsys):
