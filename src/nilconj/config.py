@@ -23,7 +23,7 @@ class Tolerances:
     merge_rel: float = 1e-9       # lattice band rel * max(1, t) + 2e-9: times meet, no t_max term
     zero_rel: float = 1e-13       # "is this vector/operator zero" dispatch decisions
     bisect_tol: float = 1e-12     # root tolerance in t: bracket width, Newton step
-    refine_tol: float = 1e-9      # golden-section refinement tolerance in t
+    refine_tol: float = 1e-9      # oracle and extremum refinement tolerance in t
     rank_tol: float = 1e-6        # oracle multiplicity: principal-angle cosines below this (absolute)
     match_tol: float = 1e-5       # closed form vs oracle time matching (absolute)
     ortho_rel: float = 1e-8       # image-membership orthogonality and residual scale

@@ -357,9 +357,9 @@ def _scan_roots(f, poles: list[float], lo: float, hi: float, rate: float, fscale
         t_lo, t_hi, f_lo, f_hi, _ = dips[:, dips[4] == sign]
         if not t_lo.size:
             continue
-        x_min, f_min = golden_min(lambda t: sign * f(t), t_lo, t_hi, xtol=tol.refine_tol)
-        f_x = f(x_min)
-        cross = sign * f_x < 0.0   # two roots: each half brackets one
+        x_min, f_min = golden_min(lambda t: sign * f(t), t_lo, t_hi, xtol=tol.refine_tol,
+                                  fa=sign * f_lo, fb=sign * f_hi)
+        f_x, cross = sign * f_min, f_min < 0.0   # crossing: each half brackets one root
         brackets.append(np.array([t_lo, x_min, f_lo, f_x])[:, cross])
         brackets.append(np.array([x_min, t_hi, f_x, f_hi])[:, cross])
         roots += [(float(t), True) for t in x_min[~cross & (f_min <= _TANGENT_CUT * fscale)]]

@@ -1,5 +1,6 @@
-"""Small numerical helpers: the horizon check, root and minimum searches,
-rank decisions, matrix exponentials of a stack and on a uniform grid."""
+"""Small numerical helpers: the horizon check, an Illinois root search, a
+minimum search by V steps under golden section, rank decisions, matrix
+exponentials of a stack and on a uniform grid."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from numpy.typing import ArrayLike
 
 from .errors import ParseError
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 _ROOT_MAX_ITER = 200    # bracket_root's step cap; Illinois steps shrink the bracket superlinearly
 # Diagonal Pade approximants of exp by degree m and the largest 1-norm
@@ -41,35 +41,57 @@ def _check_t_max(t_max: float) -> None:
 
 
 def golden_min(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,
-               xtol: float) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Golden-section minimum of a unimodal f, elementwise over arrays of brackets.
+               xtol: float, fa: Optional[ArrayLike] = None,
+               fb: Optional[ArrayLike] = None) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Minimum of f on [a, b] by V steps under a golden-section safeguard, elementwise.
 
-    Shrinks each [a, b] until it is at most xtol wide and returns its midpoint
-    with the smaller of the two interior values as the estimate of f there.
-    f maps an array of points to their values; each bracket takes the steps of
-    a scalar call, and all brackets share one call of f per step.  Returns
+    Brent's minimizer (Algorithms for Minimization without Derivatives, 1973,
+    ch. 5) with a V in place of the parabola.  Near a zero of multiplicity m
+    the smallest principal-angle cosine is s |t - t*| to first order, so two
+    points on opposite sides of t* locate it almost exactly.  The state is a
+    bracket a < x < b with f(x) <= f(a), f(b), x first the midpoint.  A V step
+    takes the steeper of the secant slopes L = (f(a) - f(x)) / (x - a) and
+    R = (f(b) - f(x)) / (b - x) as the V's slope, with the vertex on the side
+    of the shallower one.  A golden step into the larger side of x replaces
+    it when the vertex leaves (a, b), when an end lies below x, or when the
+    bracket has not halved in two steps.  No step lands within 0.45 xtol of x;
+    one that would goes that far into the larger side, so a vertex at x
+    closes the bracket in two more steps.  Stops when the bracket is at most
+    xtol wide and returns x and f(x).  fa and fb, if given, are f(a) and f(b).
+    f maps an array of points to their values; each bracket takes the steps
+    of a scalar call, and all brackets share one call of f per step.  Returns
     floats for scalar endpoints.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    fa = np.array(f(a) if fa is None else fa, dtype=float)
+    fb = np.array(f(b) if fb is None else fb, dtype=float)
+    x = 0.5 * (a + b)
+    fx = np.array(f(x), dtype=float)
+    near = 0.45 * xtol
     h = b - a
-    c, d = a + _INVPHI2 * h, a + _INVPHI * h
-    fc, fd = np.array(f(c), dtype=float), np.array(f(d), dtype=float)
+    h1 = h2 = np.full(h.shape, np.inf)      # the widths one and two steps back
     live = h > xtol
     while live.any():
-        left = live & (fc < fd)     # the minimum lies in [a, d]: d becomes b, c becomes d
-        right = live & ~left        # it lies in [c, b]: c becomes a, d becomes c
-        a, b = np.where(right, c, a), np.where(left, d, b)
+        with np.errstate(divide="ignore", invalid="ignore"):   # a flat V: golden step
+            left, right = (fa - fx) / (x - a), (fb - fx) / (b - x)
+            t = np.where(right >= left, 0.5 * (a + x) + (fa - fx) / (2.0 * right),
+                         0.5 * (x + b) + (fx - fb) / (2.0 * left))
+        up = np.where(b - x == x - a, fb < fa, b - x > x - a)   # the larger side is above x
+        v_step = (a < t) & (t < b) & (fx <= fa) & (fx <= fb) & (h <= 0.5 * h2)
+        t = np.where(v_step, t, np.where(up, x + _INVPHI2 * (b - x), x - _INVPHI2 * (x - a)))
+        t = np.where(np.abs(t - x) < near, np.where(up, x + near, x - near), t)
+        ft = np.zeros_like(t)
+        ft[live] = f(t[live])
+        best = ft <= fx             # t becomes x and x an end, else t becomes an end
+        end, f_end = np.where(best, x, t), np.where(best, fx, ft)
+        lower = best == (t > x)     # the new end is a
+        a, fa = np.where(live & lower, end, a), np.where(live & lower, f_end, fa)
+        b, fb = np.where(live & ~lower, end, b), np.where(live & ~lower, f_end, fb)
+        x, fx = np.where(live & best, t, x), np.where(live & best, ft, fx)
+        h2, h1 = np.where(live, h1, h2), np.where(live, h, h1)
         h = b - a
-        c, fc, d, fd = (np.where(right, d, c), np.where(right, fd, fc),
-                        np.where(left, c, d), np.where(left, fc, fd))
-        x = np.where(left, a + _INVPHI2 * h, a + _INVPHI * h)
-        fx = np.zeros_like(x)
-        fx[live] = f(x[live])
-        c, fc = np.where(left, x, c), np.where(left, fx, fc)
-        d, fd = np.where(right, x, d), np.where(right, fx, fd)
         live &= h > xtol
-    x, fmin = (a + b) / 2.0, np.where(fd < fc, fd, fc)
-    return (x, fmin) if x.ndim else (float(x), float(fmin))
+    return (x, fx) if x.ndim else (float(x), float(fx))
 
 
 def bracket_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,
@@ -160,11 +182,10 @@ def _expm_each(a: np.ndarray) -> np.ndarray:
     others in its stack.
     """
     degree = np.searchsorted(_THETA_LOW, np.abs(a).sum(axis=-2).max(axis=-1))
-    levels = np.unique(degree)
-    if levels.size <= 1:
+    if degree.size == 0 or degree.min() == degree.max():    # one degree: skip np.unique
         return _expm_stack(a)
     e = np.empty_like(a)
-    for level in levels:
+    for level in np.unique(degree):
         e[degree == level] = _expm_stack(a[degree == level])
     return e
 

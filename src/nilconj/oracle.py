@@ -107,13 +107,13 @@ def _transfer(geo: GeodesicSpec, a: np.ndarray | None, t0: np.ndarray,
     e^{dt a} for a constant system matrix a, exactly; with a = None the
     exponential of the fourth-order Magnus exponent dt/2 (A1 + A2) +
     (sqrt(3)/12) dt^2 [A2, A1], A1 and A2 taken at the step's two Gauss points
-    (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999).  The Magnus
-    exponentials are taken per Pade degree (_expm_each), so no transfer
-    depends on the others in its array.
+    (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999).  Every
+    exponential is taken per Pade degree (_expm_each), so no transfer depends
+    on the others in its array.
     """
     dt = np.asarray(dt)[..., None, None]
     if a is not None:
-        return _expm_stack(dt * a)
+        return _expm_each(dt * a)
     gauss = (t0[..., None] + dt[..., 0] * _GAUSS)[..., None, None]
     a1, a2 = np.moveaxis(_system(geo, _expm_each(gauss * geo.J)), -3, 0)
     return _expm_each(0.5 * dt * (a1 + a2) + np.sqrt(3.0) / 12.0 * dt * dt * (a2 @ a1 - a1 @ a2))
@@ -155,7 +155,8 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     a = None
     if p == 1 or not geo.x0.any() or not geo.J.any():
         a = _system(geo, np.eye(q))
-        local = np.broadcast_to(_transfer(geo, a, None, h * np.arange(b + 1)), (m, b + 1, d, d))
+        local = np.broadcast_to(_expm_stack(h * np.arange(b + 1)[:, None, None] * a),
+                                (m, b + 1, d, d))
     else:
         local = np.empty((m, b + 1, d, d))
         local[:, 0] = np.eye(d)
@@ -272,8 +273,9 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
     det M changes (odd multiplicities), refined by an Illinois iteration on
     sign(det M) cos_min, which crosses zero linearly there; and the scan's
     interior minima beside a kept cell whose bracket holds no such cell, and a
-    decreasing right end, refined by golden section on cos_min where the bound
-    on their ends' smallest cosines is below rank_tol; all to refine_tol in t.
+    decreasing right end, refined by golden_min's V steps on cos_min, which
+    is a V there, where the bound on their ends' smallest cosines is below
+    rank_tol; all to refine_tol in t.
     Where the multiplicity's parity differs from det M's sign change across the
     bracket, the same iteration solves a second root on the side of the first
     where det M changes sign.  det M comes from the carried state's (z, v)
@@ -321,7 +323,8 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
                          xtol=tol.refine_tol)
     if lo.size:
         found = np.concatenate([found, golden_min(lambda t: cosines(t)[:, -1], times[lo],
-                                                  times[hi], xtol=tol.refine_tol)[0]])
+                                                  times[hi], fa=c_lo[hold], fb=c_hi[hold],
+                                                  xtol=tol.refine_tol)[0]])
     lo, hi = np.concatenate([cells, lo]), np.concatenate([cells + 1, hi])
     mult = multiplicity(found)
     odd_change = sign[lo] * sign[hi] < 0

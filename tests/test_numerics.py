@@ -43,6 +43,42 @@ def test_golden_min():
     assert xs[0] == pytest.approx(np.pi, abs=1e-7)   # a flat minimum: about sqrt(eps)
 
 
+def test_golden_min_v_steps():
+    # near a simple zero of |t - t*| type the V steps close a 2/256 bracket
+    # to 1e-9 in at most 10 calls of f, its two ends included (golden
+    # section alone takes 35 here, its ends not counted)
+    a, b = 1.0, 1.0 + 2.0 / 256.0
+    for frac in (0.3, 0.45, 0.5, 0.62, 0.7):
+        t_star, calls = a + frac * (b - a), []
+
+        def f(t):
+            calls.append(t)
+            return 0.7 * np.abs(t - t_star) + 0.3 * (t - t_star) ** 2
+
+        x, fx = golden_min(f, a, b, xtol=1e-9)
+        assert len(calls) <= 10
+        assert abs(x - t_star) <= 1e-9 and fx == f(x)
+
+
+def test_golden_min_safeguards():
+    # a smooth parabola still converges within xtol
+    x, fx = golden_min(lambda t: (t - 1.3) ** 2, 0.0, 3.0, xtol=1e-10)
+    assert abs(x - 1.3) <= 1e-10 and fx == (x - 1.3) ** 2
+    # a monotone f gives the end where it is lowest
+    x, fx = golden_min(lambda t: t, 0.0, 3.0, xtol=1e-10)
+    assert 0.0 <= x <= 1e-10 and fx == x
+    x, _ = golden_min(lambda t: -t, 0.0, 3.0, xtol=1e-10)
+    assert 3.0 - 1e-10 <= x <= 3.0
+    # array calls with the ends' values given equal the scalar calls
+    a, b = np.array([1.0, 4.0, 2.9, 7.8, 0.5]), np.array([2.0, 5.2, 3.3, 7.9, 0.5])
+    f = lambda t: np.abs(np.cos(t)) + 0.1 * (t - 3.0) ** 2   # noqa: E731
+    xs, fs = golden_min(f, a, b, xtol=1e-10, fa=f(a), fb=f(b))
+    scalar = [golden_min(f, lo, hi, 1e-10, f(lo), f(hi)) for lo, hi in zip(a, b)]
+    assert xs.tolist() == [x for x, _ in scalar]
+    assert fs.tolist() == [fx for _, fx in scalar]
+    assert xs[0] == pytest.approx(np.pi / 2.0, abs=1e-10)
+
+
 def test_bracket_root():
     r = bracket_root(np.cos, 1.0, 2.0, xtol=1e-13)
     assert r == pytest.approx(np.pi / 2.0, abs=1e-12)

@@ -238,8 +238,9 @@ def test_constant_system_states_match_expm(name, z0, x0):
 
 
 def test_matrix_at_array_equals_scalar_calls(heis5w, pheis3, bicenter):
-    # bicenter's mixed geodesic has a varying A: its Magnus transfers of
-    # different Pade degrees share an array, and none may see the others
+    # transfers of different Pade degrees share an array, and none may see
+    # the others: constant A below, and a varying A (Magnus) on bicenter's
+    # mixed geodesic
     rng = np.random.default_rng(0)
     for g, t_max in ((geo(heis5w, [1.0], [1.0, 0.2, 0.3, 0.4]), 4.0),
                      (geo(pheis3, [1.0], [0.3, 1.0]), 9.0),
@@ -259,6 +260,12 @@ def test_matrix_at_array_equals_scalar_calls(heis5w, pheis3, bicenter):
         blocks = (np.searchsorted(prop.times, ts, side="right") - 1) // prop.block
         raw = full[:, p:2 * p + g.alg.dim_v] @ prop.scale[blocks]
         assert np.allclose(raw, batch, rtol=0.0, atol=1e-14 * np.abs(batch).max())
+    # heis5w at z0 = 3 has h |A|_1 = 0.027, past theta_3: the transfers of a
+    # constant A in one array need Pade degrees of their own
+    prop = integrate_propagator(geo(heis5w, [3.0], [1.0, 0.2, 0.3, 0.4]), 4.0)
+    ts = np.random.default_rng(0).uniform(0.0, 4.0, 200)
+    for t, m in zip(ts, matrix_at(prop, ts, full=True)):
+        assert np.array_equal(m, matrix_at(prop, t, full=True))
 
 
 def test_block_start_is_invisible(pheis3):
@@ -329,14 +336,45 @@ def test_odd_multiplicities_refined_by_illinois(heis5w, monkeypatch):
 
 
 def _golden_spy(monkeypatch):
-    brackets = []
+    """Patch oracle.golden_min; return the lower ends of its brackets and
+    the number of calls of f that each of its calls makes."""
+    brackets, evals = [], []
 
-    def spy(f, a, b, **kwargs):
+    def spy(f, a, *args, **kwargs):
         brackets.extend(np.atleast_1d(a).tolist())
-        return golden_min(f, a, b, **kwargs)
+        evals.append(0)
+
+        def counted(t):
+            evals[-1] += 1
+            return f(t)
+
+        return golden_min(counted, a, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "golden_min", spy)
-    return brackets
+    return brackets, evals
+
+
+def test_central_even_times_take_few_evaluations(heis3, heis5w, monkeypatch):
+    # tangent to the center every time has even multiplicity, so det M keeps
+    # its sign and golden_min refines it.  The smallest cosine is a V there:
+    # V steps reach refine_tol in at most 8 calls of f (golden section alone
+    # takes 35), and the times agree with the closed forms to refine_tol.
+    _, evals = _golden_spy(monkeypatch)
+    rng = np.random.default_rng(11)
+    even = 0
+    for alg in (heis3, heis5w):
+        for _ in range(60):
+            z0 = rng.standard_normal(alg.dim_center)
+            z0 *= (0.5 + rng.random()) / np.linalg.norm(z0)
+            g = geo(alg, z0, np.zeros(alg.dim_v))
+            found, closed = detect_conjugate(g, 6.0), conjugate_times(g, 6.0)
+            assert [m for _, m in found] == [c.multiplicity for c in closed]
+            for (t, m), c in zip(found, closed):
+                if m % 2 == 0:
+                    even += 1
+                    assert abs(t - c.t) <= DEFAULT_TOL.refine_tol
+    assert even > 100 and len(evals) > 50
+    assert max(evals) <= 8
 
 
 def test_decreasing_horizon_without_time_is_not_refined(heis3, monkeypatch):
@@ -346,7 +384,7 @@ def test_decreasing_horizon_without_time_is_not_refined(heis3, monkeypatch):
     prop = integrate_propagator(g, 5.0)
     scan = _log_cosine_product(prop.basis, 1)[1]
     assert scan[-1] < scan[-2]
-    brackets = _golden_spy(monkeypatch)
+    brackets, _ = _golden_spy(monkeypatch)
     assert detect_conjugate(g, 5.0, prop=prop) == []
     assert brackets == []
 
@@ -357,7 +395,7 @@ def test_time_in_last_cell_is_refined(heis3, monkeypatch):
     t_max = 2.0 * np.pi + 1e-3
     prop = integrate_propagator(g, t_max)
     assert prop.times[-2] < 2.0 * np.pi
-    brackets = _golden_spy(monkeypatch)
+    brackets, _ = _golden_spy(monkeypatch)
     found = detect_conjugate(g, t_max, prop=prop)
     assert brackets == [prop.times[-2]]
     assert len(found) == 1 and found[0][1] == 2
