@@ -12,7 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (
     AlgebraElement,
@@ -23,7 +22,7 @@ from .algebra import (
     j_map,
 )
 from .errors import InsufficientSamplesError, ParseError
-from .numerics import _expm_each, _expm_stack, grid_transport
+from .numerics import _expm_each, _expm_stack, expm, grid_transport
 
 __all__ = [
     "GeodesicSpec",

@@ -1,6 +1,6 @@
 """Small numerical helpers: the horizon check, an Illinois root search, a
 minimum search by V steps under golden section, rank decisions, matrix
-exponentials of a stack and on a uniform grid."""
+exponentials of a stack, on a uniform grid and of one matrix (scipy's)."""
 
 from __future__ import annotations
 
@@ -138,8 +138,8 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     covers its largest 1-norm, unscaled; past theta_9 it takes degree 13 with
     scaling and squaring, matrix i scaled by 2^-s_i,
     s_i = max(0, ceil(log2(|A_i|_1 / theta_13))), and squaring pass k squares
-    the matrices with s_i > k (Higham 2005, Algorithm 2.3).  One batched
-    solve gives every approximant.  A zero matrix gives the identity exactly.
+    the tail s_i > k of the s-sorted stack (Higham 2005, Algorithm 2.3).  One
+    batched solve gives every approximant.  A zero matrix gives I exactly.
     """
     a = np.asarray(a, dtype=float)
     eye = np.eye(a.shape[-1])
@@ -147,7 +147,6 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     top = norm.max(initial=0.0)
     m = (3, 5, 7, 9, 13)[np.searchsorted(_THETA_LOW, top)]
     b = _PADE[m]
-    s = np.zeros(norm.shape, dtype=int)
     if m < 13:
         a2 = power = a @ a
         u, v = b[3] * a2 + b[1] * eye, b[2] * a2 + b[0] * eye
@@ -167,11 +166,22 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
         v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
              + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     e = np.linalg.solve(v - u, v + u)
-    for k in range(int(s.max(initial=0))):
-        sq = s > k
-        e[sq] = e[sq] @ e[sq]
+    if top > _THETA[13] and s.min() < s.max():  # pass k squares the tail s > k of the sorted stack
+        order = np.argsort(s, axis=None)
+        flat_s, flat_e = s.ravel()[order], e.reshape(-1, *eye.shape)[order]
+        for first in np.searchsorted(flat_s, np.arange(flat_s[-1]), side="right"):
+            flat_e[first:] = flat_e[first:] @ flat_e[first:]
+        e.reshape(-1, *eye.shape)[order] = flat_e
+    elif top > _THETA[13]:                      # one s: square the whole stack
+        e = np.linalg.matrix_power(e, 2 ** int(s.max()))
     e[norm == 0.0] = eye
     return e
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm of one matrix; scipy is imported on the first call, not with nilconj."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 def _expm_each(a: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dtrtrs
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ParseError
@@ -45,6 +44,7 @@ _PARITY_OFFSET = 1e-7    # sign det M is sampled this * max(1, t*) either side o
 # Memory bound: steps * d^2 state entries at most, about 0.75 GB of working arrays at d = 10.
 _MAX_STATE_ENTRIES = 2 ** 25
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0    # Gauss-Legendre nodes on [0, 1]
+_CARRY_GROWTH = 4.0      # a constant A's carry is factored once |A|_2 t grows by this much
 
 
 def default_steps(t_max: float) -> int:
@@ -124,16 +124,16 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     """Node states at t_n = n h, h = t_max / steps, of all p + q basis solutions.
 
     In blocks of b = ceil(sqrt(steps)) nodes, local[k, j] maps block start k
-    to node k b + j: e^{j h A} for every block when A is constant (one
-    stacked exponential of b + 1 matrices), else the running product of the
-    block's step transfers (_transfer).  A second loop carries each
-    block start y to the next and factors it as y = c u, u the Householder R
-    factor (LAPACK dgeqrf) with its rows divided by their diagonal and
-    c = y u^{-1} = Q diag(R) orthogonal, by a triangular solve (dtrtrs), so
-    the columns never collapse onto the fastest-growing solution; scale is
-    the running product of the u.  LAPACK is called directly because the
-    loop runs about sqrt(steps) times on matrices of a few rows, where
-    numpy.linalg's per-call overhead dominates.  On a flat geodesic the
+    to node k b + j: for a constant A the power e^{j h A}, from e^{h A} by
+    ceil(log2 b) batched products that each double the powers known, else
+    the running product of the block's step transfers (_transfer).  A second
+    loop carries each block start y to the next and, every g blocks, factors
+    it as y = c u: u is the Householder R with its rows divided by their
+    diagonal, and c = y u^{-1} = Q diag(R) has orthogonal columns, so they
+    never collapse onto the fastest-growing solution; scale is the running
+    product of the u.  A constant A takes g = max(1, floor(G / (|A|_2 b h))),
+    G = _CARRY_GROWTH, so between factorizations no state grows or shrinks
+    by more than e^G; a varying A takes g = 1.  On a flat geodesic the
     columns stay orthogonal with disjoint supports, u = I, and the states
     come back unrounded.
     """
@@ -152,27 +152,29 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     m = -(-(steps + 1) // b)
     # With a one-dimensional center every J_a is a multiple of J, so e^{tJ}
     # is an automorphism and the system matrix A(t) = A(0) is constant.
-    a = None
+    a, g = None, 1
     if p == 1 or not geo.x0.any() or not geo.J.any():
         a = _system(geo, np.eye(q))
-        local = np.broadcast_to(_expm_stack(h * np.arange(b + 1)[:, None, None] * a),
-                                (m, b + 1, d, d))
+        g = max(1, int(_CARRY_GROWTH / (np.linalg.norm(a, 2) * b * h)))
+        powers = np.concatenate([[np.eye(d)], _expm_stack([h * a]), np.empty((b - 1, d, d))])
+        for n in 2 ** np.arange((b - 1).bit_length()):     # fills powers n + 1, ..., 2 n
+            powers[n + 1:2 * n + 1] = powers[1:min(n, b - n) + 1] @ powers[n]
+        local = np.broadcast_to(powers, (m, b + 1, d, d))
     else:
         local = np.empty((m, b + 1, d, d))
         local[:, 0] = np.eye(d)
         local[:, 1:] = _transfer(geo, None, h * np.arange(m * b), h).reshape(m, b, d, d)
         for j in range(1, b):
             local[:, j + 1] = local[:, j + 1] @ local[:, j]
-    start, scale = np.zeros((m, d, r)), np.empty((m, r, r))
+    start, scale = np.zeros((m, d, r)), np.tile(np.eye(r), (m, 1, 1))
     start[0, :p, :p] = np.eye(p)                # zeta = e_a
     start[0, 2 * p + q:, p:] = np.eye(q)        # vdot(0) = e_a: orthogonal columns
-    scale[0] = np.eye(r)
-    upper = np.triu(np.ones((r, r), dtype=bool))
     for k in range(1, m):
-        y = local[k - 1, b] @ start[k - 1]
-        rk = dgeqrf(y)[0][:r]
-        u = upper * (rk / np.diagonal(rk)[:, None])     # unit upper triangular: det u = 1
-        start[k], scale[k] = dtrtrs(u.T, y.T, lower=1)[0].T, u @ scale[k - 1]
+        start[k], scale[k] = local[k - 1, b] @ start[k - 1], scale[k - 1]
+        if k % g == 0:
+            rk = np.linalg.qr(start[k], mode="r")
+            u = rk / np.diagonal(rk)[:, None]   # unit upper triangular: det u = 1
+            start[k], scale[k] = np.linalg.solve(u.T, start[k].T).T, u @ scale[k]
     basis = (local[:, :b] @ start[:, None]).reshape(m * b, d, r)[:steps + 1]
     return Propagator(np.linspace(0.0, t_max, steps + 1), basis, scale, b, geo, a)
 

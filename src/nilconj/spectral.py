@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import MetricLieAlgebra, bracket_v
 from .config import DEFAULT_TOL, Tolerances
 from .errors import NotDiagonalizableError
-from .numerics import cluster_scalars, null_space_basis
+from .numerics import cluster_scalars, expm, null_space_basis
 
 __all__ = [
     "EigenLine",

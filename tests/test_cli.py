@@ -1,11 +1,16 @@
 """Command-line interface, driven in-process through main(argv)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import CPLX, HEIS3Z2
+import nilconj
 from nilconj import DEFAULT_TOL
 from nilconj.cli import main
 from nilconj.geometry import serialize_field
@@ -466,3 +471,20 @@ def test_tol_override_bad_value_exits_2(capsys):
                        "--tol", "rank_tol=abc")
     assert code == 2
     assert "error: ParseError" in err
+
+
+def test_import_and_compare_leave_scipy_unloaded():
+    # scipy loads on the first single exponential (numerics.expm), not with
+    # nilconj, the CLI or the oracle; in a fresh interpreter
+    script = ("import contextlib, io, sys\n"
+              "import nilconj, nilconj.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = nilconj.cli.main(['compare', '--algebra', 'heis3', '--random', '2',"
+              " '--tmax', '6'])\n"
+              "print(code, 'scipy' in sys.modules)\n")
+    src = str(pathlib.Path(nilconj.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]

@@ -31,7 +31,7 @@ from nilconj import (
 )
 from nilconj import oracle
 from nilconj.cli import _random_geodesic
-from nilconj.numerics import bracket_root, golden_min
+from nilconj.numerics import _expm_stack, bracket_root, golden_min
 from nilconj.oracle import (
     _cosines,
     _cover,
@@ -268,15 +268,24 @@ def test_matrix_at_array_equals_scalar_calls(heis5w, pheis3, bicenter):
         assert np.array_equal(m, matrix_at(prop, t, full=True))
 
 
+def _carry_spacing(prop):
+    """The g of integrate_propagator: blocks between two factored block starts."""
+    growth = np.linalg.norm(prop.system, 2) * prop.block * prop.times[1]
+    return max(1, int(oracle._CARRY_GROWTH / growth))
+
+
 def test_block_start_is_invisible(pheis3):
-    # boosting case at tmax 30: the carried state is re-orthogonalized at
-    # every block start, and neither det M nor the raw map sees where.  det M
-    # is read from the carried (z, v) rows, as detect_conjugate reads it (the
-    # factors in scale have det 1); the raw map's own det has lost its
-    # digits to the growth by t = 20 here.
+    # boosting case at tmax 30: the carried state is factored at every g-th
+    # block start and carried plainly across the others, and neither det M
+    # nor the raw map sees either kind of start.  det M is read from the
+    # carried (z, v) rows, as detect_conjugate reads it (the factors in scale
+    # have det 1); the raw map's own det has lost its digits to the growth
+    # by t = 20 here.
     g = geo(pheis3, [2.0], [1.0, 0.5])
     prop = integrate_propagator(g, 30.0)
     starts = prop.times[prop.block::prop.block]
+    factored = np.arange(1, starts.size + 1) % _carry_spacing(prop) == 0
+    assert 0 < factored.sum() < starts.size     # both kinds of start are checked
     below, above = (np.linalg.det(matrix_at(prop, starts + off, full=True)[:, 1:4])
                     for off in (-1e-9, 1e-9))
     assert np.all(np.abs(np.diagonal(prop.scale, axis1=1, axis2=2)) == 1.0)
@@ -289,6 +298,43 @@ def test_block_start_is_invisible(pheis3):
     batch = matrix_at(prop, ts)
     for t, m in zip(ts, batch):
         assert np.array_equal(m, matrix_at(prop, t))
+
+
+def test_doubled_powers_match_direct_stack(algebras):
+    # block 0's nodes are the (zeta, w) columns of e^{j h A}, which the
+    # doubling forms from e^{h A}; against a direct stack of the e^{j h A}
+    # they err by at most 7.5e-15 relative (b = 72 on the boosting cases),
+    # the direct stack by 2e-16 against scipy
+    rng = np.random.default_rng(1)
+    cases = [(_random_geodesic(alg, rng), 6.0) for alg in algebras.values() for _ in range(8)]
+    cases += [(geo(algebras["pheis3"], z0, x0), t_max) for z0, x0, t_max in BOOSTING]
+    checked = 0
+    for g, t_max in cases:
+        prop = integrate_propagator(g, t_max)
+        if prop.system is None:
+            continue
+        p, q, b = g.alg.dim_center, g.alg.dim_v, prop.block
+        columns = np.r_[:p, 2 * p + q:2 * (p + q)]
+        direct = _expm_stack(prop.times[:b, None, None] * prop.system)[..., columns]
+        err = np.linalg.norm(prop.basis[:b] - direct, axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.linalg.norm(direct, axis=(1, 2)))
+        checked += 1
+    assert checked >= 30
+
+
+def test_carry_is_factored_every_g_blocks_within_the_growth_bound(pheis3):
+    # boosting case at tmax 30, |A|_2 = 2.51 and b h = 0.34: g = 4, so scale
+    # changes exactly at block starts 4, 8, ..., 84.  Between factorizations
+    # the states are e^{tA} C, C with orthogonal columns and |A|_2 t < G, so
+    # the unit-column Gram matrix N^T N has condition at most r e^{4G}
+    # (van der Sluis, Numer. Math. 14, 1969); here it reaches e^7.4.
+    prop = integrate_propagator(geo(pheis3, [2.0], [1.0, 0.5]), 30.0)
+    g, m = _carry_spacing(prop), prop.scale.shape[0]
+    changed = np.nonzero(np.any(prop.scale[1:] != prop.scale[:-1], axis=(1, 2)))[0] + 1
+    assert g == 4 and np.array_equal(changed, np.arange(g, m, g))
+    unit = prop.basis / np.linalg.norm(prop.basis, axis=-2)[..., None, :]
+    cond = np.linalg.cond(np.swapaxes(unit, -1, -2) @ unit)
+    assert cond.max() <= prop.basis.shape[-1] * np.exp(4.0 * oracle._CARRY_GROWTH)
 
 
 @pytest.mark.parametrize("name, z0, x0, t_max", [
