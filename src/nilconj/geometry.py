@@ -22,7 +22,7 @@ from .algebra import (
     j_map,
 )
 from .errors import InsufficientSamplesError, ParseError
-from .numerics import _expm_each, _expm_stack, expm, grid_transport
+from .numerics import _expm_powers, _expm_stack, expm
 
 __all__ = [
     "GeodesicSpec",
@@ -110,7 +110,9 @@ class _FieldForm:
     def jet(self, times: np.ndarray, step: float | None = None) -> tuple[np.ndarray, ...]:
         """(z, zdot, v, exp(tJ) v, exp(tJ) vdot, exp(tJ) vddot), one row per time, exact:
         exp(tJ) v' = B (exp(tK) P' - K c), exp(tJ) v'' = B (exp(tK) P'' + K^2 c).  exp(+-tK)
-        are the blocks of exp(t diag(K, -K)), one stack, or grid_transport's if times = i step."""
+        are the blocks of E(t) = exp(t diag(K, -K)), one stack; if times = i step, row
+        i = j b + k is E(j b step) E(k step), b = ceil(sqrt(n)), from _expm_powers' b fine
+        and ceil(n / b) coarse powers (Moler and Van Loan, SIAM Review 45, 2003)."""
         d, t, r = np.arange(len(self.p)), times[:, None], self.c.size
         pw = np.array([t ** d, d * t ** np.maximum(d - 1, 0), d * (d - 1) * t ** np.maximum(d - 2, 0)])
         poly = pw @ self.p
@@ -118,8 +120,14 @@ class _FieldForm:
         rows, gen = np.zeros((times.size, 2 * r, 3)), np.zeros((2 * r, 2 * r))
         rows[:, :r], rows[:, r:, 0] = poly.transpose(1, 2, 0), self.c
         gen[:r, :r], gen[r:, r:] = self.k, -self.k
-        out = (_expm_stack(times[:, None, None] * gen) @ rows if step is None
-               else grid_transport(gen, step, rows))
+        if step is None:
+            e = _expm_stack(times[:, None, None] * gen)
+        else:
+            n = times.size
+            b = max(1, int(np.ceil(np.sqrt(n))))
+            fine, coarse = (_expm_powers(k * step * gen, m) for k, m in ((1, b), (b, -(-n // b))))
+            e = (coarse[:, None] @ fine).reshape(-1, 2 * r, 2 * r)[:n]
+        out = e @ rows
         back, kc = out[:, r:, 0], self.k @ self.c
         frame = (out[:, :r] + np.array([self.c, -kc, self.k @ kc]).T).transpose(2, 0, 1)
         return (pw[0] @ self.q + (back - self.c) @ self.zg.T,
@@ -205,8 +213,8 @@ def geodesic_point(geo: GeodesicSpec | tuple,
     bracket, so the lift grows like exp(rate t), not like its square.  A
     straight line (J = 0) is (t z0, t x0) exactly, with no exponential.  The
     other rows' lifts go in blocks of at most _POINT_BLOCK entries (one row at
-    least), each block one exponential per Pade degree (_expm_each), so a
-    row's point does not depend on the stack or the block it is in.
+    least), each block one _expm_stack call, which takes each lift as if
+    alone, so a row's point does not depend on the stack or the block it is in.
     """
     if isinstance(geo, GeodesicSpec):
         p = geo.alg.dim_center
@@ -231,7 +239,7 @@ def geodesic_point(geo: GeodesicSpec | tuple,
         rows, k = bent + start, bent.size
         a_rows = np.concatenate([jz[bent], x0[rows, :, None]], axis=2)   # [J, x0]
         lift = (a_rows.reshape(k, -1) @ lift_map).reshape(k, d + 1, d + 1)
-        c = _expm_each(t[rows, None, None] * lift)[:, :d, d]   # int_0^t Q
+        c = _expm_stack(t[rows, None, None] * lift)[:, :d, d]   # int_0^t Q
         out[rows, :p] += (c[:, None, inner] @ bracket)[:, 0]
         out[rows, p:] = -c[:, x_at]
     return out

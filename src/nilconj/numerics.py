@@ -1,10 +1,10 @@
 """Small numerical helpers: the horizon check, an Illinois root search, a
 minimum search by V steps under golden section, rank decisions, matrix
-exponentials of a stack, on a uniform grid and of one matrix (scipy's)."""
+exponentials of a stack (each matrix as if alone), the powers e^{ka} of one
+exponential, and one matrix's exponential (scipy's)."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +31,9 @@ _PADE = {m: tuple(np.array(b) / b[0]) for m, b in {
 }.items()}
 _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
           9: 2.097847961257068, 13: 5.371920351148152}
-_THETA_LOW = np.array([_THETA[m] for m in (3, 5, 7, 9)])   # degree 13 takes every larger norm
+# _expm_stack's key of a 1-norm: k < 4 is degree (3, 5, 7, 9)[k], 4 + s degree 13 with s
+# squarings; past the table's end theta_13 2^s exceeds every double.
+_KEYS = np.concatenate([[_THETA[m] for m in (3, 5, 7, 9)], np.ldexp(_THETA[13], np.arange(1022))])
 
 
 def _check_t_max(t_max: float) -> None:
@@ -132,20 +134,24 @@ def bracket_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLi
 
 
 def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """exp of every matrix in a (..., d, d) stack, all in one pass.
+    """exp of every matrix in a (..., d, d) stack, each bit for bit as in a stack of its own.
 
-    The stack takes the lowest Pade degree m in (3, 5, 7, 9) whose theta_m
-    covers its largest 1-norm, unscaled; past theta_9 it takes degree 13 with
-    scaling and squaring, matrix i scaled by 2^-s_i,
-    s_i = max(0, ceil(log2(|A_i|_1 / theta_13))), and squaring pass k squares
-    the tail s_i > k of the s-sorted stack (Higham 2005, Algorithm 2.3).  One
-    batched solve gives every approximant.  A zero matrix gives I exactly.
+    A matrix takes the lowest Pade degree m in (3, 5, 7, 9) whose theta_m
+    covers its 1-norm, unscaled; past theta_9 it takes degree 13 scaled by
+    2^-s, s the least with |A|_1 <= theta_13 2^s, and is squared s times
+    (Higham 2005, Algorithm 2.3).  The stack splits by that key, each group
+    one Pade pass, one batched solve and one matrix_power(e, 2^s).  A zero
+    matrix gives I exactly.
     """
     a = np.asarray(a, dtype=float)
-    eye = np.eye(a.shape[-1])
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    top = norm.max(initial=0.0)
-    m = (3, 5, 7, 9, 13)[np.searchsorted(_THETA_LOW, top)]
+    key = np.searchsorted(_KEYS, np.abs(a).sum(axis=-2).max(axis=-1))
+    if key.size and key.min() < key.max():
+        e = np.empty_like(a)
+        for level in np.unique(key):
+            e[key == level] = _expm_stack(a[key == level])
+        return e
+    key, eye = int(key.max(initial=0)), np.eye(a.shape[-1])
+    m, s = (3, 5, 7, 9, 13)[min(key, 4)], max(key - 4, 0)
     b = _PADE[m]
     if m < 13:
         a2 = power = a @ a
@@ -155,9 +161,7 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
             u, v = u + b[k] * power, v + b[k - 1] * power
         u = a @ u
     else:
-        with np.errstate(divide="ignore"):      # log2(0) = -inf: no scaling
-            s = np.maximum(0.0, np.ceil(np.log2(norm / _THETA[13]))).astype(int)
-        a = a * np.exp2(-s)[..., None, None]
+        a = a * 2.0 ** -s
         a2 = a @ a
         a4 = a2 @ a2
         a6 = a4 @ a2
@@ -166,63 +170,26 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
         v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
              + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     e = np.linalg.solve(v - u, v + u)
-    if top > _THETA[13] and s.min() < s.max():  # pass k squares the tail s > k of the sorted stack
-        order = np.argsort(s, axis=None)
-        flat_s, flat_e = s.ravel()[order], e.reshape(-1, *eye.shape)[order]
-        for first in np.searchsorted(flat_s, np.arange(flat_s[-1]), side="right"):
-            flat_e[first:] = flat_e[first:] @ flat_e[first:]
-        e.reshape(-1, *eye.shape)[order] = flat_e
-    elif top > _THETA[13]:                      # one s: square the whole stack
-        e = np.linalg.matrix_power(e, 2 ** int(s.max()))
-    e[norm == 0.0] = eye
-    return e
+    return np.linalg.matrix_power(e, 2 ** s) if s else e
+
+
+def _expm_powers(a: np.ndarray, n: int) -> np.ndarray:
+    """e^{k a} for k = 0..n-1, shape (n, d, d), from _expm_stack's e^a by
+    ceil(log2(n - 1)) batched products that each double the powers known:
+    e^{(j + k) a} = e^{k a} e^{j a}, j a power of 2 and 0 < k <= j.  Power k
+    is a product tree of depth ceil(log2 k) over e^a; power 0 is I exactly."""
+    d = a.shape[-1]
+    powers = np.empty((n, d, d))
+    powers[:1], powers[1:2] = np.eye(d), _expm_stack(a[None])
+    for j in 2 ** np.arange(max(n - 2, 0).bit_length()):     # fills powers j + 1, ..., 2 j
+        powers[j + 1:2 * j + 1] = powers[1:min(j, n - 1 - j) + 1] @ powers[j]
+    return powers
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """scipy.linalg.expm of one matrix; scipy is imported on the first call, not with nilconj."""
     from scipy.linalg import expm as scipy_expm
     return scipy_expm(a)
-
-
-def _expm_each(a: np.ndarray) -> np.ndarray:
-    """exp of every matrix in a (..., d, d) stack, each bit for bit as in a stack of its own.
-
-    The stack splits by the Pade degree that each matrix takes alone, with one
-    _expm_stack call per degree present, so no matrix's result depends on the
-    others in its stack.
-    """
-    degree = np.searchsorted(_THETA_LOW, np.abs(a).sum(axis=-2).max(axis=-1))
-    if degree.size == 0 or degree.min() == degree.max():    # one degree: skip np.unique
-        return _expm_stack(a)
-    e = np.empty_like(a)
-    for level in np.unique(degree):
-        e[degree == level] = _expm_stack(a[degree == level])
-    return e
-
-
-def grid_transport(j: np.ndarray, h: float, rows: ArrayLike) -> np.ndarray:
-    """Rows exp(i h J) rows[i], i = 0..n-1, for rows of shape (n, q) or (n, q, r).
-
-    Exponentials of multiples of one J commute, so exp((m b + k) h J) equals
-    exp(m b h J) exp(k h J); with b = ceil(sqrt(n)) one stacked exponential of
-    the b fine and m = ceil(n / b) coarse multiples and two batched products
-    cover the grid (Moler and Van Loan, SIAM Review 45, 2003).  The products
-    are fine (b, q, q) @ (b, q, m r) then coarse (m, q, q) @ (m, q, b r), taken
-    transposed so that the q entries of each row stay contiguous when the
-    blocks are regrouped.  Row 0 comes back exactly.
-    """
-    rows = np.asarray(rows, dtype=float)
-    n, q = rows.shape[0], j.shape[0]
-    r = math.prod(rows.shape[2:])
-    b = max(1, int(np.ceil(np.sqrt(n))))
-    m = -(-n // b)
-    e = _expm_stack((h * np.concatenate([np.arange(b), b * np.arange(m)]))[:, None, None] * j)
-    et = e.transpose(0, 2, 1)
-    x = np.zeros((m, b, r, q))          # x[mu, k] is row mu b + k, transposed; zero padding
-    x.reshape(m * b, r, q)[:n] = rows.reshape(n, q, r).transpose(0, 2, 1)
-    x = x.transpose(1, 0, 2, 3).reshape(b, m * r, q) @ et[:b]
-    x = x.reshape(b, m, r, q).transpose(1, 0, 2, 3).reshape(m, b * r, q) @ et[b:]
-    return x.reshape(m * b, r, q)[:n].transpose(0, 2, 1).reshape(rows.shape)
 
 
 def null_space_basis(a: np.ndarray, rtol: float) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ParseError
 from .geometry import GeodesicSpec
-from .numerics import _check_t_max, _expm_each, _expm_stack, bracket_root, golden_min
+from .numerics import _check_t_max, _expm_powers, _expm_stack, bracket_root, golden_min
 
 __all__ = [
     "Propagator",
@@ -60,7 +60,8 @@ class Propagator:
     the basis solutions (zeta = center basis first, then vdot(0) = e_a), is
     basis[n] @ scale[n // block], scale unit upper triangular; the boundary
     map M is its (z, v) block, and det M that of basis[n]'s (z, v) block.
-    system is the constant system matrix A, None where A varies with t.
+    system is the constant system matrix A, None where A varies with t, and
+    system_norm its |A|_2, inf where A varies.
     """
 
     times: np.ndarray
@@ -69,6 +70,7 @@ class Propagator:
     block: int
     geo: GeodesicSpec
     system: np.ndarray | None
+    system_norm: float
 
     dim_center = property(lambda self: self.geo.alg.dim_center)
     dim_v = property(lambda self: self.geo.alg.dim_v)
@@ -107,16 +109,16 @@ def _transfer(geo: GeodesicSpec, a: np.ndarray | None, t0: np.ndarray,
     e^{dt a} for a constant system matrix a, exactly; with a = None the
     exponential of the fourth-order Magnus exponent dt/2 (A1 + A2) +
     (sqrt(3)/12) dt^2 [A2, A1], A1 and A2 taken at the step's two Gauss points
-    (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999).  Every
-    exponential is taken per Pade degree (_expm_each), so no transfer depends
-    on the others in its array.
+    (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 1999).  _expm_stack
+    takes each exponential as if alone, so no transfer depends on the others
+    in its array.
     """
     dt = np.asarray(dt)[..., None, None]
     if a is not None:
-        return _expm_each(dt * a)
+        return _expm_stack(dt * a)
     gauss = (t0[..., None] + dt[..., 0] * _GAUSS)[..., None, None]
-    a1, a2 = np.moveaxis(_system(geo, _expm_each(gauss * geo.J)), -3, 0)
-    return _expm_each(0.5 * dt * (a1 + a2) + np.sqrt(3.0) / 12.0 * dt * dt * (a2 @ a1 - a1 @ a2))
+    a1, a2 = np.moveaxis(_system(geo, _expm_stack(gauss * geo.J)), -3, 0)
+    return _expm_stack(0.5 * dt * (a1 + a2) + np.sqrt(3.0) / 12.0 * dt * dt * (a2 @ a1 - a1 @ a2))
 
 
 def integrate_propagator(geo: GeodesicSpec, t_max: float,
@@ -124,13 +126,12 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     """Node states at t_n = n h, h = t_max / steps, of all p + q basis solutions.
 
     In blocks of b = ceil(sqrt(steps)) nodes, local[k, j] maps block start k
-    to node k b + j: for a constant A the power e^{j h A}, from e^{h A} by
-    ceil(log2 b) batched products that each double the powers known, else
-    the running product of the block's step transfers (_transfer).  A second
-    loop carries each block start y to the next and, every g blocks, factors
-    it as y = c u: u is the Householder R with its rows divided by their
-    diagonal, and c = y u^{-1} = Q diag(R) has orthogonal columns, so they
-    never collapse onto the fastest-growing solution; scale is the running
+    to node k b + j: for a constant A the power e^{j h A} (_expm_powers),
+    else the running product of the block's step transfers (_transfer).  A
+    second loop carries each block start y to the next and, every g blocks,
+    factors it as y = c u: u is the Householder R with its rows divided by
+    their diagonal, and c = y u^{-1} = Q diag(R) has orthogonal columns, so
+    they never collapse onto the fastest-growing solution; scale is the running
     product of the u.  A constant A takes g = max(1, floor(G / (|A|_2 b h))),
     G = _CARRY_GROWTH, so between factorizations no state grows or shrinks
     by more than e^G; a varying A takes g = 1.  On a flat geodesic the
@@ -152,14 +153,12 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     m = -(-(steps + 1) // b)
     # With a one-dimensional center every J_a is a multiple of J, so e^{tJ}
     # is an automorphism and the system matrix A(t) = A(0) is constant.
-    a, g = None, 1
+    a, norm, g = None, np.inf, 1
     if p == 1 or not geo.x0.any() or not geo.J.any():
         a = _system(geo, np.eye(q))
-        g = max(1, int(_CARRY_GROWTH / (np.linalg.norm(a, 2) * b * h)))
-        powers = np.concatenate([[np.eye(d)], _expm_stack([h * a]), np.empty((b - 1, d, d))])
-        for n in 2 ** np.arange((b - 1).bit_length()):     # fills powers n + 1, ..., 2 n
-            powers[n + 1:2 * n + 1] = powers[1:min(n, b - n) + 1] @ powers[n]
-        local = np.broadcast_to(powers, (m, b + 1, d, d))
+        norm = np.linalg.norm(a, 2)
+        g = max(1, int(_CARRY_GROWTH / (norm * b * h)))
+        local = np.broadcast_to(_expm_powers(h * a, b + 1), (m, b + 1, d, d))
     else:
         local = np.empty((m, b + 1, d, d))
         local[:, 0] = np.eye(d)
@@ -176,7 +175,7 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
             u = rk / np.diagonal(rk)[:, None]   # unit upper triangular: det u = 1
             start[k], scale[k] = np.linalg.solve(u.T, start[k].T).T, u @ scale[k]
     basis = (local[:, :b] @ start[:, None]).reshape(m * b, d, r)[:steps + 1]
-    return Propagator(np.linspace(0.0, t_max, steps + 1), basis, scale, b, geo, a)
+    return Propagator(np.linspace(0.0, t_max, steps + 1), basis, scale, b, geo, a, norm)
 
 
 def matrix_at(prop: Propagator, t: float | np.ndarray, full: bool = False) -> np.ndarray:
@@ -290,7 +289,7 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
           or steps not in (None, prop.times.size - 1)):
         raise ParseError("prop was not integrated for this geodesic, t_max and steps")
     p, times = prop.dim_center, prop.times
-    lip = np.inf if prop.system is None else np.linalg.norm(prop.system, 2)
+    lip = prop.system_norm
     sign, scan, live = _cover(prop, lip, tol.rank_tol)
     change = sign[:-1] * sign[1:] < 0
     cells = np.nonzero(change)[0]

@@ -19,13 +19,14 @@ from nilconj import (
 )
 from nilconj.algebra import FIXTURE_NAMES
 from nilconj.cli import main
+from nilconj.geometry import _FieldForm
 from nilconj.numerics import (
+    _KEYS,
     _THETA,
     _expm_stack,
     bracket_root,
     cluster_scalars,
     golden_min,
-    grid_transport,
     null_space_basis,
 )
 
@@ -133,20 +134,30 @@ def test_cluster_scalars():
     assert [sorted(idx) for _, idx in clusters] == [[1], [0, 2], [3, 4]]
 
 
+def view_grid(k, h, n):
+    """exp(i h K), i < n, as a witness view forms it: the frame values exp(tK) P of
+    _FieldForm.jet on the grid times = i h, with c = 0, B = I and P = e_j per column j."""
+    r = k.shape[0]
+    times = h * np.arange(n)
+    columns = [_FieldForm(np.eye(r)[j][None], np.zeros((1, 1)), np.zeros((1, r)), np.zeros(r),
+                          np.eye(r), k).jet(times, h)[3] for j in range(r)]
+    return np.stack(columns, axis=-1)
+
+
 def test_grid_transport(algebras):
     rng = np.random.default_rng(5)
     for alg in algebras.values():
         j = j_map(alg, np.linspace(1.0, 0.6, alg.dim_center))
         for n, h in [(n, h) for n in (0, 1, 2, 997) for h in (0.013, -0.013)]:
+            grid = view_grid(j, h, n)
+            assert grid.shape == (n, alg.dim_v, alg.dim_v)
+            assert n == 0 or np.array_equal(grid[0], np.eye(alg.dim_v))
             for shape in ((n, alg.dim_v), (n, alg.dim_v, 3)):
                 rows = rng.standard_normal(shape)
-                out = grid_transport(j, h, rows)
-                assert out.shape == shape
-                assert n == 0 or np.array_equal(out[0], rows[0])
                 for i in range(n):
                     e = expm(i * h * j)
                     scale = np.linalg.norm(e, 2) * np.linalg.norm(rows[i])
-                    assert np.linalg.norm(out[i] - e @ rows[i]) <= 1e-11 * scale
+                    assert np.linalg.norm(grid[i] @ rows[i] - e @ rows[i]) <= 1e-11 * scale
 
 
 def test_expm_stack(algebras):
@@ -164,6 +175,23 @@ def test_expm_stack(algebras):
         for ai, ei in zip(a, _expm_stack(a)):
             e = expm(ai)
             assert np.linalg.norm(ei - e) <= 1e-11 * np.linalg.norm(e)
+    # each matrix as if alone: one stack over all five degrees and s = 0..6, with a
+    # zero matrix and a dyadic nilpotent one, equals the stacks of one bit for bit
+    rng = np.random.default_rng(7)
+    norms = np.concatenate([[0.01, 0.2, 0.9, 2.0], 0.75 * _THETA[13] * 2.0 ** np.arange(7)])
+    a = rng.standard_normal((norms.size, 6, 6))
+    a *= (norms / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+    nil = np.zeros((1, 6, 6))
+    nil[0, 0, 3:] = [8.0, -2.0, 0.5]
+    a = np.concatenate([a, np.zeros((1, 6, 6)), nil])[rng.permutation(norms.size + 2)]
+    keys = np.searchsorted(_KEYS, np.abs(a).sum(axis=-2).max(axis=-1))
+    assert sorted(set(keys.tolist())) == list(range(11))
+    e = _expm_stack(a)
+    for ai, ei in zip(a, e):
+        assert np.array_equal(ei, _expm_stack(ai[None])[0])
+        assert np.linalg.norm(ei - expm(ai)) <= 1e-11 * np.linalg.norm(ei)
+    assert np.array_equal(e[~a.any(axis=(1, 2))][0], np.eye(6))
+    assert np.array_equal(e[(a == 8.0).any(axis=(1, 2))][0], np.eye(6) + nil[0])
     # densely in c against the closed forms: scipy's own expm errs by up to
     # 2.7e-11 relative on this pheis3 grid
     c = np.linspace(-200.0, 200.0, 401)[:, None, None]
@@ -211,11 +239,10 @@ def test_grid_transport_exact_reference():
     # on pheis3 (K^2 = I), at z0 = 3 over 30,000 rows
     n, h = 30_000, 1e-4
     t = h * np.arange(n)[:, None, None]
-    eye = np.broadcast_to(np.eye(2), (n, 2, 2))
     for name, even, odd in (("heis3", np.cos, np.sin), ("pheis3", np.cosh, np.sinh)):
         j = j_map(fixture(name), [3.0])
-        exact = even(3.0 * t) * eye + odd(3.0 * t) * (j / 3.0)
-        err = np.linalg.norm(grid_transport(j, h, eye) - exact, axis=(1, 2))
+        exact = even(3.0 * t) * np.eye(2) + odd(3.0 * t) * (j / 3.0)
+        err = np.linalg.norm(view_grid(j, h, n) - exact, axis=(1, 2))
         assert np.all(err <= 1e-13 * np.linalg.norm(exact, axis=(1, 2)))
 
 
