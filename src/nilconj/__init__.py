@@ -23,12 +23,8 @@ from .algebra import (
 from .config import DEFAULT_TOL, Tolerances
 from .conjugate import (
     ConjugateTime,
-    build_jacobi_field,
     conjugacy_function,
     conjugate_times,
-    lattice_times,
-    mixed_times,
-    polynomial_times,
 )
 from .errors import (
     AsymmetricBracketError,
@@ -93,9 +89,7 @@ __all__ = [
     "bracket_v", "causal_character", "fixture", "inner", "inner_v", "inner_z",
     "j_map", "load_algebra", "serialize",
     "DEFAULT_TOL", "Tolerances",
-    "ConjugateTime", "build_jacobi_field",
-    "conjugacy_function", "conjugate_times",
-    "lattice_times", "mixed_times", "polynomial_times",
+    "ConjugateTime", "conjugacy_function", "conjugate_times",
     "AsymmetricBracketError", "CenterNotLineError", "DegenerateCenterError",
     "DegenerateComplementError", "InsufficientSamplesError", "NilconjError",
     "NoConjugateError", "NonOrthogonalSplitError", "NotDiagonalizableError",

@@ -87,9 +87,9 @@ class MetricLieAlgebra:
             raise NonOrthogonalSplitError(
                 "gram couples center and complement; the split must be exactly orthogonal")
         gz, gv = gram[:p, :p].copy(), gram[p:, p:].copy()
-        if _degenerate(gz, self.tol.block_det_rel):
+        if _degenerate(gz, self.tol.rank_rel):
             raise DegenerateCenterError("center block of gram is singular")
-        if _degenerate(gv, self.tol.block_det_rel):
+        if _degenerate(gv, self.tol.rank_rel):
             raise DegenerateComplementError("complement block of gram is singular")
         if not np.array_equal(structure, -np.swapaxes(structure, 1, 2)):
             raise AsymmetricBracketError("structure constants must be antisymmetric in (i, j)")

@@ -17,9 +17,8 @@ class Tolerances:
     nonnegative (ParseError).
     """
 
-    block_det_rel: float = 1e-10  # Gram block nondegeneracy: sigma_min > rel * sigma_max
     cluster_rel: float = 1e-8     # eigenvalue classification and clustering
-    rank_rel: float = 1e-10       # singular-value cutoff for rank / null-space decisions
+    rank_rel: float = 1e-10       # singular-value cutoff: rank, null spaces, Gram blocks
     merge_rel: float = 1e-9       # lattice band rel * max(1, t) + 2e-9: times meet, no t_max term
     zero_rel: float = 1e-13       # "is this vector/operator zero" dispatch decisions
     bisect_tol: float = 1e-12     # root tolerance in t: bracket width, Newton step

@@ -29,7 +29,6 @@ import numpy as np
 from .algebra import MetricLieAlgebra, bracket_v, inner_v, inner_z, j_map
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
-    CenterNotLineError,
     NoConjugateError,
     NotDiagonalizableError,
     NotInImageError,
@@ -62,12 +61,8 @@ from .spectral import eigen_components  # unused; perfbench/layers.py wraps it h
 __all__ = [
     "ConjugateTime",
     "conjugate_times",
-    "polynomial_times",
-    "lattice_times",
-    "mixed_times",
     "conjugacy_function",
     "ConjugacySeries",
-    "build_jacobi_field",
 ]
 
 
@@ -103,7 +98,9 @@ def conjugate_times(geo: GeodesicSpec, t_max: float, tol: Tolerances = DEFAULT_T
         out = polynomial_times(geo, t_max, tol)
     elif x_zero or geo.alg.dim_center == 1:
         spec = spectrum(geo.J, tol)
-        out = _lattice_times(spec, t_max, tol) if x_zero else _mixed_times(geo, t_max, tol, spec)
+        out = ([ConjugateTime(t, sum(line.mult for line in lines), "lattice")
+                for t, lines in _lattice_poles(spec, t_max, tol)] if x_zero
+               else _mixed_times(geo, t_max, tol, spec))
     else:
         raise UnsupportedCaseError(
             "no closed form for a higher-dimensional center with z0 != 0 != x0; "
@@ -115,6 +112,7 @@ def conjugate_times(geo: GeodesicSpec, t_max: float, tol: Tolerances = DEFAULT_T
     return out
 
 
+# Not exported: conjugate_times and locus call it, and perfbench/layers.py wraps it.
 def polynomial_times(geo: GeodesicSpec, t_max: float,
                      tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
     """Conjugate times of a straight geodesic (J = 0, x0 != 0)."""
@@ -156,18 +154,6 @@ def _lattice_poles(spec: Spectrum, t_max: float,
     owner = np.repeat(np.arange(len(counts)), counts)
     return [(t, tuple(spec.neg[k] for k in sorted(set(owner[idx].tolist()))))
             for t, idx in cluster_scalars(raw, lambda ts: _lattice_band(ts, tol))]
-
-
-def lattice_times(geo: GeodesicSpec, t_max: float,
-                  tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
-    """Conjugate times of a central geodesic (x0 = 0, J != 0)."""
-    _check_t_max(t_max)
-    return _lattice_times(spectrum(geo.J, tol), t_max, tol)
-
-
-def _lattice_times(spec: Spectrum, t_max: float, tol: Tolerances) -> list[ConjugateTime]:
-    return [ConjugateTime(t, sum(line.mult for line in lines), "lattice")
-            for t, lines in _lattice_poles(spec, t_max, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +308,13 @@ def _scan_roots(f, poles: list[float], lo: float, hi: float, rate: float, fscale
                 tol: Tolerances) -> list[tuple[float, bool]]:
     """Sorted (root, tangent) of an array function f in (lo, hi), split at the sorted poles.
 
-    Each gap is sampled at steps of at most pi / (4 rate), its np.linspace bit
-    for bit, all gaps in one array with one call of f per _SCAN_BLOCK points;
-    sign changes and extrema of f towards 0 count only inside a gap, and an
-    extremum within _TANGENT_CUT * fscale of 0 is a double root (tangent).
+    Each gap is sampled at steps of at most pi / (4 rate) and a 64th of the gap
+    (9 to 4097 points), its np.linspace bit for bit, all gaps in one array with
+    one call of f per _SCAN_BLOCK points.  rate is the largest |Im lambda| over
+    the eigenvalues of f's J (Spectrum.turn_rate), complex ones included: a
+    term of alpha +- i beta turns at beta however small alpha is.  Sign changes
+    and extrema of f towards 0 count only inside a gap, and an extremum within
+    _TANGENT_CUT * fscale of 0 is a double root (tangent).
     """
     edges = np.array([lo] + [p for p in poles if lo < p < hi] + [hi])
     margin = _POLE_MARGIN * np.maximum(1.0, edges[1:])
@@ -388,8 +377,8 @@ def _merge_roots(roots: list[tuple[float, bool]], poles: list[float],
     return out
 
 
-def mixed_times(geo: GeodesicSpec, t_max: float,
-                tol: Tolerances = DEFAULT_TOL) -> list[ConjugateTime]:
+def _mixed_times(geo: GeodesicSpec, t_max: float, tol: Tolerances,
+                 spec: Spectrum) -> list[ConjugateTime]:
     """Conjugate times for a one-dimensional center with z0 != 0 != x0.
 
     x0 stands for x0 - K, without its flat factor (_flat_split).  Each lattice
@@ -400,14 +389,6 @@ def mixed_times(geo: GeodesicSpec, t_max: float,
     at zero is dropped.  Every root of g(t) = <gdot, gdot> between consecutive
     poles adds a simple conjugate time.
     """
-    _check_t_max(t_max)
-    if geo.alg.dim_center != 1:
-        raise CenterNotLineError("mixed closed form requires a one-dimensional center")
-    return _mixed_times(geo, t_max, tol, spectrum(geo.J, tol))
-
-
-def _mixed_times(geo: GeodesicSpec, t_max: float, tol: Tolerances,
-                 spec: Spectrum) -> list[ConjugateTime]:
     geo = _flat_split(geo, spec, tol)
     poles = _lattice_poles(spec, t_max, tol)
     gx = geo.alg.gram_v @ geo.x0
@@ -428,10 +409,9 @@ def _mixed_times(geo: GeodesicSpec, t_max: float, tol: Tolerances,
     # g(t) = <gdot, gdot> is excess(t) = <z0, z0>, since g(0) = <x0, x0>
     szz = inner_z(geo.alg, geo.z0, geo.z0)
     excess = _excess_of(geo, spec)
-    rate = max((line.rate for line in spec.neg), default=0.0)
     out += [ConjugateTime(t, 1, "transcendental", tangent=tangent) for t, tangent
-            in _scan_roots(lambda t: excess(t) - szz, [t for t, _ in poles], 0.0, t_max, rate,
-                           abs(szz), tol)]
+            in _scan_roots(lambda t: excess(t) - szz, [t for t, _ in poles], 0.0, t_max,
+                           spec.turn_rate, abs(szz), tol)]
     return sorted(out, key=lambda ct: ct.t)
 
 
@@ -515,6 +495,7 @@ def _transcendental_witness(geo: GeodesicSpec, t0: float, tol: Tolerances,
     return _exp_witness(reg, t0, np.eye(reg.alg.dim_v), reg.J, reg.x0, -u, 1.0)
 
 
+# Not exported: conjugate_times(..., witnesses=True) calls it, and perfbench/layers.py wraps it.
 def build_jacobi_field(geo: GeodesicSpec, ct: ConjugateTime, tol: Tolerances = DEFAULT_TOL,
                        spec: Spectrum | None = None) -> JacobiField:
     """Explicit nontrivial Jacobi field vanishing at 0 and at ct.t.

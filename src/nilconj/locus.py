@@ -149,8 +149,7 @@ def _track_root(series: ConjugacySeries, spec: Spectrum, eps: float, s: float,
             return t_new
         t = t_new
     poles = [p / s for p, _ in _lattice_poles(spec, s * hi, tol)]
-    rate = s * max((line.rate for line in spec.neg), default=0.0)
-    roots = _scan_roots(f, poles, lo, hi, rate, s * s, tol)
+    roots = _scan_roots(f, poles, lo, hi, s * spec.turn_rate, s * s, tol)
     if not roots:
         raise RootLostError(f"continuation lost the conjugate-time root at a = {s}")
     return roots[0][0]

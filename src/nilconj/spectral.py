@@ -51,6 +51,7 @@ class Spectrum:
     zero_mult: int            # algebraic multiplicity of 0 (generalized null space dim)
     zero_basis: np.ndarray    # plain kernel of J
     complex_dim: int          # eigenvalues of J off both axes
+    turn_rate: float          # largest |Im lambda| over J's eigenvalues: sets the root scan's step
     diagonalizable: bool      # J has an eigenbasis and no eigenvalue off both axes
     dim_v: int
     eigenbasis: Optional[tuple[np.ndarray, np.ndarray]]   # (lambda, V): J V = V diag(lambda)
@@ -97,8 +98,9 @@ def spectrum(j: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     kept = (stacked.shape[1] == q
             and np.linalg.svd(stacked, compute_uv=False).min() > tol.rank_rel)
     return Spectrum(neg=tuple(neg), pos=tuple(pos), zero_mult=zero_mult, zero_basis=zero_basis,
-                    complex_dim=complex_dim, diagonalizable=bool(kept) and complex_dim == 0,
-                    dim_v=q, eigenbasis=(np.array(lams), stacked) if kept else None)
+                    complex_dim=complex_dim, turn_rate=float(np.abs(w.imag).max()) * unit,
+                    diagonalizable=bool(kept) and complex_dim == 0, dim_v=q,
+                    eigenbasis=(np.array(lams), stacked) if kept else None)
 
 
 def _lattice_band(t: float | np.ndarray, tol: Tolerances) -> float | np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilconj import (
+    DEFAULT_TOL,
     AlgebraElement,
     AsymmetricBracketError,
     DegenerateCenterError,
@@ -95,6 +96,18 @@ def test_degenerate_complement_rejected():
            "brackets": [{"a": 0, "b": 1, "out": [1.0]}]}
     with pytest.raises(DegenerateComplementError):
         load_algebra(json.dumps(doc))
+
+
+def test_gram_block_singularity_is_decided_by_rank_rel():
+    # sigma_min / sigma_max = 1e-11 on the complement block: singular at the
+    # default rank_rel = 1e-10, and an algebra once rank_rel is 1e-12
+    doc = json.dumps({"dim_center": 1, "dim_v": 2,
+                      "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1e-11]],
+                      "brackets": [{"a": 0, "b": 1, "out": [1.0]}]})
+    with pytest.raises(DegenerateComplementError):
+        load_algebra(doc)
+    alg = load_algebra(doc, DEFAULT_TOL.replace(rank_rel=1e-12))
+    assert alg.gram_v[1, 1] == 1e-11
 
 
 def test_split_coupling_rejected():

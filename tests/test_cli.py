@@ -447,9 +447,10 @@ def test_tol_override_accepted(capsys):
 
 
 def test_tol_override_unknown_key_exits_2(capsys):
-    # fd_step and integer_rel were tolerances once; the witness grid step now
-    # follows from J, and lattice times meet by the merge_rel band
-    for pair in ("bogus=1", "fd_step=1e-3", "integer_rel=1e-9"):
+    # fd_step, integer_rel and block_det_rel were tolerances once; the witness
+    # grid step now follows from J, lattice times meet by the merge_rel band,
+    # and rank_rel decides a singular Gram block
+    for pair in ("bogus=1", "fd_step=1e-3", "integer_rel=1e-9", "block_det_rel=1e-10"):
         code, _, err = run(capsys, "validate", "--algebra", "heis3", "--tol", pair)
         assert code == 2
         assert "unknown tolerance" in err

@@ -20,15 +20,14 @@ import nilconj.spectral as spectral_module
 from conftest import random_algebra
 from nilconj import (
     DEFAULT_TOL,
-    CenterNotLineError,
     ConjugateTime,
     GeodesicSpec,
     InsufficientSamplesError,
+    MetricLieAlgebra,
     NotInImageError,
     ParseError,
     PoleError,
     UnsupportedCaseError,
-    build_jacobi_field,
     center_coupling,
     compare,
     conjugacy_function,
@@ -42,14 +41,12 @@ from nilconj import (
     inner_v,
     integrate_propagator,
     jacobi_frame_residual,
-    lattice_times,
     load_algebra,
-    mixed_times,
-    polynomial_times,
     sample_horizontal_locus,
     spectrum,
 )
 from nilconj.cli import _random_geodesic
+from nilconj.conjugate import build_jacobi_field, polynomial_times
 from nilconj.numerics import _expm_stack, golden_min
 
 # root of (t/2) cot(t/2) = 2 in (2 pi, 4 pi)
@@ -97,8 +94,6 @@ def test_t_max_must_be_finite(heis3, t_max):
 @pytest.mark.parametrize("fn, z0, x0", [
     (conjugate_times, [1.0], [0.5, 0.0]),
     (polynomial_times, [0.0], [0.5, 0.0]),
-    (lattice_times, [1.0], [0.0, 0.0]),
-    (mixed_times, [1.0], [0.5, 0.0]),
 ])
 def test_closed_forms_share_the_horizon_check(pheis3, fn, z0, x0, t_max):
     # the branch functions once overflowed on inf, failed to convert nan to an
@@ -110,13 +105,12 @@ def test_closed_forms_share_the_horizon_check(pheis3, fn, z0, x0, t_max):
 _BAD_INPUT = [
     *((f"{fn.__name__}-{t_max:g}",
        lambda alg, fn=fn, t_max=t_max: fn(geo(alg, [1.0], [0.3, 1.0]), t_max))
-      for fn in (conjugate_times, polynomial_times, lattice_times, mixed_times,
-                 integrate_propagator, detect_conjugate)
+      for fn in (conjugate_times, polynomial_times, integrate_propagator, detect_conjugate)
       for t_max in (0.0, -1.0, np.inf, np.nan)),
     ("steps", lambda alg: integrate_propagator(geo(alg, [1.0], [0.3, 1.0]), 1.0, steps=10)),
     ("state-bound", lambda alg: detect_conjugate(geo(alg, [1.0], [0.3, 1.0]), 1e7)),
     ("lattice-bound", lambda alg: conjugate_times(geo(alg, [1.0], [0.0, 0.0]), 1e12)),
-    ("mixed-lattice-bound", lambda alg: mixed_times(geo(alg, [1.0], [0.3, 1.0]), 1e12)),
+    ("mixed-lattice-bound", lambda alg: conjugate_times(geo(alg, [1.0], [0.3, 1.0]), 1e12)),
     ("method", lambda alg: sample_horizontal_locus(alg, [np.array([1.0, 0.0])], method="nosuch")),
     ("fmt", lambda alg: export_samples([], "unused.csv", fmt="nosuch")),
     ("branch", lambda alg: build_jacobi_field(geo(alg, [1.0], [0.0, 0.0]),
@@ -136,11 +130,6 @@ def test_bad_input_raises_parse_error(heis3, call):
 def test_unsupported_mixed_center(bicenter):
     with pytest.raises(UnsupportedCaseError):
         conjugate_times(geo(bicenter, [1.0, 0.0], [1.0, 0.0, 0.0]), 10.0)
-
-
-def test_mixed_times_requires_line_center(bicenter):
-    with pytest.raises(CenterNotLineError):
-        mixed_times(geo(bicenter, [1.0, 0.0], [1.0, 0.0, 0.0]), 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +508,33 @@ def test_mixed_times_without_closed_series(heis5w, monkeypatch):
     assert [ct.t for ct in numeric] == pytest.approx([ct.t for ct in closed], abs=1e-9)
 
 
+def test_complex_eigenvalues_set_the_scan_step():
+    # J(1) has eigenvalues +-0.00925 +- 0.68304i.  With a step from the rotating
+    # lines alone (there are none) the scan took 65 samples per gap however fast
+    # J turns, and found 7, 3 and 5 of these times; each count is the number of
+    # sign changes of the series on 2 million samples
+    structure = np.zeros((1, 4, 4))
+    for (a, b), out in {(0, 1): 0.9353944440264407, (0, 2): 0.020718705043620028,
+                        (0, 3): -0.915205136615955, (1, 2): -0.7401400386031575,
+                        (1, 3): -0.2567907580152909, (2, 3): -1.228712452811208}.items():
+        structure[0, a, b], structure[0, b, a] = out, -out
+    alg = MetricLieAlgebra(1, 4, np.diag([1.0, 1.0, 1.0, -1.0, -1.0]), structure)
+    z1, z2 = 21.960617435583362, 43.921234871166725
+    cases = [(z1, [0.00712747649838744, 0.04455791868588285, -0.3613130338614392,
+                   0.9313520722707336], 20.0, 25),
+             (z2, [0.49929039364591843, 0.436626275417838, 0.7308592873349733,
+                   -0.16096987464698165], 12.0, 27),
+             (z2, [-0.29390467289285566, -0.21176447731826056, -0.19504705212346288,
+                   0.9114452791340875], 12.0, 43)]
+    for z0, x0, t_max, count in cases:
+        g = geo(alg, [z0], x0)
+        assert spectrum(g.J).turn_rate == pytest.approx(0.6830409 * z0, rel=1e-7)
+        cts = conjugate_times(g, t_max)
+        assert len(cts) == count, (z0, x0)
+        report = compare(cts, detect_conjugate(g, t_max))
+        assert report.ok, (z0, x0, report)
+
+
 def test_cplx_has_no_real_split(cplx):
     spec = spectrum(geo(cplx, [1.0], [1.0, 0.0, 0.0, 0.0]).J)
     assert spec.complex_dim == 4 and not spec.diagonalizable
@@ -653,6 +669,20 @@ def test_mixed_nilpotent_kernel_pairing_refused(nilpj):
     assert [ct[0] for ct in detect_conjugate(g, 6.0)] == [pytest.approx(t, abs=1e-5)]
 
 
+def test_mixed_null_kernel_without_pairing_keeps_the_geodesic(nilpj):
+    # the metric is degenerate on ker J, but x0 = (a, b, -b) does not pair with
+    # it: the flat factor has nothing to split off, and _flat_split returns the
+    # geodesic itself.  The matrix form and the oracle both find no time.
+    for z0, x0 in (([1.0], [1.0, 0.5, -0.5]), ([-0.7], [0.3, -1.2, 1.2]),
+                   ([2.5], [-0.8, 1.7, -1.7])):
+        g = geo(nilpj, z0, x0)
+        spec = spectrum(g.J)
+        assert spec.eigenbasis is None
+        assert conjugate_module._flat_split(g, spec, DEFAULT_TOL) is g
+        assert conjugate_times(g, 13.0) == []
+        assert detect_conjugate(g, 13.0) == []
+
+
 def test_mixed_pure_kernel_keeps_full_multiplicity(heis4deg):
     # x0 entirely inside ker J: the pairing functional <J x0, .> vanishes,
     # so the lattice multiplicity is NOT reduced; the oracle confirms.
@@ -743,7 +773,7 @@ def test_mixed_poles_without_preimage_take_no_exponential(heis3, monkeypatch):
             calls.append(_name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(conjugate_module, name, spy)
-    cts = mixed_times(geo(heis3, [1.0], [0.3, 1.0]), 2000.0)
+    cts = conjugate_times(geo(heis3, [1.0], [0.3, 1.0]), 2000.0)
     assert sum(ct.branch == "lattice" for ct in cts) == 318
     assert calls == []
 
@@ -781,7 +811,7 @@ def test_merge_matches_all_pairs_rule(heis3, monkeypatch):
     seen = []
     monkeypatch.setattr(conjugate_module, "_merge_roots",
                         lambda roots, poles, tol: seen.append((roots, poles)) or merge(roots, poles, tol))
-    mixed_times(geo(heis3, [1.0], [0.3, 1.0]), 2000.0)
+    conjugate_times(geo(heis3, [1.0], [0.3, 1.0]), 2000.0)
     [(roots, poles)] = seen
     assert len(poles) == 318 and len(roots) > 300
     gap = DEFAULT_TOL.merge_rel
@@ -848,10 +878,10 @@ def test_lattice_and_mixed_times_make_no_lattice_match_call(heis5w, wcross, monk
         raise AssertionError("lattice_match called")
 
     monkeypatch.setattr(conjugate_module, "lattice_match", refuse)
-    assert times_mults(lattice_times(geo(heis5w, [1.0], [0.0] * 4), 13.0))[:2] == \
+    assert times_mults(conjugate_times(geo(heis5w, [1.0], [0.0] * 4), 13.0))[:2] == \
         [(pytest.approx(np.pi), 2), (pytest.approx(2.0 * np.pi), 4)]
     c = np.sqrt(9.0 / (9.0 - np.pi * np.sqrt(3.0)))   # the bonus x0 of test_mixed_bonus_multiplicity
-    cts = mixed_times(geo(wcross, [1.0], [0.0, 0.0, c, 0.0]), 4.0)
+    cts = conjugate_times(geo(wcross, [1.0], [0.0, 0.0, c, 0.0]), 4.0)
     assert (pytest.approx(np.pi), 3) in times_mults(cts)
 
 
