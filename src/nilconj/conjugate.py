@@ -304,9 +304,9 @@ def _flat_split(geo: GeodesicSpec, spec: Spectrum, tol: Tolerances) -> GeodesicS
     return geo
 
 
-def _scan_roots(f, poles: list[float], lo: float, hi: float, rate: float, fscale: float,
+def _scan_roots(f, poles: list[float], t_max: float, rate: float, fscale: float,
                 tol: Tolerances) -> list[tuple[float, bool]]:
-    """Sorted (root, tangent) of an array function f in (lo, hi), split at the sorted poles.
+    """Sorted (root, tangent) of _mixed_times' f = excess - <z0, z0> in (0, t_max], split at poles.
 
     Each gap is sampled at steps of at most pi / (4 rate) and a 64th of the gap
     (9 to 4097 points), its np.linspace bit for bit, all gaps in one array with
@@ -316,7 +316,7 @@ def _scan_roots(f, poles: list[float], lo: float, hi: float, rate: float, fscale
     and extrema of f towards 0 count only inside a gap, and an extremum within
     _TANGENT_CUT * fscale of 0 is a double root (tangent).
     """
-    edges = np.array([lo] + [p for p in poles if lo < p < hi] + [hi])
+    edges = np.array([0.0] + [p for p in poles if 0.0 < p < t_max] + [t_max])
     margin = _POLE_MARGIN * np.maximum(1.0, edges[1:])
     a, b = edges[:-1] + margin, edges[1:] - margin
     a, b = a[b > a], b[b > a]
@@ -410,7 +410,7 @@ def _mixed_times(geo: GeodesicSpec, t_max: float, tol: Tolerances,
     szz = inner_z(geo.alg, geo.z0, geo.z0)
     excess = _excess_of(geo, spec)
     out += [ConjugateTime(t, 1, "transcendental", tangent=tangent) for t, tangent
-            in _scan_roots(lambda t: excess(t) - szz, [t for t, _ in poles], 0.0, t_max,
+            in _scan_roots(lambda t: excess(t) - szz, [t for t, _ in poles], t_max,
                            spec.turn_rate, abs(szz), tol)]
     return sorted(out, key=lambda ct: ct.t)
 

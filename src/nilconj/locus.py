@@ -21,11 +21,11 @@ import numpy as np
 
 from .algebra import MetricLieAlgebra, j_map
 from .config import DEFAULT_TOL, Tolerances
-from .conjugate import ConjugacySeries, _lattice_poles, _scan_roots, polynomial_times
+from .conjugate import ConjugacySeries, conjugate_times, polynomial_times
 from .errors import (CenterNotLineError, NoConjugateError, ParseError, RootLostError,
                      UnsupportedCaseError)
 from .geometry import GeodesicSpec, geodesic_point
-from .spectral import Spectrum, spectrum
+from .spectral import spectrum
 from .spectral import eigen_components  # unused; perfbench/layers.py wraps it here
 
 __all__ = [
@@ -70,6 +70,17 @@ def _squared_rates(alg: MetricLieAlgebra, ju: np.ndarray, eps: float,
     return eps * ((x0 @ alg.gram_v)[:, None] @ ((x0 @ ju.T) @ ju.T)[:, :, None])[:, 0, 0]
 
 
+def _directions(alg: MetricLieAlgebra, directions: list[np.ndarray]) -> np.ndarray:
+    """The directions as rows; ParseError unless each has dim_v finite components."""
+    x0 = [np.asarray(d, dtype=float).reshape(-1) for d in directions]
+    if any(row.shape != (alg.dim_v,) for row in x0):
+        raise ParseError("each direction needs dim_v components")
+    x0 = np.array(x0).reshape(-1, alg.dim_v)
+    if not np.all(np.isfinite(x0)):
+        raise ParseError("directions must be finite")
+    return x0
+
+
 def conjugate_rate(alg: MetricLieAlgebra, x0: np.ndarray,
                    tol: Tolerances = DEFAULT_TOL) -> float:
     """Delta > 0 such that the first conjugate time along x0 is 2 sqrt(3)/Delta.
@@ -77,7 +88,7 @@ def conjugate_rate(alg: MetricLieAlgebra, x0: np.ndarray,
     Delta^2 = eps <x0, J_u^2 x0>.  Raises NoConjugateError when it is not
     positive (then the straight geodesic has no conjugate points at all).
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = _directions(alg, [x0])[0]
     _, ju, eps = _unit_center(alg)
     d2 = _squared_rates(alg, ju, eps, x0[None])[0]
     if d2 <= tol.zero_rel:
@@ -99,12 +110,7 @@ def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
         method = "delta" if alg.dim_center == 1 else "general"
     if method not in ("delta", "general"):
         raise ParseError(f"unknown method {method!r}")
-    x0 = [np.asarray(d, dtype=float).reshape(-1) for d in directions]
-    if any(row.shape != (alg.dim_v,) for row in x0):
-        raise ParseError("each direction needs dim_v components")
-    x0 = np.array(x0).reshape(-1, alg.dim_v)
-    if not np.all(np.isfinite(x0)):
-        raise ParseError("directions must be finite")
+    x0 = _directions(alg, directions)
     if method == "delta":
         _, ju, eps = _unit_center(alg)   # one J for every direction
         d2 = _squared_rates(alg, ju, eps, x0)
@@ -121,21 +127,17 @@ def sample_horizontal_locus(alg: MetricLieAlgebra, directions: list[np.ndarray],
             for x, ts, point, d in zip(x0, t.tolist(), points, delta.tolist())]
 
 
-def _track_root(series: ConjugacySeries, spec: Spectrum, eps: float, s: float,
-                predictor: float, tol: Tolerances) -> float:
-    """Root of excess(s t) = s^2 eps nearest the predictor; Newton, root-scan fallback.
+def _track_root(series: ConjugacySeries, alg: MetricLieAlgebra, zu: np.ndarray, x0: np.ndarray,
+                eps: float, s: float, predictor: float, tol: Tolerances) -> float:
+    """Root of excess(s t) = s^2 eps nearest the predictor; Newton, closed-form fallback.
 
-    This is the scan's equation excess(t) = <z0, z0> for z0 = s z, <z, z> = eps.
-    When Newton leaves the trust window or stalls, the first root that the
-    closed forms' root scan finds in the window is taken instead; the scan
-    splits the window at the lattice poles of the series (_lattice_poles of
-    spec, at s t), so a sign change across a pole is not a root.
+    This is conjugate_times' equation excess(t) = <z0, z0> for z0 = s z, <z, z> = eps.
+    Newton stops at a step below bisect_tol * max(1, t), or below refine_tol * max(1, t)
+    and no smaller than the last (the excess's rounding floor).  Where it leaves the
+    trust window or stalls, it takes the nearest transcendental time in the window of
+    conjugate_times on the tilted geodesic (s z, x0).
     """
-
-    def f(t: float | np.ndarray) -> float | np.ndarray:
-        return series.excess(s * t) - s * s * eps
-
-    t = predictor
+    t, step = predictor, np.inf
     lo, hi = _TRUST_WINDOW[0] * predictor, _TRUST_WINDOW[1] * predictor
     for _ in range(_NEWTON_MAX_ITER):
         excess, slope = series.excess_and_derivative(s * t)
@@ -145,35 +147,36 @@ def _track_root(series: ConjugacySeries, spec: Spectrum, eps: float, s: float,
         t_new = t - (excess - s * s * eps) / df
         if not (lo < t_new < hi):
             break
-        if abs(t_new - t) <= tol.bisect_tol * max(1.0, t):
+        last, step = step, abs(t_new - t)
+        if step <= tol.bisect_tol * max(1.0, t) or last <= step <= tol.refine_tol * max(1.0, t):
             return t_new
         t = t_new
-    poles = [p / s for p, _ in _lattice_poles(spec, s * hi, tol)]
-    roots = _scan_roots(f, poles, lo, hi, s * spec.turn_rate, s * s, tol)
+    roots = [ct.t for ct in conjugate_times(GeodesicSpec(alg, s * zu, x0), hi, tol)
+             if ct.branch == "transcendental" and lo < ct.t < hi]
     if not roots:
         raise RootLostError(f"continuation lost the conjugate-time root at a = {s}")
-    return roots[0][0]
+    return min(roots, key=lambda root: abs(root - predictor))
 
 
 def continuation(alg: MetricLieAlgebra, x0: np.ndarray, a_grid: list[float],
                  tol: Tolerances = DEFAULT_TOL) -> list[LocusSample]:
     """Track t(a) for the ray family gdot_a = a z + x0 from the a = 0 limit.
 
-    Processes the grid by increasing |a| so each root is predicted by its
-    neighbor; the family is even in a, so both signs share one track.  Every
-    sample's geodesic has speed <x0,x0> + a^2 eps.
+    Processes the grid by increasing |a|, each root predicted by the one before; the
+    family is even in a, so both signs share one track.  Every sample's geodesic has
+    speed <x0,x0> + a^2 eps.  A malformed or non-finite x0 or tilt raises ParseError.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    delta = conjugate_rate(alg, x0, tol)    # rejects Delta <= 0 up front
-    zu, ju, eps = _unit_center(alg)
-    spec = spectrum(ju, tol)
-    series = ConjugacySeries.of(alg, spec, x0)
-    t_limit = _2SQRT3 / delta
-    track: dict[float, float] = {0.0: t_limit}
-    for s in sorted({abs(float(a)) for a in a_grid if a != 0.0}):
-        predictor = track[max(k for k in track if k < s)]
-        track[s] = _track_root(series, spec, eps, s, predictor, tol)
+    delta = conjugate_rate(alg, x0, tol)    # refuses a bad x0 and Delta <= 0 up front
     a = np.array(a_grid, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(a)):
+        raise ParseError("tilts must be finite")
+    zu, ju, eps = _unit_center(alg)
+    series = ConjugacySeries.of(alg, spectrum(ju, tol), x0)
+    t = _2SQRT3 / delta
+    track = {0.0: t}
+    for s in sorted(set(np.abs(a).tolist()) - {0.0}):
+        t = track[s] = _track_root(series, alg, zu, x0, eps, s, t, tol)
     t = np.array([track[abs(s)] for s in a.tolist()])
     points = geodesic_point((alg, a[:, None] * zu, np.broadcast_to(x0, (a.size, x0.size))), t)
     return [LocusSample(x0, s, ts, point, delta)

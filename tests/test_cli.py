@@ -390,9 +390,10 @@ def test_locus_tube_requires_x0(capsys):
     ("--grid", "0"),
     ("--mode", "tube", "--x0", "1,0", "--amax", "nan"),
     ("--mode", "tube", "--x0", "1,0", "--amax", "inf"),
+    ("--mode", "tube", "--x0", "nan,1"),
 ])
 def test_locus_bad_input_exit_2(capsys, argv):
-    # each of these once ended in a numpy traceback (exit 1)
+    # each of these once ended in a numpy traceback (exit 1), or in RootLostError for a nan x0
     code, _, err = run(capsys, "locus", "--algebra", "pheis3", *argv)
     assert code == 2
     assert "error: ParseError" in err

@@ -222,6 +222,50 @@ def test_continuation_window_with_only_a_pole_loses_root(phyp):
         continuation(phyp, [0.094, -0.7435, -0.9217, -0.4577], [0.0, 1.9689])
 
 
+@pytest.mark.parametrize("call", [
+    lambda alg: conjugate_rate(alg, [np.nan, 1.0]),
+    lambda alg: conjugate_rate(alg, [np.inf, 0.0]),
+    lambda alg: conjugate_rate(alg, [1.0]),
+    lambda alg: continuation(alg, [np.nan, 1.0], [0.0, 0.1]),
+    lambda alg: continuation(alg, [1.0, 0.0], [0.0, np.nan]),
+    lambda alg: continuation(alg, [1.0, 0.0], [0.0, np.inf]),
+], ids=["rate-nan", "rate-inf", "rate-short", "tube-nan-x0", "tube-nan-tilt", "tube-inf-tilt"])
+def test_locus_entry_points_refuse_malformed_input(pheis3, call):
+    # these once returned nan, or raised RootLostError or a bare numpy ValueError
+    with pytest.raises(ParseError):
+        call(pheis3)
+
+
+def test_continuation_newton_stops_at_the_rounding_floor(pheis3, monkeypatch):
+    # Newton's steps plateau near 4e-12 here, above bisect_tol * t: the excess
+    # rounds coarsely just above its Taylor cut.  It once ran all its steps and
+    # fell back to the closed forms.
+    def refuse(*args, **kwargs):
+        raise AssertionError("continuation fell back to conjugate_times")
+
+    monkeypatch.setattr(locus_module, "conjugate_times", refuse)
+    x0 = [1.1401193191827474, 0.02289874146197146]
+    s = continuation(pheis3, x0, [0.0, 0.007910706605620738])[1]
+    assert s.t == pytest.approx(3.038995255567254, abs=1e-11)
+
+
+@pytest.mark.parametrize("x0, grid", [
+    ([1.0, 0.2], list(0.2 * np.arange(-5, 6) / 5)),
+    ([1.0, 0.0], list(np.linspace(-0.2, 0.2, 9))),
+    ([1.1401193191827474, 0.02289874146197146], [0.0, 0.007910706605620738, 0.05, 0.1, 0.15]),
+])
+def test_continuation_fallback_gives_the_newton_answer(pheis3, monkeypatch, x0, grid):
+    # with no Newton step every tilt falls back to conjugate_times of its geodesic
+    newton = continuation(pheis3, x0, grid)
+    monkeypatch.setattr(locus_module, "_NEWTON_MAX_ITER", 0)
+    for n, f in zip(newton, continuation(pheis3, x0, grid)):
+        assert abs(f.t - n.t) <= 1e-11
+        if f.a != 0.0:
+            times = [ct.t for ct in conjugate_times(GeodesicSpec(pheis3, [abs(f.a)], x0), 1.5 * f.t)
+                     if ct.branch == "transcendental"]
+            assert min(abs(t - f.t) for t in times) <= 1e-12
+
+
 def test_continuation_null_direction_rejected(pheis3):
     # null x0 has vanishing component squares, so the rate sum is zero.
     with pytest.raises(NoConjugateError):
