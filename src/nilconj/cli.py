@@ -2,10 +2,12 @@
 
 Subcommands: validate, spectrum, conjugate, oracle, compare, locus.  Exit
 status 0 on success, 1 when `compare` finds a discrepancy, 2 on any
-NilconjError: the library checks its own input, so the CLI checks only the
-flags the library never sees.  The effective tolerance set is echoed on
-every run (header line in human mode, stderr line in JSON mode, so the JSON
-document on stdout stays a single machine-readable value).
+NilconjError or on a file that cannot be read or written (every write comes
+before the JSON is printed): the library checks its own input, so the CLI
+checks only the flags and files the library never sees.  The effective
+tolerance set is echoed on every run (header line in human mode, stderr
+line in JSON mode, so the JSON document on stdout stays a single
+machine-readable value).
 """
 
 from __future__ import annotations
@@ -57,8 +59,11 @@ def _load_algebra(spec: str, tol: Tolerances) -> MetricLieAlgebra:
     if spec in FIXTURE_NAMES:
         return fixture(spec, tol)
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return load_algebra(fh.read(), tol)
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                return load_algebra(fh.read(), tol)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read {spec!r}: {exc}") from exc
     raise ParseError(f"{spec!r} is neither a built-in fixture "
                      f"({', '.join(FIXTURE_NAMES)}) nor a readable file")
 
@@ -373,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         alg = _load_algebra(args.algebra, tol)
         _echo_tolerances(tol, args.json)
         return args.func(args, alg, tol)
-    except NilconjError as exc:
+    except (NilconjError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from .algebra import (
     j_map,
 )
 from .errors import InsufficientSamplesError, ParseError
-from .numerics import _expm_powers, _expm_stack, expm
+from .numerics import _expm_powers, _expm_stack
 
 __all__ = [
     "GeodesicSpec",
@@ -194,7 +194,7 @@ def jacobi_operator(geo: GeodesicSpec, t: float, y: AlgebraElement) -> AlgebraEl
 
 def geodesic_velocity(geo: GeodesicSpec, t: float) -> AlgebraElement:
     """Left-trivialized velocity z0 + exp(tJ) x0."""
-    return AlgebraElement(geo.z0, expm(t * geo.J) @ geo.x0)
+    return AlgebraElement(geo.z0, _expm_stack(t * geo.J[None])[0] @ geo.x0)
 
 
 def geodesic_point(geo: GeodesicSpec | tuple,
@@ -304,12 +304,12 @@ def jacobi_frame_residual(geo: GeodesicSpec, field: JacobiField,
     if isinstance(field, _ExactField):
         if not field.times[0] <= t <= field.times[-1]:
             raise InsufficientSamplesError(f"t={t} lies outside the field's interval")
-        xp = expm(t * geo.J) @ geo.x0
+        xp = _expm_stack(t * geo.J[None])[0] @ geo.x0
         _, zdot, _, ev, evdot, evddot = (r[0] for r in field.form.jet(np.array([t])))
     else:
         i = _stencil_index(field.times, t)
         h, v = field.times[i + 1] - field.times[i], field.v
-        e = expm(field.times[i] * geo.J)
+        e = _expm_stack(field.times[i] * geo.J[None])[0]
         xp = e @ geo.x0
         zdot = (field.z[i + 1] - field.z[i - 1]) / (2.0 * h)
         ev, evdot = e @ v[i], e @ (v[i + 1] - v[i - 1]) / (2.0 * h)

@@ -1,7 +1,7 @@
 """Small numerical helpers: the horizon check, an Illinois root search, a
 minimum search by V steps under golden section, rank decisions, matrix
-exponentials of a stack (each matrix as if alone), the powers e^{ka} of one
-exponential, and one matrix's exponential (scipy's)."""
+exponentials of a stack (each matrix as if alone), and the powers e^{ka} of
+one exponential."""
 
 from __future__ import annotations
 
@@ -145,7 +145,7 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     key = np.searchsorted(_KEYS, np.abs(a).sum(axis=-2).max(axis=-1))
-    if key.size and key.min() < key.max():
+    if key.size > 1 and key.min() < key.max():
         e = np.empty_like(a)
         for level in np.unique(key):
             e[key == level] = _expm_stack(a[key == level])
@@ -161,7 +161,7 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
             u, v = u + b[k] * power, v + b[k - 1] * power
         u = a @ u
     else:
-        a = a * 2.0 ** -s
+        a = a * 2.0 ** -s if s else a
         a2 = a @ a
         a4 = a2 @ a2
         a6 = a4 @ a2
@@ -184,12 +184,6 @@ def _expm_powers(a: np.ndarray, n: int) -> np.ndarray:
     for j in 2 ** np.arange(max(n - 2, 0).bit_length()):     # fills powers j + 1, ..., 2 j
         powers[j + 1:2 * j + 1] = powers[1:min(j, n - 1 - j) + 1] @ powers[j]
     return powers
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm of one matrix; scipy is imported on the first call, not with nilconj."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
 
 
 def null_space_basis(a: np.ndarray, rtol: float) -> np.ndarray:

@@ -81,10 +81,6 @@ class Propagator:
         blocks = np.arange(self.times.size) // self.block
         return self.basis[:, self.dim_center:] @ self.scale[blocks]
 
-    def matrix(self, n: int) -> np.ndarray:
-        p = self.dim_center
-        return self.basis[n, p:2 * p + self.dim_v] @ self.scale[n // self.block]
-
 
 def _system(geo: GeodesicSpec, ep: np.ndarray) -> np.ndarray:
     """System matrices A of the state (zeta, z, v, w) at times whose e^{tJ} is ep;
@@ -141,8 +137,8 @@ def integrate_propagator(geo: GeodesicSpec, t_max: float,
     _check_t_max(t_max)
     if steps is None:
         steps = default_steps(t_max)
-    if steps < 100:
-        raise ParseError(f"steps must be at least 100, got {steps}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 100:
+        raise ParseError(f"steps must be an integer of at least 100, got {steps!r}")
     p, q = geo.alg.dim_center, geo.alg.dim_v
     d, r = 2 * (p + q), p + q
     if steps * d * d > _MAX_STATE_ENTRIES:
@@ -370,7 +366,8 @@ def compare(closed: list, detected: list[tuple[float, int]],
     """Match sorted time lists greedily within match_tol.
 
     Entries may be ConjugateTime objects or (t, mult) pairs of any sequence
-    type, such as the lists json.loads returns; anything else is a ParseError.
+    type, such as the lists json.loads returns; anything else is a ParseError,
+    as is a match_tol that the Tolerances field of that name refuses.
     """
     def as_pair(entry) -> tuple[float, int]:
         pair = (entry.t, entry.multiplicity) if hasattr(entry, "multiplicity") else entry
@@ -380,6 +377,7 @@ def compare(closed: list, detected: list[tuple[float, int]],
         except (TypeError, ValueError):
             raise ParseError(f"expected a (t, mult) pair, got {entry!r}") from None
 
+    DEFAULT_TOL.replace(match_tol=match_tol)
     cl = sorted(as_pair(e) for e in closed)
     de = sorted(as_pair(e) for e in detected)
     matched, missing, spurious, mismatches = [], [], [], []

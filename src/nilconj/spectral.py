@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import MetricLieAlgebra, bracket_v
 from .config import DEFAULT_TOL, Tolerances
 from .errors import NotDiagonalizableError
-from .numerics import cluster_scalars, expm, null_space_basis
+from .numerics import cluster_scalars, null_space_basis
 
 __all__ = [
     "EigenLine",
@@ -150,8 +150,11 @@ def image_membership(j: np.ndarray, t: float, x: np.ndarray, gram_v: np.ndarray,
 
     Membership is metric orthogonality of x to ker(exp(-tJ) - I); any
     least-squares preimage is acceptable because the downstream pairing
-    <Jx, v> does not depend on the choice.
+    <Jx, v> does not depend on the choice.  exp(-tJ) is scipy's, imported at
+    the first call: nilconj's one scipy call (README, "Numerical policy").
     """
+    from scipy.linalg import expm
+
     j = np.asarray(j, dtype=float)
     x = np.asarray(x, dtype=float)
     op = expm(-t * j) - np.eye(j.shape[0])

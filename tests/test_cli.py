@@ -78,6 +78,25 @@ def test_unknown_algebra_exits_2(capsys):
     assert "error: ParseError" in err
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["validate", "--algebra", "{dir}"], "ParseError"),
+    (["validate", "--algebra", "{dir}/utf16.json"], "ParseError"),
+    (["oracle", "--algebra", "heis3", "--z0", "1", "--tmax", "2", "--out", "{dir}/no/s.csv"],
+     "FileNotFoundError"),
+    (["locus", "--algebra", "pheis3", "--grid", "4", "--out", "{dir}/no/l.csv"],
+     "FileNotFoundError"),
+    (["conjugate", "--algebra", "heis3", "--z0", "1", "--tmax", "7", "--witness", "{dir}/no/w"],
+     "FileNotFoundError"),
+])
+def test_unusable_file_arguments_exit_2(tmp_path, capsys, argv, kind):
+    # a directory, a file that is not UTF-8, or an output under a missing
+    # directory: one error line, no traceback, and nothing on stdout
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv), "--json")
+    assert code == 2 and out == "" and err.count("error: ") == 1
+    assert err.splitlines()[-1].startswith(f"error: {kind}: ")
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -475,18 +494,39 @@ def test_tol_override_bad_value_exits_2(capsys):
     assert "error: ParseError" in err
 
 
+def _fresh_interpreter(script: str) -> list[str]:
+    """stdout words of script run in a fresh interpreter with this nilconj on its path."""
+    src = str(pathlib.Path(nilconj.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 def test_import_and_compare_leave_scipy_unloaded():
-    # scipy loads on the first single exponential (numerics.expm), not with
-    # nilconj, the CLI or the oracle; in a fresh interpreter
+    # scipy loads only in image_membership, not with nilconj, the CLI or the
+    # oracle; in a fresh interpreter
     script = ("import contextlib, io, sys\n"
               "import nilconj, nilconj.cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = nilconj.cli.main(['compare', '--algebra', 'heis3', '--random', '2',"
               " '--tmax', '6'])\n"
               "print(code, 'scipy' in sys.modules)\n")
-    src = str(pathlib.Path(nilconj.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False"]
+    assert _fresh_interpreter(script) == ["0", "False"]
+
+
+def test_witnesses_without_a_transcendental_time_leave_scipy_unloaded():
+    # a lattice-only and a polynomial-only geodesic's witnesses and their residual
+    # checks take no scipy exponential; a mixed one then loads scipy for its
+    # transcendental preimage (image_membership), in one fresh interpreter
+    runs = [["--algebra", "heis3", "--z0", "1"], ["--algebra", "pheis3", "--x0", "1,0"],
+            ["--algebra", "heis5w", "--z0", "3", "--x0", "1,0.2,0.3,0.4"]]
+    script = ("import contextlib, io, sys\n"
+              "import nilconj.cli\n"
+              f"for argv in {runs!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = nilconj.cli.main(['conjugate', *argv, '--tmax', '13',"
+              " '--witness', '--json'])\n"
+              "    print(code, 'scipy' in sys.modules)\n")
+    assert _fresh_interpreter(script) == ["0", "False", "0", "False", "0", "True"]

@@ -12,6 +12,7 @@ from nilconj import (
     JacobiField,
     ParseError,
     bracket,
+    conjugate_times,
     connection,
     curvature,
     field_values,
@@ -374,6 +375,21 @@ def test_residual_stencil_errors(heis3):
     tiny = uniform_field([0.0], [0.0, 1.0], lambda t: [0.0], lambda t: [0.0, 0.0])
     with pytest.raises(InsufficientSamplesError):
         jacobi_frame_residual(geo, tiny, 0.5)
+
+
+def test_witness_residual_rounds_to_the_stack_kernel(heis5w):
+    # a witness's exact residual takes exp(tJ) x0 from _expm_stack, the kernel of
+    # its own view: over 41 interior points of each of the 48 W2 witnesses at
+    # z0 = 6 it stays below 1e-13 (2.3e-12 with scipy's exponential)
+    geo = GeodesicSpec(heis5w, [6.0], [1.0, 0.2, 0.3, 0.4])
+    cts = conjugate_times(geo, 13.0, witnesses=True)
+    assert len(cts) == 48
+    worst = 0.0
+    for ct in cts:
+        field = ct.certificate
+        for t in np.linspace(field.times[0], field.times[-1], 43)[1:-1]:
+            worst = max(worst, *(np.abs(r).max() for r in jacobi_frame_residual(geo, field, t)))
+    assert worst < 1e-13
 
 
 def test_field_values_frame(heis3):

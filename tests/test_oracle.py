@@ -60,6 +60,23 @@ def test_integrate_validation(heis3):
         integrate_propagator(g, 1.0, steps=10)
 
 
+@pytest.mark.parametrize("steps", [150.5, 200.0, "200", True, np.float64(200.0)],
+                         ids=["fraction", "float", "str", "bool", "float64"])
+def test_non_integer_steps_are_refused(heis3, steps):
+    # once numpy's bare TypeError ("'float' object cannot be interpreted as an integer")
+    # or one from comparing a str with 100
+    g = geo(heis3, [1.0], [1.0, 0.0])
+    with pytest.raises(ParseError, match="integer"):
+        integrate_propagator(g, 1.0, steps=steps)
+    with pytest.raises(ParseError, match="integer"):
+        detect_conjugate(g, 2.0, steps=steps)
+
+
+def test_numpy_integer_steps_are_accepted(heis3):
+    g = geo(heis3, [1.0], [1.0, 0.0])
+    assert integrate_propagator(g, 1.0, steps=np.int64(128)).times.size == 129
+
+
 def test_integrate_memory_bound(bicenter):
     # 2^25 state entries: at d = 10 the bound is 335,544 steps.  Both runs
     # below are refused before any array is allocated (a 1e7 horizon once
@@ -74,7 +91,7 @@ def test_integrate_memory_bound(bicenter):
 def test_boundary_map_vanishes_at_zero(heis3):
     g = geo(heis3, [1.0], [1.0, 0.0])
     prop = integrate_propagator(g, 1.0, steps=100)
-    assert np.linalg.norm(prop.matrix(0)) == 0.0
+    assert np.linalg.norm(matrix_at(prop, 0.0)) == 0.0
     assert prop.states.shape == (101, 5, 3)
 
 
@@ -85,14 +102,14 @@ def test_flat_case_is_linear_in_t(heis3z2):
     g = geo(heis3z2, [0.0, 1.0], [0.0, 0.0])
     prop = integrate_propagator(g, 50.0)
     eye = np.eye(4)
-    worst = max(np.abs(prop.matrix(n) - prop.times[n] * eye).max()
+    worst = max(np.abs(matrix_at(prop, prop.times[n]) - prop.times[n] * eye).max()
                 for n in range(0, prop.times.size, 640))
     assert worst == 0.0
     sig = sigma_min_series(prop)
     assert sig[-1] == pytest.approx(50.0)
     # non-dyadic step: still machine-accurate
     prop = integrate_propagator(g, 50.0, steps=101)
-    assert np.abs(prop.matrix(101) - 50.0 * eye).max() < 1e-10
+    assert np.abs(matrix_at(prop, 50.0) - 50.0 * eye).max() < 1e-10
     assert detect_conjugate(g, 50.0) == []
 
 
@@ -104,7 +121,7 @@ def test_central_block_structure(heis3):
     j = g.J
     for n in (500, 1200, prop.times.size - 1):
         t = prop.times[n]
-        m = prop.matrix(n)
+        m = matrix_at(prop, t)
         assert abs(m[0, 0] - t) < 1e-8
         assert np.abs(m[0, 1:]).max() < 1e-12
         assert np.abs(m[1:, 0]).max() < 1e-12
@@ -153,9 +170,9 @@ def test_convergence_order(bicenter):
     # Magnus step is fourth order: require a measured order >= 3.5, and the
     # default steps within 1e-9 (relative, every node) of a 16x-step run.
     g = geo(bicenter, [0.6, -0.8], [1.0, 0.5, -0.3])
-    ref = integrate_propagator(g, 2.0, steps=8192).matrix(8192)
-    e1 = np.linalg.norm(integrate_propagator(g, 2.0, steps=128).matrix(128) - ref)
-    e2 = np.linalg.norm(integrate_propagator(g, 2.0, steps=256).matrix(256) - ref)
+    ref = matrix_at(integrate_propagator(g, 2.0, steps=8192), 2.0)
+    e1 = np.linalg.norm(matrix_at(integrate_propagator(g, 2.0, steps=128), 2.0) - ref)
+    e2 = np.linalg.norm(matrix_at(integrate_propagator(g, 2.0, steps=256), 2.0) - ref)
     assert np.log2(e1 / e2) >= 3.5
     coarse = integrate_propagator(g, 6.0)
     fine = integrate_propagator(g, 6.0, steps=16 * default_steps(6.0))
@@ -188,11 +205,11 @@ def test_matrix_at_off_grid(heis3):
     g = geo(heis3, [1.0], [1.0, 0.0])
     prop = integrate_propagator(g, 5.0)
     t = 2.3456
-    direct = integrate_propagator(g, t, steps=600).matrix(600)
+    direct = matrix_at(integrate_propagator(g, t, steps=600), t)
     assert np.abs(matrix_at(prop, t) - direct).max() < 1e-12 * np.abs(direct).max()
-    # on-grid request returns the stored node
+    # on-grid request returns the stored node: the raw state's (z, v) rows
     n = 640
-    assert np.array_equal(matrix_at(prop, prop.times[n]), prop.matrix(n))
+    assert np.array_equal(matrix_at(prop, prop.times[n]), prop.states[n, :3])
 
 
 def _system_reference(g, t):
@@ -249,7 +266,7 @@ def test_matrix_at_array_equals_scalar_calls(heis5w, pheis3, bicenter):
         ts = np.concatenate([[0.0, 0.123, 1.0, 2.71828, prop.times[700], 3.999, t_max],
                              rng.uniform(0.0, t_max, 25)])
         batch = matrix_at(prop, ts)
-        assert batch.shape == (ts.size,) + prop.matrix(0).shape
+        assert batch.shape == (ts.size,) + matrix_at(prop, 0.0).shape
         for t, m in zip(ts, batch):
             assert np.array_equal(m, matrix_at(prop, t))
         full = matrix_at(prop, ts, full=True)
@@ -748,6 +765,13 @@ def test_compare_reads_json_pairs_and_refuses_other_entries():
             compare([bad], [(1.0, 1)], match_tol=1e-5)
         with pytest.raises(ParseError):
             compare([(1.0, 1)], [bad], match_tol=1e-5)
+
+
+@pytest.mark.parametrize("match_tol", [np.nan, np.inf, -1e-5])
+def test_compare_refuses_a_bad_match_tol(match_tol):
+    # a nan tolerance once matched nothing and reported one missing, one spurious
+    with pytest.raises(ParseError, match="match_tol"):
+        compare([(1.0, 1)], [(1.0, 1)], match_tol=match_tol)
 
 
 def test_oracle_imports_nothing_from_the_closed_forms():
