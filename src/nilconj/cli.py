@@ -25,7 +25,8 @@ from .conjugate import conjugate_times
 from .errors import NilconjError, ParseError
 from .geometry import GeodesicSpec, field_values, jacobi_frame_residual, serialize_field
 from .locus import continuation, export_samples, sample_horizontal_locus
-from .oracle import compare, detect_conjugate, integrate_propagator, sigma_min_series
+from .oracle import (compare, detect_conjugate, detect_stack, integrate_propagator,
+                     sigma_min_series)
 from .spectral import spectrum
 
 __all__ = ["main"]
@@ -215,34 +216,28 @@ def _random_geodesic(alg: MetricLieAlgebra, rng: np.random.Generator) -> Geodesi
     return GeodesicSpec(alg, z0, x0)
 
 
-def _compare_one(geo: GeodesicSpec, t_max: float, steps, tol: Tolerances) -> dict:
-    # the oracle first: it refuses a horizon past its memory bound before any closed-form work
-    detected = detect_conjugate(geo, t_max, steps=steps, tol=tol)
-    closed = conjugate_times(geo, t_max, tol)
-    report = compare(closed, detected, match_tol=tol.match_tol)
-    return {
-        "z0": geo.z0.tolist(),
-        "x0": geo.x0.tolist(),
-        "matched": [list(m) for m in report.matched],
-        "missing": [list(m) for m in report.missing],
-        "spurious": [list(m) for m in report.spurious],
-        "mult_mismatches": [list(m) for m in report.mult_mismatches],
-        "ok": report.ok,
-    }
+def _compare_one(geo: GeodesicSpec, t_max: float, detected: list, tol: Tolerances) -> dict:
+    report = compare(conjugate_times(geo, t_max, tol), detected, match_tol=tol.match_tol)
+    return {"z0": geo.z0.tolist(), "x0": geo.x0.tolist(),
+            "matched": [list(m) for m in report.matched],
+            "missing": [list(m) for m in report.missing],
+            "spurious": [list(m) for m in report.spurious],
+            "mult_mismatches": [list(m) for m in report.mult_mismatches], "ok": report.ok}
 
 
 def cmd_compare(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
-    if args.random is not None and args.random < 1:
+    if args.random is None:
+        geos = [_geodesic(args, alg)]
+    elif args.random < 1:
         raise ParseError(f"--random must be positive, got {args.random}")
-    results = []
-    if args.random is not None:
-        rng = np.random.default_rng(args.seed)
-        for _ in range(args.random):
-            geo = _random_geodesic(alg, rng)
-            results.append(_compare_one(geo, args.tmax, args.steps, tol))
+    elif args.z0 is not None or args.x0 is not None:
+        raise ParseError("--random draws its geodesics: it takes no --z0 or --x0")
     else:
-        geo = _geodesic(args, alg)
-        results.append(_compare_one(geo, args.tmax, args.steps, tol))
+        rng = np.random.default_rng(args.seed)
+        geos = [_random_geodesic(alg, rng) for _ in range(args.random)]
+    # the oracle first: it refuses a horizon past its memory bound before any closed form
+    detected = detect_stack(geos, args.tmax, args.steps, tol)
+    results = [_compare_one(geo, args.tmax, found, tol) for geo, found in zip(geos, detected)]
     all_ok = all(r["ok"] for r in results)
     worst_gap = max((abs(tc - td) for r in results for tc, td, _, _ in r["matched"]),
                     default=0.0)

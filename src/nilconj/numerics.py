@@ -42,9 +42,9 @@ def _check_t_max(t_max: float) -> None:
         raise ParseError(f"t_max must be positive and finite, got {t_max:g}")
 
 
-def golden_min(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,
-               xtol: float, fa: Optional[ArrayLike] = None,
-               fb: Optional[ArrayLike] = None) -> tuple[float | np.ndarray, float | np.ndarray]:
+def golden_min(f: Callable[..., np.ndarray], a: ArrayLike, b: ArrayLike, xtol: float,
+               fa: Optional[ArrayLike] = None, fb: Optional[ArrayLike] = None,
+               args: tuple = ()) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Minimum of f on [a, b] by V steps under a golden-section safeguard, elementwise.
 
     Brent's minimizer (Algorithms for Minimization without Derivatives, 1973,
@@ -60,15 +60,16 @@ def golden_min(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike
     one that would goes that far into the larger side, so a vertex at x
     closes the bracket in two more steps.  Stops when the bracket is at most
     xtol wide and returns x and f(x).  fa and fb, if given, are f(a) and f(b).
-    f maps an array of points to their values; each bracket takes the steps
-    of a scalar call, and all brackets share one call of f per step.  Returns
-    floats for scalar endpoints.
+    f maps an array of points and then args, arrays shaped like a and subset
+    like the points, to their values; each bracket takes the steps of a scalar
+    call, and all brackets share one call of f per step.  Returns floats for
+    scalar endpoints.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    fa = np.array(f(a) if fa is None else fa, dtype=float)
-    fb = np.array(f(b) if fb is None else fb, dtype=float)
+    fa = np.array(f(a, *args) if fa is None else fa, dtype=float)
+    fb = np.array(f(b, *args) if fb is None else fb, dtype=float)
     x = 0.5 * (a + b)
-    fx = np.array(f(x), dtype=float)
+    fx = np.array(f(x, *args), dtype=float)
     near = 0.45 * xtol
     h = b - a
     h1 = h2 = np.full(h.shape, np.inf)      # the widths one and two steps back
@@ -83,7 +84,7 @@ def golden_min(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike
         t = np.where(v_step, t, np.where(up, x + _INVPHI2 * (b - x), x - _INVPHI2 * (x - a)))
         t = np.where(np.abs(t - x) < near, np.where(up, x + near, x - near), t)
         ft = np.zeros_like(t)
-        ft[live] = f(t[live])
+        ft[live] = f(t[live], *(arg[live] for arg in args))
         best = ft <= fx             # t becomes x and x an end, else t becomes an end
         end, f_end = np.where(best, x, t), np.where(best, fx, ft)
         lower = best == (t > x)     # the new end is a
@@ -96,22 +97,22 @@ def golden_min(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike
     return (x, fx) if x.ndim else (float(x), float(fx))
 
 
-def bracket_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLike,
+def bracket_root(f: Callable[..., np.ndarray], a: ArrayLike, b: ArrayLike,
                  fa: Optional[ArrayLike] = None, fb: Optional[ArrayLike] = None,
-                 xtol: float = 1e-12) -> float | np.ndarray:
+                 xtol: float = 1e-12, args: tuple = ()) -> float | np.ndarray:
     """Illinois root of a sign change, elementwise over arrays of brackets.
 
     Regula falsi that halves the value kept at the far end whenever that end
     survives a step, so both ends close in superlinearly (Dowell and Jarratt,
     BIT 11, 1971).  Stops when the bracket is at most xtol wide, or when the
     secant point rounds onto an end (the root is there to rounding), and
-    returns the latest secant point.  f maps an array of points to their values;
-    each bracket takes the steps of a scalar call, and all brackets share one
+    returns the latest secant point.  f and args are as in golden_min: each
+    bracket takes the steps of a scalar call, and all brackets share one
     call of f per step.  Returns a float for scalar endpoints.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    fa = np.array(f(a) if fa is None else fa, dtype=float)
-    fb = np.array(f(b) if fb is None else fb, dtype=float)
+    fa = np.array(f(a, *args) if fa is None else fa, dtype=float)
+    fb = np.array(f(b, *args) if fb is None else fb, dtype=float)
     if np.any(fa * fb > 0.0):
         raise ValueError("bracket_root: endpoints do not bracket a sign change")
     root = np.where(fa == 0.0, a, b)
@@ -125,7 +126,7 @@ def bracket_root(f: Callable[[np.ndarray], np.ndarray], a: ArrayLike, b: ArrayLi
         root = np.where(live, c, root)
         live &= (c - a) * (c - b) < 0.0
         fc = np.zeros_like(c)
-        fc[live] = f(c[live])
+        fc[live] = f(c[live], *(arg[live] for arg in args))
         live &= fc != 0.0
         flip = live & (fc * fb < 0.0)   # sign change between b and c: b is the far end
         a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(live, 0.5 * fa, fa))
@@ -174,16 +175,15 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
 
 
 def _expm_powers(a: np.ndarray, n: int) -> np.ndarray:
-    """e^{k a} for k = 0..n-1, shape (n, d, d), from _expm_stack's e^a by
-    ceil(log2(n - 1)) batched products that each double the powers known:
-    e^{(j + k) a} = e^{k a} e^{j a}, j a power of 2 and 0 < k <= j.  Power k
-    is a product tree of depth ceil(log2 k) over e^a; power 0 is I exactly."""
-    d = a.shape[-1]
-    powers = np.empty((n, d, d))
-    powers[:1], powers[1:2] = np.eye(d), _expm_stack(a[None])
+    """e^{k a} for k = 0..n-1, shape (..., n, d, d) for a (..., d, d), from
+    _expm_stack's e^a by ceil(log2(n - 1)) batched products that each double the
+    powers known: e^{(j + k) a} = e^{k a} e^{j a}, j a power of 2 and 0 < k <= j.
+    Power k is a product tree of depth ceil(log2 k) over e^a; power 0 is I exactly."""
+    powers = np.empty((n,) + a.shape)
+    powers[:1], powers[1:2] = np.eye(a.shape[-1]), _expm_stack(a)[None]
     for j in 2 ** np.arange(max(n - 2, 0).bit_length()):     # fills powers j + 1, ..., 2 j
         powers[j + 1:2 * j + 1] = powers[1:min(j, n - 1 - j) + 1] @ powers[j]
-    return powers
+    return np.moveaxis(powers, 0, -3)
 
 
 def null_space_basis(a: np.ndarray, rtol: float) -> np.ndarray:

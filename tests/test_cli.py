@@ -275,6 +275,46 @@ def test_compare_random_json(capsys):
     assert len(doc["runs"]) == 3
 
 
+def test_compare_random_runs_the_oracle_before_any_closed_form(capsys, monkeypatch):
+    # one oracle pass over all eight draws returns before the first closed form
+    events, stack, closed = [], nilconj.cli.detect_stack, nilconj.cli.conjugate_times
+
+    def oracle(*args, **kwargs):
+        out = stack(*args, **kwargs)
+        events.append("oracle")
+        return out
+
+    def closed_forms(*args, **kwargs):
+        events.append("closed" if "oracle" in events else "closed before the oracle")
+        return closed(*args, **kwargs)
+
+    monkeypatch.setattr(nilconj.cli, "detect_stack", oracle)
+    monkeypatch.setattr(nilconj.cli, "conjugate_times", closed_forms)
+    code, _, _ = run(capsys, "compare", "--algebra", "heis5w", "--random", "8", "--tmax", "6")
+    assert code == 0
+    assert events == ["oracle"] + ["closed"] * 8
+
+
+@pytest.mark.parametrize("name, seed", [("heis3", 101), ("pheis3", 202), ("heis5w", 303),
+                                        ("bicenter", 404)])
+def test_compare_random_equals_a_loop_over_its_draws(capsys, name, seed):
+    # criterion 10's runs: the stacked oracle's JSON is that of detect_conjugate,
+    # conjugate_times and compare per geodesic, in the order of the draws
+    code, out, _ = run(capsys, "compare", "--algebra", name, "--random", "50",
+                       "--seed", str(seed), "--tmax", "6", "--json")
+    alg, rng, runs = nilconj.fixture(name), np.random.default_rng(seed), []
+    for _ in range(50):
+        g = nilconj.cli._random_geodesic(alg, rng)
+        report = nilconj.compare(nilconj.conjugate_times(g, 6.0), nilconj.detect_conjugate(g, 6.0))
+        runs.append({"z0": g.z0.tolist(), "x0": g.x0.tolist(),
+                     **{key: [list(m) for m in getattr(report, key)]
+                        for key in ("matched", "missing", "spurious", "mult_mismatches")},
+                     "ok": report.ok})
+    assert code == 0
+    assert json_out(out)["runs"] == runs
+    assert sum(len(r["matched"]) for r in runs) > 10
+
+
 def test_compare_json_worst_gap(capsys):
     code, out, _ = run(capsys, "compare", "--algebra", "pheis3", "--random", "3",
                        "--seed", "1", "--tmax", "6", "--json")
@@ -333,6 +373,7 @@ def test_removed_spellings_exit_2(capsys, argv):
     ("compare", "--steps", "1000000000", "--random", "2"),
     ("compare", "--random", "0"),
     ("compare", "--random", "-3"),
+    ("compare", "--random", "2", "--x0", "1,0"),
 ])
 def test_bad_horizon_or_steps_exit_2(capsys, argv):
     # exit 1 from compare means a discrepancy; bad input must not look like one.
@@ -341,6 +382,25 @@ def test_bad_horizon_or_steps_exit_2(capsys, argv):
     code, _, err = run(capsys, argv[0], "--algebra", "heis3", "--z0", "1", *argv[1:])
     assert code == 2
     assert "error: ParseError" in err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("--z0", "5", "--x0", "1,0"), "--z0"),
+    (("--z0", "5"), "--z0"),
+    (("--x0", "1,0"), "--x0"),
+    (("--tmax", "0"), "t_max"),
+    (("--tmax", "inf"), "t_max"),
+    (("--tmax", "nan"), "t_max"),
+    (("--tmax", "1e7"), "memory bound"),
+    (("--steps", "10"), "steps"),
+    (("--steps", "1000000000"), "memory bound"),
+])
+def test_compare_random_refusals_exit_2(capsys, argv, what):
+    # --random draws its own geodesics, so --z0 and --x0 are refused rather
+    # than ignored; without them the oracle's own refusals still come first
+    code, out, err = run(capsys, "compare", "--algebra", "heis3", "--random", "2", *argv)
+    assert code == 2 and out.startswith("# tolerances:") and "run " not in out
+    assert "error: ParseError" in err and what in err
 
 
 @pytest.mark.parametrize("x0", ["0,0", "0.3,1"])

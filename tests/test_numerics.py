@@ -97,6 +97,21 @@ def test_bracket_root():
     assert len(calls) <= 12
 
 
+def test_solvers_pass_args_per_bracket():
+    # f(t, c) = cos t - c: each bracket sees its own c, subset with the live
+    # brackets, and takes bit for bit the steps of its scalar call
+    c = np.array([-0.9, -0.2, 0.0, 0.35, 0.8])
+    a, b = np.full(c.size, 0.1), np.full(c.size, 3.0)
+    roots = bracket_root(lambda t, c: np.cos(t) - c, a, b, xtol=1e-13, args=(c,))
+    assert np.abs(roots - np.arccos(c)).max() < 1e-12
+    for ci, root in zip(c, roots):
+        assert root == bracket_root(lambda t: np.cos(t) - ci, 0.1, 3.0, xtol=1e-13)
+    x, fx = golden_min(lambda t, c: np.abs(np.cos(t) - c), a, b, xtol=1e-10, args=(c,))
+    assert np.abs(x - np.arccos(c)).max() < 1e-10
+    for ci, xi, fi in zip(c, x, fx):
+        assert (xi, fi) == golden_min(lambda t: np.abs(np.cos(t) - ci), 0.1, 3.0, xtol=1e-10)
+
+
 def test_null_space_basis():
     a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     basis = null_space_basis(a, 1e-10)

@@ -37,6 +37,7 @@ from nilconj.oracle import (
     _cover,
     _log_cosine_product,
     default_steps,
+    detect_stack,
 )
 
 T_COT = 8.549564543061
@@ -210,6 +211,17 @@ def test_matrix_at_off_grid(heis3):
     # on-grid request returns the stored node: the raw state's (z, v) rows
     n = 640
     assert np.array_equal(matrix_at(prop, prop.times[n]), prop.states[n, :3])
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_matrix_at_refuses_a_time_that_is_not_finite(heis3, t):
+    prop = integrate_propagator(geo(heis3, [1.0], [1.0, 0.0]), 3.0)
+    with pytest.raises(ParseError, match="finite"):
+        matrix_at(prop, t)
+    with pytest.raises(ParseError, match="finite"):
+        matrix_at(prop, np.array([0.5, t, 1.0]), full=True)
+    # finite times past t_max stay allowed: the parity recheck samples t* + 1e-7 max(1, t*)
+    assert np.isfinite(matrix_at(prop, [3.0 + 3e-7, -0.1, 7.0])).all()
 
 
 def _system_reference(g, t):
@@ -562,6 +574,99 @@ def test_cover_reads_no_node_twice(bicenter, monkeypatch):
         rows = _rows_read(monkeypatch)
         detect_conjugate(g, t_max)
         assert sum(rows) <= default_steps(t_max) + 1
+
+
+# FOUND 35's varying-A geodesic (bicenter, no closed form)
+F35 = ([0.26281347468087773, -1.3239979007293081],
+       [0.5328487091984951, -0.39833805286595714, -0.25271296649491715])
+
+
+def _chunk_spy(monkeypatch):
+    """Patch oracle._integrate; return (geodesics, stored entries, one node basis) per pass."""
+    chunks, integrate = [], oracle._integrate
+
+    def spy(geos, t_max, steps):
+        prop = integrate(geos, t_max, steps)
+        d, r = prop.start.shape[-2:]
+        stored = prop.local.size + prop.start.size + prop.scales.size
+        chunks.append((len(geos), stored, prop.times.size * d * r))
+        return prop
+
+    monkeypatch.setattr(oracle, "_integrate", spy)
+    return chunks
+
+
+@pytest.mark.parametrize("name", ["heis3", "pheis3", "heis5w", "bicenter"])
+def test_list_does_not_depend_on_the_stack(name, monkeypatch):
+    # 12 draws at tmax 6 go in chunks of 10: the stack is cut after draw 10,
+    # its reverse after draw 2, and each list is the one its geodesic gets alone
+    alg = fixture(name)
+    rng = np.random.default_rng(17)
+    draws = [_random_geodesic(alg, rng) for _ in range(12)]
+    alone = [detect_conjugate(g, 6.0) for g in draws]
+    assert sum(map(len, alone)) > 0
+    chunks = _chunk_spy(monkeypatch)
+    assert detect_stack(draws, 6.0) == alone
+    assert detect_stack(draws[::-1], 6.0) == alone[::-1]
+    assert [k for k, _, _ in chunks] == [10, 2, 10, 2]
+
+
+def test_chunks_store_at_most_one_geodesics_node_states(algebras, monkeypatch):
+    # k = max(1, floor(2 (steps + 1) / (4 (b + 1) + 3 m))) is 10 on every
+    # fixture at tmax 6; a varying-A geodesic goes alone, wherever it stands
+    bicenter = algebras["bicenter"]
+    rng = np.random.default_rng(3)
+    mixed = [geo(bicenter, *F35)] + [_random_geodesic(bicenter, rng) for _ in range(3)]
+    alone = detect_conjugate(mixed[0], 6.0)
+    chunks = _chunk_spy(monkeypatch)
+    for alg in algebras.values():
+        detect_stack([_random_geodesic(alg, rng) for _ in range(25)], 6.0)
+    assert [k for k, _, _ in chunks] == [10, 10, 5] * 4
+    assert all(stored <= basis for _, stored, basis in chunks)
+    del chunks[:]
+    assert detect_stack(mixed, 6.0)[0] == alone
+    assert [k for k, _, _ in chunks] == [3, 1]
+    assert chunks[0][1] <= chunks[0][2]
+
+
+@pytest.mark.parametrize("share", [1, 10, 100])
+def test_chunks_keep_the_cover_within_the_memory_bound(algebras, monkeypatch, share):
+    # the cover's flat arrays hold k (steps + 1) entries each: at steps * d^2 =
+    # _MAX_STATE_ENTRIES / share a chunk takes at most share geodesics, one at the
+    # bound, where blocks alone would allow 275 on heis3; the passes are stubbed
+    sizes = []
+    monkeypatch.setattr(oracle, "_integrate", lambda geos, t_max, steps: geos)
+    monkeypatch.setattr(oracle, "_detect", lambda geos, tol: sizes.append(len(geos)) or
+                        [[] for _ in geos])
+    rng = np.random.default_rng(4)
+    for alg in algebras.values():
+        sizes.clear()
+        d2 = (2 * alg.dim) ** 2
+        steps = oracle._MAX_STATE_ENTRIES // (share * d2)
+        draws = [_random_geodesic(alg, rng) for _ in range(300)]
+        assert detect_stack(draws, 6.0, steps) == [[]] * 300 and sum(sizes) == 300
+        k = max(sizes)
+        assert k * (steps + 1) * d2 <= oracle._MAX_STATE_ENTRIES or k == 1
+        assert k <= share and (share == 1 or k > 1)
+
+
+def test_basis_is_the_node_states_formed_on_demand(heis5w, bicenter):
+    # every node of Propagator.basis, of a stack's node reads one at a time,
+    # and of the full blocked product the propagator used to store are one array
+    rng = np.random.default_rng(2)
+    draws = [_random_geodesic(heis5w, rng) for _ in range(20)]
+    stack = oracle._integrate(draws, 6.0, None)
+    props = [integrate_propagator(g, 6.0) for g in draws] + [
+        integrate_propagator(geo(bicenter, *F35), 6.0)]
+    for i, prop in enumerate(props):
+        n1, b, (m, d, r) = prop.times.size, prop.block, prop.start.shape
+        local = prop.local.reshape(m, b + 1, d, d) if prop.system is None else prop.local
+        blocked = (local[..., :b, :, :] @ prop.start[:, None]).reshape(m * b, d, r)[:n1]
+        assert np.array_equal(prop.basis, blocked)
+        assert all(np.array_equal(prop.nodes(0, np.array([n]))[0], blocked[n]) for n in range(n1))
+        if i < len(draws):
+            assert np.array_equal(stack.nodes(i, np.arange(n1)), blocked)
+    assert props[-1].system is None and props[0].system is not None
 
 
 # ---------------------------------------------------------------------------
