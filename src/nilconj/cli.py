@@ -181,9 +181,9 @@ def cmd_conjugate(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
 
 def cmd_oracle(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
     geo = _geodesic(args, alg)
-    prop = integrate_propagator(geo, args.tmax, args.steps)
-    detected = detect_conjugate(geo, args.tmax, tol=tol, prop=prop)
+    detected = detect_conjugate(geo, args.tmax, args.steps, tol)
     if args.out:
+        prop = integrate_propagator(geo, args.tmax, args.steps)
         sig = sigma_min_series(prop)
         with open(args.out, "w") as fh:
             fh.write("t,sigma_min\n")

@@ -18,6 +18,7 @@ closed forms do not cover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,10 @@ class Propagator:
     With L = local[i (b + 1):], S = start[i m:] and b = block, geodesic i's carried state
     at node n = k b + j is L[j] @ S[k], L[j] = e^{j h A}, for a constant system matrix A,
     else L[k (b + 1) + j] @ S[k] (a varying A stacks alone).  Its rows are (zeta, z, v, w);
-    its columns span the solution space and, times scale[k] (unit upper triangular), are
+    its columns span the solution space and, times scales[i, k] (unit upper triangular), are
     the basis solutions (zeta = center basis, then vdot(0) = e_a).  M is the raw (z, v)
     block, det M the carried one's.  systems are the A (None where A varies), norms their
-    |A|_2 (inf where A varies); geo, scale, system and system_norm are geodesic 0's.
+    |A|_2 (inf where A varies).
     """
 
     geos: tuple
@@ -74,19 +75,15 @@ class Propagator:
     systems: np.ndarray | None      # (k, d, d)
     norms: np.ndarray               # (k,)
 
-    geo = property(lambda self: self.geos[0])
-    scale = property(lambda self: self.scales[0])
-    system = property(lambda self: None if self.systems is None else self.systems[0])
-    system_norm = property(lambda self: float(self.norms[0]))
-    dim_center = property(lambda self: self.geo.alg.dim_center)
-    dim_v = property(lambda self: self.geo.alg.dim_v)
+    dim_center = property(lambda self: self.geos[0].alg.dim_center)
+    dim_v = property(lambda self: self.geos[0].alg.dim_v)
     basis = property(lambda self: self.nodes(0, np.arange(self.times.size)))
 
     @property
     def states(self) -> np.ndarray:
         """Raw (z, v, w) rows at every node, shape (steps + 1, p + 2q, p + q)."""
         blocks = np.arange(self.times.size) // self.block
-        return self.basis[:, self.dim_center:] @ self.scale[blocks]
+        return self.basis[:, self.dim_center:] @ self.scales[0][blocks]
 
     def nodes(self, i: np.ndarray | int, n: np.ndarray) -> np.ndarray:
         """Carried states at nodes n of geodesics i."""
@@ -97,8 +94,8 @@ class Propagator:
     def at(self, t: np.ndarray, i: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
         """Carried states at times t of geodesics i from the nodes below, and those nodes."""
         n = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 1)
-        system = None if self.systems is None else self.systems[i]
-        return _transfer(self.geo, system, self.times[n], t - self.times[n]) @ self.nodes(i, n), n
+        a = None if self.systems is None else self.systems[i]
+        return _transfer(self.geos[0], a, self.times[n], t - self.times[n]) @ self.nodes(i, n), n
 
 
 def _system(geo: GeodesicSpec, ep: np.ndarray) -> np.ndarray:
@@ -222,7 +219,7 @@ def matrix_at(prop: Propagator, t: float | np.ndarray, full: bool = False) -> np
         raise ParseError(f"matrix_at needs finite times, got {t[~np.isfinite(t)][0]:g}")
     state, n = prop.at(t, 0)
     p = prop.dim_center
-    return state if full else state[..., p:2 * p + prop.dim_v, :] @ prop.scale[n // prop.block]
+    return state if full else state[..., p:2 * p + prop.dim_v, :] @ prop.scales[0][n // prop.block]
 
 
 def sigma_min_series(prop: Propagator) -> np.ndarray:
@@ -258,11 +255,11 @@ def _log_cosine_product(states: np.ndarray, p: int) -> tuple[np.ndarray, np.ndar
     return sign, log_det - np.log(norms).sum(axis=-1) - 0.5 * log_gram
 
 
-def _cover(stack: Propagator, lip, rank_tol: float) -> tuple[np.ndarray, ...]:
+def _cover(stack: Propagator, rank_tol: float) -> tuple[np.ndarray, ...]:
     """sign det M and the scan value (NaN where unread) per node, and the mask of cells kept,
-    on a stack's flat axis: node n of geodesic i, of |A|_2 lip[i], is i (steps + 1) + n."""
+    on a stack's flat axis: node n of geodesic i, of |A|_2 norms[i], is i (steps + 1) + n."""
     n1, count, p = stack.times.size, len(stack.geos), stack.dim_center
-    times, lip = np.tile(stack.times, count), np.repeat(lip, n1)
+    times, lip = np.tile(stack.times, count), np.repeat(stack.norms, n1)
     last = np.repeat(np.arange(n1 - 1, count * n1, n1), n1)   # the last node of its geodesic
     sign, scan, live = np.zeros(count * n1), np.full(count * n1, np.nan), np.zeros(count * n1, bool)
 
@@ -297,7 +294,7 @@ def _detect(stack: Propagator, tol: Tolerances) -> list[list[tuple[float, int]]]
     n1, count, roots = stack.times.size, len(stack.geos), [[] for _ in stack.geos]
     p, q = stack.dim_center, stack.dim_v
     times, lip = np.tile(stack.times, count), np.repeat(stack.norms, n1)
-    sign, scan, live = _cover(stack, stack.norms, tol.rank_tol)
+    sign, scan, live = _cover(stack, tol.rank_tol)
     change = sign[:-1] * sign[1:] < 0           # sign det M(0) = 0 parts the geodesics
     cells = np.nonzero(change)[0]
     minima = np.nonzero((scan[1:-1] <= scan[:-2]) & (scan[1:-1] <= scan[2:]))[0] + 1
@@ -317,22 +314,19 @@ def _detect(stack: Propagator, tol: Tolerances) -> list[list[tuple[float, int]]]
     if cells.size + lo.size == 0:
         return roots
 
-    def cosines(t: np.ndarray, i: np.ndarray | int = 0) -> np.ndarray:
+    def cosines(t: np.ndarray, i: np.ndarray) -> np.ndarray:
         return _cosines(stack.at(t, i)[0], p)
 
-    def signed_cosine(t: np.ndarray, i: np.ndarray | int = 0) -> np.ndarray:
+    def signed_cosine(t: np.ndarray, i: np.ndarray) -> np.ndarray:
         state = stack.at(t, i)[0]
         return np.linalg.slogdet(state[..., p:2 * p + q, :])[0] * _cosines(state, p)[..., -1]
 
-    def owner(i: np.ndarray) -> tuple:          # the solvers' args; a stack of one needs none
-        return (i,) if count > 1 else ()
-
     found = bracket_root(signed_cosine, times[cells], times[cells + 1], *f_ends,
-                         xtol=tol.refine_tol, args=owner(cells // n1))
+                         xtol=tol.refine_tol, args=(cells // n1,))
     if lo.size:
-        found = np.concatenate([found, golden_min(lambda t, *i: cosines(t, *i)[:, -1], times[lo],
+        found = np.concatenate([found, golden_min(lambda t, i: cosines(t, i)[:, -1], times[lo],
                                                   times[hi], fa=c_lo[hold], fb=c_hi[hold],
-                                                  xtol=tol.refine_tol, args=owner(lo // n1))[0]])
+                                                  xtol=tol.refine_tol, args=(lo // n1,))[0]])
     lo, hi = np.concatenate([cells, lo]), np.concatenate([cells + 1, hi])
     which = lo // n1
     mult = np.sum(cosines(found, which) < tol.rank_tol, axis=-1)
@@ -349,7 +343,7 @@ def _detect(stack: Propagator, tol: Tolerances) -> list[list[tuple[float, int]]]
         b = np.concatenate([(t_star - off)[left], b[right]])
         if a.size:
             g = np.concatenate([g[left], g[right]])
-            second = bracket_root(signed_cosine, a, b, xtol=tol.refine_tol, args=owner(g))
+            second = bracket_root(signed_cosine, a, b, xtol=tol.refine_tol, args=(g,))
             found, which = np.concatenate([found, second]), np.concatenate([which, g])
             mult = np.concatenate([mult, np.sum(cosines(second, g) < tol.rank_tol, axis=-1)])
     keep = (mult > 0) & (found >= _START_SKIP * stack.times[1])
@@ -360,19 +354,17 @@ def _detect(stack: Propagator, tol: Tolerances) -> list[list[tuple[float, int]]]
 
 
 def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
-                     tol: Tolerances = DEFAULT_TOL,
-                     prop: Propagator | None = None) -> list[tuple[float, int]]:
+                     tol: Tolerances = DEFAULT_TOL) -> list[tuple[float, int]]:
     """Conjugate times in (0, t_max] by rank drop of the boundary map.
 
-    prop, if given, must be integrate_propagator(geo, t_max, steps)'s (else
-    ParseError).  The multiplicity at a time is the number of principal-angle
-    cosines between the solution space and the (z, v) axes below tol.rank_tol.
+    The multiplicity at a time is the number of principal-angle cosines
+    between the solution space and the (z, v) axes below tol.rank_tol.
     They are |A|_2-Lipschitz in t: the projector P onto the solution space has
     P' = (I - P) A P + P A^T (I - P), so |P'|_2 <= |A|_2, and they are the
     nonzero singular values of P's (z, v) rows (Weyl).  So between nodes a < b
     the smallest is at least (c_a + c_b - |A|_2 (b - a)) / 2, with c the
     smallest cosine or e^scan, the product of the cosines.  Where A is constant
-    (Propagator.system), _cover halves the propagator's blocks, cut to a power
+    (Propagator.systems), _cover halves the propagator's blocks, cut to a power
     of 2 nodes, to the grid cells where this bound on e^scan is below rank_tol;
     a varying A keeps every cell.  The candidates are the kept cells where sign
     det M changes (odd multiplicities), refined by an Illinois iteration on
@@ -384,15 +376,9 @@ def detect_conjugate(geo: GeodesicSpec, t_max: float, steps: int | None = None,
     Where the multiplicity's parity differs from det M's sign change across the
     bracket, the same iteration solves a second root on the side of the first
     where det M changes sign.  det M comes from the carried state's (z, v)
-    rows, since Propagator.scale's factors have determinant 1.
+    rows, since the factors in Propagator.scales have determinant 1.
     """
-    if prop is None:
-        prop = integrate_propagator(geo, t_max, steps)
-    elif (prop.geo.alg is not geo.alg or not np.array_equal(prop.geo.z0, geo.z0)
-          or not np.array_equal(prop.geo.x0, geo.x0) or prop.times[-1] != t_max
-          or steps not in (None, prop.times.size - 1)):
-        raise ParseError("prop was not integrated for this geodesic, t_max and steps")
-    return _detect(prop, tol)[0]
+    return _detect(integrate_propagator(geo, t_max, steps), tol)[0]
 
 
 def detect_stack(geos: list[GeodesicSpec], t_max: float, steps: int | None = None,
@@ -431,16 +417,19 @@ def compare(closed: list, detected: list[tuple[float, int]],
     """Match sorted time lists greedily within match_tol.
 
     Entries may be ConjugateTime objects or (t, mult) pairs of any sequence
-    type, such as the lists json.loads returns; anything else is a ParseError,
+    type, such as the lists json.loads returns, with t finite and mult an integer
+    of at least 1 (2.0 counts, 2.7 and True do not); anything else is a ParseError,
     as is a match_tol that the Tolerances field of that name refuses.
     """
     def as_pair(entry) -> tuple[float, int]:
         pair = (entry.t, entry.multiplicity) if hasattr(entry, "multiplicity") else entry
         try:
             t, mult = () if isinstance(pair, (str, bytes)) else pair
-            return float(t), int(mult)
-        except (TypeError, ValueError):
-            raise ParseError(f"expected a (t, mult) pair, got {entry!r}") from None
+            if math.isfinite(t := float(t)) and mult is not True and int(mult) == mult >= 1:
+                return t, int(mult)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ParseError(f"expected (t, mult), t finite and mult an integer >= 1, got {entry!r}")
 
     DEFAULT_TOL.replace(match_tol=match_tol)
     cl = sorted(as_pair(e) for e in closed)

@@ -331,7 +331,7 @@ def test_criterion_09_flat_floor(heis3z2):
         geo = GeodesicSpec(heis3z2, z0, [0.0, 0.0])
         assert np.abs(geo.J).max() == 0.0
         prop = integrate_propagator(geo, 50.0)
-        assert detect_conjugate(geo, 50.0, prop=prop) == []
+        assert detect_conjugate(geo, 50.0) == []
         sig = sigma_min_series(prop)
         ratios = sig[1:] / prop.times[1:]
         c = float(ratios.min())

@@ -257,6 +257,11 @@ def test_oracle_json_and_csv(tmp_path, capsys):
     assert len(lines) == 7 * 256 + 2    # header + steps + 1 nodes
     t0, s0 = (float(x) for x in lines[1].split(","))
     assert t0 == 0.0 and s0 == 0.0
+    # the rows are detect_conjugate's and the column the library's series, bit for bit
+    geo = nilconj.GeodesicSpec(nilconj.fixture("heis3"), [1.0], [0.0, 0.0])
+    sigma = [float(line.split(",")[1]) for line in lines[1:]]
+    assert sigma == nilconj.sigma_min_series(nilconj.integrate_propagator(geo, 7.0)).tolist()
+    assert [(row["t"], row["mult"]) for row in rows] == nilconj.detect_conjugate(geo, 7.0)
 
 
 def test_compare_single_exit_0(capsys):
