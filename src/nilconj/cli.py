@@ -13,6 +13,7 @@ machine-readable value).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -303,6 +304,7 @@ def cmd_locus(args, alg: MetricLieAlgebra, tol: Tolerances) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)   # one tree per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilconj",

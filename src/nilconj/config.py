@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Tolerances:
     """Default tolerances used across the modules.
 
@@ -37,7 +36,7 @@ class Tolerances:
         return dataclasses.replace(self, **kwargs)
 
     def as_dict(self) -> dict[str, float]:
-        return dataclasses.asdict(self)
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
 
 DEFAULT_TOL = Tolerances()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -29,6 +30,7 @@ import numpy as np
 from .algebra import MetricLieAlgebra, bracket_v, inner_v, inner_z, j_map
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
+    CenterNotLineError,
     NoConjugateError,
     NotDiagonalizableError,
     NotInImageError,
@@ -97,7 +99,7 @@ def conjugate_times(geo: GeodesicSpec, t_max: float, tol: Tolerances = DEFAULT_T
     elif j_zero:
         out = polynomial_times(geo, t_max, tol)
     elif x_zero or geo.alg.dim_center == 1:
-        spec = spectrum(geo.J, tol)
+        spec = _spectrum_of(geo, tol)
         out = ([ConjugateTime(t, sum(line.mult for line in lines), "lattice")
                 for t, lines in _lattice_poles(spec, t_max, tol)] if x_zero
                else _mixed_times(geo, t_max, tol, spec))
@@ -110,6 +112,36 @@ def conjugate_times(geo: GeodesicSpec, t_max: float, tol: Tolerances = DEFAULT_T
         out = [dataclasses.replace(ct, certificate=build_jacobi_field(geo, ct, tol, spec))
                for ct in out]
     return out
+
+
+def _unit_center(alg: MetricLieAlgebra) -> tuple[np.ndarray, np.ndarray, float]:
+    """The unit center vector z, its J and the sign eps = <z, z>."""
+    if alg.dim_center != 1:
+        raise CenterNotLineError("this construction requires a one-dimensional center")
+    g = float(alg.gram_center[0, 0])
+    zu = np.array([1.0 / np.sqrt(abs(g))])
+    return zu, j_map(alg, zu), float(np.sign(g))
+
+
+@functools.lru_cache(maxsize=16)
+def _line_spectrum(alg: MetricLieAlgebra, tol: Tolerances) -> tuple[float, Spectrum]:
+    """(z, spectrum of J_z) for the unit center vector z of a line center, per (alg, tol)."""
+    zu, ju, _ = _unit_center(alg)
+    return float(zu[0]), spectrum(ju, tol)
+
+
+def _spectrum_of(geo: GeodesicSpec, tol: Tolerances) -> Spectrum:
+    """J's spectrum; on a line center, J = s J_z (s = z0 / z) takes J_z's (_line_spectrum),
+    its rates times |s| and its eigenvalues times s."""
+    if geo.alg.dim_center != 1 or geo.z0[0] == 0.0:
+        return spectrum(geo.J, tol)
+    zu, spec = _line_spectrum(geo.alg, tol)
+    s = float(geo.z0[0]) / zu
+    neg, pos = (tuple(dataclasses.replace(line, rate=abs(s) * line.rate) for line in group)
+                for group in (spec.neg, spec.pos))
+    eig = spec.eigenbasis and (s * spec.eigenbasis[0], spec.eigenbasis[1])
+    return dataclasses.replace(spec, neg=neg, pos=pos, turn_rate=abs(s) * spec.turn_rate,
+                               eigenbasis=eig)
 
 
 # Not exported: conjugate_times and locus call it, and perfbench/layers.py wraps it.
@@ -270,7 +302,7 @@ def conjugacy_function(geo: GeodesicSpec, t: float | np.ndarray,
     """
     if np.any(np.asarray(t) == 0.0):
         raise PoleError("conjugacy function is a limit at t = 0, not a value")
-    spec = spectrum(geo.J, tol)
+    spec = _spectrum_of(geo, tol)
     gx = geo.alg.gram_v @ geo.x0
     ts = np.ravel(np.asarray(t, dtype=float))
     pole = np.zeros(ts.shape, dtype=bool)
@@ -510,7 +542,7 @@ def build_jacobi_field(geo: GeodesicSpec, ct: ConjugateTime, tol: Tolerances = D
         return _polynomial_witness(geo, ct.t, tol)
     if ct.branch not in ("lattice", "transcendental"):
         raise ParseError(f"unknown branch {ct.branch!r}")
-    spec = spectrum(geo.J, tol) if spec is None else spec
+    spec = _spectrum_of(geo, tol) if spec is None else spec
     if ct.branch == "lattice":
         return _lattice_witness(geo, ct.t, tol, spec)
     return _transcendental_witness(geo, ct.t, tol, spec)

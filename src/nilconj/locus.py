@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra, j_map
+from .algebra import MetricLieAlgebra
 from .config import DEFAULT_TOL, Tolerances
-from .conjugate import ConjugacySeries, conjugate_times, polynomial_times
-from .errors import (CenterNotLineError, NoConjugateError, ParseError, RootLostError,
-                     UnsupportedCaseError)
+from .conjugate import ConjugacySeries, _unit_center, conjugate_times, polynomial_times
+from .errors import NoConjugateError, ParseError, RootLostError, UnsupportedCaseError
 from .geometry import GeodesicSpec, geodesic_point
 from .spectral import spectrum
 from .spectral import eigen_components  # unused; perfbench/layers.py wraps it here
@@ -53,15 +52,6 @@ class LocusSample:
     t: float
     point: np.ndarray    # exponential coordinates, center block first
     delta: float
-
-
-def _unit_center(alg: MetricLieAlgebra) -> tuple[np.ndarray, np.ndarray, float]:
-    """The unit center vector z, its J and the sign eps = <z, z>."""
-    if alg.dim_center != 1:
-        raise CenterNotLineError("this construction requires a one-dimensional center")
-    g = float(alg.gram_center[0, 0])
-    zu = np.array([1.0 / np.sqrt(abs(g))])
-    return zu, j_map(alg, zu), float(np.sign(g))
 
 
 def _squared_rates(alg: MetricLieAlgebra, ju: np.ndarray, eps: float,

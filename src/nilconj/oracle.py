@@ -19,6 +19,7 @@ closed forms do not cover.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,16 +417,17 @@ def compare(closed: list, detected: list[tuple[float, int]],
             match_tol: float = DEFAULT_TOL.match_tol) -> MatchReport:
     """Match sorted time lists greedily within match_tol.
 
-    Entries may be ConjugateTime objects or (t, mult) pairs of any sequence
-    type, such as the lists json.loads returns, with t finite and mult an integer
-    of at least 1 (2.0 counts, 2.7 and True do not); anything else is a ParseError,
-    as is a match_tol that the Tolerances field of that name refuses.
+    Entries may be ConjugateTime objects or (t, mult) pairs of any sequence type,
+    such as the lists json.loads returns, of reals with t finite and mult an integer
+    of at least 1 (2.0 counts; 2.7, "2", True and np.True_ do not); anything else is
+    a ParseError, as is a match_tol that the Tolerances field of that name refuses.
     """
     def as_pair(entry) -> tuple[float, int]:
         pair = (entry.t, entry.multiplicity) if hasattr(entry, "multiplicity") else entry
         try:
             t, mult = () if isinstance(pair, (str, bytes)) else pair
-            if math.isfinite(t := float(t)) and mult is not True and int(mult) == mult >= 1:
+            if (all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in (t, mult))
+                    and math.isfinite(t := float(t)) and int(mult) == mult >= 1):
                 return t, int(mult)
         except (TypeError, ValueError, OverflowError):
             pass

@@ -77,6 +77,13 @@ def test_tolerances_are_the_pinned_fields():
     assert [f.name for f in dataclasses.fields(Tolerances)] == TOLERANCES
 
 
+def test_tolerance_dict_is_the_dataclass_dict():
+    # as_dict reads the fields instead of deep-copying through dataclasses.asdict
+    for tol in (Tolerances(), Tolerances().replace(rank_tol=1e-7, match_tol=0.0)):
+        assert tol.as_dict() == dataclasses.asdict(tol)
+        assert list(tol.as_dict()) == TOLERANCES
+
+
 def test_public_functions_take_the_pinned_parameters():
     # a new option of a public function is an edit of PARAMETERS
     functions = [name for name in nilconj.__all__ if inspect.isfunction(getattr(nilconj, name))]

@@ -531,6 +531,16 @@ def test_tol_override_accepted(capsys):
     assert "rank_tol=1e-07" in out
 
 
+def test_tol_overrides_do_not_leak_between_calls(capsys):
+    # main reuses one parser, whose append action must start each call afresh
+    for pair, tol in (("rank_tol=1e-7", DEFAULT_TOL.replace(rank_tol=1e-7)),
+                      ("match_tol=2e-5", DEFAULT_TOL.replace(match_tol=2e-5))):
+        code, out, _ = run(capsys, "validate", "--algebra", "heis3", "--tol", pair)
+        assert code == 0
+        assert out.splitlines()[0] == "# tolerances: " + " ".join(
+            f"{k}={v:g}" for k, v in tol.as_dict().items())
+
+
 def test_tol_override_unknown_key_exits_2(capsys):
     # fd_step, integer_rel and block_det_rel were tolerances once; the witness
     # grid step now follows from J, lattice times meet by the merge_rel band,

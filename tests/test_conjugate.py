@@ -17,7 +17,7 @@ import nilconj
 import nilconj.conjugate as conjugate_module
 import nilconj.geometry as geometry_module
 import nilconj.spectral as spectral_module
-from conftest import random_algebra
+from conftest import CPLX, PHYP, random_algebra
 from nilconj import (
     DEFAULT_TOL,
     ConjugateTime,
@@ -495,13 +495,14 @@ def test_mixed_scaling_covariance(heis3):
 
 def test_mixed_times_without_closed_series(heis5w, monkeypatch):
     # Without an eigenbasis the root scan samples the matrix form of the
-    # excess; it must find the series' roots.
-    g = geo(heis5w, [3.0], [1.0, 0.2, 0.3, 0.4])
-    closed = conjugate_times(g, 7.0)
-    real_spectrum = conjugate_module.spectrum
-    monkeypatch.setattr(conjugate_module, "spectrum", lambda j, tol: dataclasses.replace(
-        real_spectrum(j, tol), eigenbasis=None))
-    numeric = conjugate_times(g, 7.0)
+    # excess; it must find the series' roots.  The patched spectrum runs on a
+    # freshly loaded heis5w, whose J(u) spectrum no earlier call has cached.
+    closed = conjugate_times(geo(heis5w, [3.0], [1.0, 0.2, 0.3, 0.4]), 7.0)
+    real_spectrum, calls = conjugate_module.spectrum, []
+    monkeypatch.setattr(conjugate_module, "spectrum", lambda j, tol: calls.append(j) or
+                        dataclasses.replace(real_spectrum(j, tol), eigenbasis=None))
+    numeric = conjugate_times(geo(fixture("heis5w"), [3.0], [1.0, 0.2, 0.3, 0.4]), 7.0)
+    assert len(calls) == 1
     assert sum(ct.branch == "transcendental" for ct in closed) >= 3
     assert ([(ct.multiplicity, ct.branch, ct.tangent) for ct in numeric]
             == [(ct.multiplicity, ct.branch, ct.tangent) for ct in closed])
@@ -952,7 +953,9 @@ def test_witness_bonus_lattice(wcross):
     ([3.0], [1.0, 0.2, 0.3, 0.4], 2.8),     # lattice and transcendental witnesses
     ([1.0], [0.0, 0.0, 0.0, 0.0], 13.0),    # lattice witnesses only
 ])
-def test_witnesses_share_one_spectrum(heis5w, monkeypatch, z0, x0, t_max):
+def test_witnesses_share_one_spectrum(monkeypatch, z0, x0, t_max):
+    # the times and witnesses of two geodesics, the second at z0 scaled by -2,
+    # take one spectrum in total: J(u)'s, for the unit center vector u = 1
     real_spectrum = conjugate_module.spectrum
     calls = []
 
@@ -961,9 +964,80 @@ def test_witnesses_share_one_spectrum(heis5w, monkeypatch, z0, x0, t_max):
         return real_spectrum(j, tol)
 
     monkeypatch.setattr(conjugate_module, "spectrum", spy)
-    cts = conjugate_times(geo(heis5w, z0, x0), t_max, witnesses=True)
-    assert len(cts) >= 4 and all(ct.certificate is not None for ct in cts)
-    assert len(calls) == 1
+    alg = fixture("heis5w")
+    for scale in (1.0, -2.0):
+        cts = conjugate_times(geo(alg, scale * np.array(z0), x0), t_max, witnesses=True)
+        assert len(cts) >= 4 and all(ct.certificate is not None for ct in cts)
+    assert len(calls) == 1 and np.array_equal(calls[0], nilconj.j_map(alg, [1.0]))
+
+
+SCALES = [-3.0, -1e-3, 1e-6, 2.5, 1e3]
+LINE_CENTERS = ["heis3", "pheis3", "heis5w", "wcross", "phyp", "cplx", "nilpj"]
+
+
+def same_span(a, b):
+    """Whether the columns of a and b span one subspace."""
+    rank = np.linalg.matrix_rank
+    return a.shape == b.shape and rank(np.hstack([a, b]), 1e-8) == rank(a, 1e-8) == a.shape[1]
+
+
+@pytest.mark.parametrize("name", LINE_CENTERS)
+def test_line_spectrum_scales_to_the_spectrum_of_its_multiple(algebras, name, request):
+    # a line center's J(z0) = s J(u) takes J(u)'s spectrum, scaled: it classifies
+    # as spectrum(s J(u)) does, with the same subspaces and rates to rounding
+    alg = algebras[name] if name in algebras else request.getfixturevalue(name)
+    zu = conjugate_module._line_spectrum(alg, DEFAULT_TOL)[0]
+    for s in SCALES:
+        g = geo(alg, [s * zu], np.zeros(alg.dim_v))
+        scaled, direct = conjugate_module._spectrum_of(g, DEFAULT_TOL), spectrum(g.J)
+        for field in ("zero_mult", "complex_dim", "diagonalizable", "dim_v"):
+            assert getattr(scaled, field) == getattr(direct, field), (name, s, field)
+        assert same_span(scaled.zero_basis, direct.zero_basis)
+        if name == "nilpj":   # J^3 = 0: both sides' lines are eigvals' rounding, on either side
+            noise = [line.rate for line in scaled.neg + scaled.pos + direct.neg + direct.pos]
+            assert max(noise + [scaled.turn_rate, direct.turn_rate]) <= 1e-7 * np.abs(g.J).max()
+            continue
+        assert scaled.turn_rate == pytest.approx(direct.turn_rate, rel=1e-14, abs=0.0)
+        for mine, theirs in ((scaled.neg, direct.neg), (scaled.pos, direct.pos)):
+            assert len(mine) == len(theirs), (name, s)
+            for a, b in zip(*(sorted(lines, key=lambda line: line.rate)
+                              for lines in (mine, theirs))):
+                assert a.mult == b.mult and same_span(a.basis, b.basis), (name, s)
+                assert a.rate == pytest.approx(b.rate, rel=1e-14, abs=0.0)
+        assert (scaled.eigenbasis is None) == (direct.eigenbasis is None)
+        if scaled.eigenbasis is not None:   # a valid eigendecomposition of s J(u)
+            lam, vecs = scaled.eigenbasis
+            assert np.abs(g.J @ vecs - vecs * lam).max() <= 1e-12 * np.abs(g.J).max()
+
+
+def test_line_spectrum_is_cached_per_tolerances(nearres):
+    # rates 1 and 1 + 1e-7 are two lines at the default cluster_rel and one at
+    # 1e-6: each Tolerances takes its own J(u) spectrum on one algebra
+    g = geo(nearres, [2.0], np.zeros(4))
+    for tol, count in ((DEFAULT_TOL, 2), (DEFAULT_TOL.replace(cluster_rel=1e-6), 1),
+                       (DEFAULT_TOL, 2)):
+        assert len(conjugate_module._spectrum_of(g, tol).neg) == len(spectrum(g.J, tol).neg)
+        assert len(spectrum(g.J, tol).neg) == count
+
+
+@pytest.mark.parametrize("doc", ["heis5w", PHYP, CPLX], ids=["heis5w", "phyp", "cplx"])
+def test_lists_do_not_depend_on_the_cached_spectrum(doc):
+    # a geodesic's list on a freshly loaded algebra, whose J(u) spectrum is not
+    # cached yet, is bit for bit its list after 50 other draws on one algebra
+    def load():
+        return fixture(doc) if doc == "heis5w" else load_algebra(doc)
+
+    def listing(alg, g):
+        return [(ct.t, ct.multiplicity, ct.branch, ct.tangent)
+                for ct in conjugate_times(geo(alg, g.z0, g.x0), 13.0)]
+
+    rng, warm = np.random.default_rng(11), load()
+    draws = [_random_geodesic(warm, rng) for _ in range(51)]
+    first = next(g for g in draws if g.z0.any())   # a central or mixed draw
+    for g in draws:
+        if g is not first:
+            listing(warm, g)
+    assert listing(load(), first) == listing(warm, first)
 
 
 def test_build_jacobi_field_single(pheis3):

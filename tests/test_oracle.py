@@ -876,10 +876,12 @@ def test_compare_reads_json_pairs_and_refuses_other_entries():
 
 
 @pytest.mark.parametrize("bad", [(1.0, 2.7), (1.0, True), (1.0, 0), (1.0, -1), (1.0, "2"),
-                                 (np.nan, 2), (np.inf, 2), (1.0, np.inf), (1.0, np.nan)])
+                                 (np.nan, 2), (np.inf, 2), (1.0, np.inf), (1.0, np.nan),
+                                 ("1.0", 2), (True, 2), (1.0, np.True_)])
 def test_compare_refuses_a_time_not_finite_or_a_multiplicity_not_whole(bad):
     # int(2.7) truncated, so (1.0, 2.7) matched (1.0, 2); a nan time broke the sort
-    # the greedy match relies on
+    # the greedy match relies on; float("1.0"), float(True) and int(np.True_) let a
+    # string, a bool and a numpy bool through
     with pytest.raises(ParseError):
         compare([bad], [(1.0, 2)], match_tol=1e-5)
     with pytest.raises(ParseError):
